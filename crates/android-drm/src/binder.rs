@@ -3,12 +3,12 @@
 //!
 //! Calls are a typed enum ([`DrmCall`]) rather than raw parcels; what
 //! matters for the study is the *process boundary*, which
-//! [`ThreadedBinder`] makes real by running the server on a pool of
-//! worker threads fed by one crossbeam MPMC channel (the simulator's
-//! `mediadrmserver` thread pool). [`InProcessBinder`] offers the same
-//! interface synchronously for cheap unit tests. Both implement the one
-//! [`Transport`] trait, and both run every transaction through the same
-//! [`transact_via`] seam — telemetry, panic isolation and fault
+//! [`TcpBinder`](crate::netserver::TcpBinder) makes real by framing every
+//! call onto a socket served by the reactor's dispatch worker pool (the
+//! simulator's `mediadrmserver` thread pool). [`InProcessBinder`] offers
+//! the same interface synchronously for cheap unit tests. Both implement
+//! the one [`Transport`] trait, and both run every transaction through
+//! the same [`transact_via`] seam — telemetry, panic isolation and fault
 //! injection compose there once instead of per-transport.
 //!
 //! Both transports isolate panics per transaction: a handler that
@@ -18,9 +18,9 @@
 //!
 //! When a [`FaultInjector`] is attached (via
 //! [`InProcessBinder::with_fault_injector`] or
-//! [`BinderPoolBuilder::fault_injector`]), binder-plane fault rules are
-//! consulted per transaction: dropped transactions surface as
-//! [`DrmError::BinderDied`], injected panics as
+//! [`TcpBinderBuilder::fault_injector`](crate::netserver::TcpBinderBuilder::fault_injector)),
+//! binder-plane fault rules are consulted per transaction: dropped
+//! transactions surface as [`DrmError::BinderDied`], injected panics as
 //! [`DrmError::ServerPanic`], latency advances the shared virtual clock,
 //! and clock skew forwards the CDM's logical clock (expiring licenses).
 
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use wideleak_bmff::types::{KeyId, Subsample};
 use wideleak_cdm::oemcrypto::SampleCrypto;
 use wideleak_faults::{corrupt_body, FaultInjector, FaultKind, Plane};
-use wideleak_telemetry::{trace, CounterHandle, TraceContext};
+use wideleak_telemetry::{trace, CounterHandle};
 
 use crate::{server::MediaDrmServer, DrmError};
 
@@ -257,10 +257,9 @@ pub(crate) enum FaultStyle {
 /// The single transaction seam all transports run through: telemetry
 /// span + per-kind counters + binder-plane fault injection around the
 /// transport-specific `run` step. Having exactly one seam is what lets
-/// faults compose identically over the in-process, threaded and TCP
-/// paths. `run` receives the fault kind (if any) that the transport
-/// itself must realise; it is always `None` under
-/// [`FaultStyle::Payload`].
+/// faults compose identically over the in-process and TCP paths. `run`
+/// receives the fault kind (if any) that the transport itself must
+/// realise; it is always `None` under [`FaultStyle::Payload`].
 pub(crate) fn transact_via(
     span_name: &'static str,
     injector: Option<&FaultInjector>,
@@ -425,20 +424,18 @@ pub trait Transport: Send + Sync {
 
 /// Which [`Transport`] implementation a component should boot with.
 ///
-/// The three transports are behaviourally interchangeable — the
+/// The two transports are behaviourally interchangeable — the
 /// differential battery in `tests/tests/transport_differential.rs` pins
 /// byte-identical study output across them — so this is purely a
 /// performance/realism knob: [`InProcess`](TransportKind::InProcess) for
-/// cheap unit tests, [`Threaded`](TransportKind::Threaded) for real
-/// thread boundaries, [`Tcp`](TransportKind::Tcp) for real frames on a
-/// loopback socket.
+/// cheap unit tests, [`Tcp`](TransportKind::Tcp) for real frames on a
+/// loopback socket and a real thread boundary into the server's
+/// dispatch pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TransportKind {
     /// Synchronous same-thread dispatch ([`InProcessBinder`]).
     #[default]
     InProcess,
-    /// Worker pool over crossbeam channels ([`ThreadedBinder`]).
-    Threaded,
     /// Wire-framed loopback TCP ([`TcpBinder`](crate::netserver::TcpBinder)).
     Tcp,
 }
@@ -449,14 +446,12 @@ impl TransportKind {
     pub fn label(self) -> &'static str {
         match self {
             TransportKind::InProcess => "inprocess",
-            TransportKind::Threaded => "threaded",
             TransportKind::Tcp => "tcp",
         }
     }
 
     /// All kinds, in boot-cost order — handy for differential sweeps.
-    pub const ALL: [TransportKind; 3] =
-        [TransportKind::InProcess, TransportKind::Threaded, TransportKind::Tcp];
+    pub const ALL: [TransportKind; 2] = [TransportKind::InProcess, TransportKind::Tcp];
 }
 
 impl std::str::FromStr for TransportKind {
@@ -465,9 +460,8 @@ impl std::str::FromStr for TransportKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "inprocess" | "in-process" => Ok(TransportKind::InProcess),
-            "threaded" => Ok(TransportKind::Threaded),
             "tcp" => Ok(TransportKind::Tcp),
-            other => Err(format!("unknown transport {other:?} (expected inprocess|threaded|tcp)")),
+            other => Err(format!("unknown transport {other:?} (expected inprocess|tcp)")),
         }
     }
 }
@@ -512,171 +506,10 @@ impl Transport for InProcessBinder {
     }
 }
 
-/// A queued transaction: the call, the caller's trace context (so the
-/// worker thread's spans stitch into the caller's trace across the
-/// thread boundary), and the reply channel.
-type Transaction =
-    (DrmCall, Option<TraceContext>, crossbeam::channel::Sender<Result<DrmReply, DrmError>>);
-
-/// A transport that runs the server on a pool of worker threads sharing
-/// one MPMC request channel, crossing a real thread boundary per
-/// transaction — the `mediadrmserver` process model. Transactions on
-/// distinct sessions execute in parallel across the workers; the session
-/// shards inside [`CdmCore`](wideleak_cdm::oemcrypto::CdmCore) make that
-/// safe.
-pub struct ThreadedBinder {
-    tx: crossbeam::channel::Sender<Transaction>,
-    /// Kept solely to observe queue depth; workers own their own clones.
-    rx: crossbeam::channel::Receiver<Transaction>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    /// A handle onto the served instance, so the fault seam can reach the
-    /// CDM clock (clock-skew faults) without a round trip.
-    server: Arc<MediaDrmServer>,
-    injector: Option<Arc<FaultInjector>>,
-}
-
-/// Worker-pool knobs for [`BinderPoolBuilder`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BinderPoolConfig {
-    /// Worker thread count; 0 means one per available core.
-    pub workers: usize,
-}
-
-/// Builds a [`ThreadedBinder`] — the pool size and fault plane are
-/// configured here instead of through positional constructor arguments.
-pub struct BinderPoolBuilder {
-    server: MediaDrmServer,
-    config: BinderPoolConfig,
-    injector: Option<Arc<FaultInjector>>,
-}
-
-impl BinderPoolBuilder {
-    /// Replaces the whole config struct.
-    #[must_use]
-    pub fn config(mut self, config: BinderPoolConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the worker count (0 = one per available core).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Attaches a fault injector whose binder-plane rules apply to every
-    /// transaction through the pool.
-    #[must_use]
-    pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Spawns the worker pool.
-    #[must_use]
-    pub fn spawn(self) -> ThreadedBinder {
-        let workers = if self.config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.config.workers
-        };
-        let (tx, rx) = crossbeam::channel::unbounded::<Transaction>();
-        let server = Arc::new(self.server);
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let rx = rx.clone();
-                let server = Arc::clone(&server);
-                std::thread::Builder::new()
-                    .name(format!("mediadrmserver-{i}"))
-                    .spawn(move || {
-                        while let Ok((call, ctx, reply_tx)) = rx.recv() {
-                            let reply = match ctx {
-                                // Adopt the caller's context so the
-                                // dispatch spans chain into its trace.
-                                Some(ctx) => {
-                                    let _g = trace::span_with_parent("server.handle", ctx);
-                                    dispatch(&server, call)
-                                }
-                                None => dispatch(&server, call),
-                            };
-                            // A dropped reply receiver just means the
-                            // client gave up.
-                            let _ = reply_tx.send(reply);
-                        }
-                    })
-                    .expect("spawning a mediadrmserver worker")
-            })
-            .collect();
-        ThreadedBinder { tx, rx, handles, server, injector: self.injector }
-    }
-}
-
-impl ThreadedBinder {
-    /// Starts building a pool around a server.
-    #[must_use]
-    pub fn builder(server: MediaDrmServer) -> BinderPoolBuilder {
-        BinderPoolBuilder { server, config: BinderPoolConfig::default(), injector: None }
-    }
-
-    /// Spawns the server on a pool sized to the machine (one worker per
-    /// available core, minimum one).
-    pub fn spawn(server: MediaDrmServer) -> Self {
-        Self::builder(server).spawn()
-    }
-
-    /// How many worker threads serve this binder.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Transactions queued but not yet claimed by a worker.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.rx.len()
-    }
-}
-
-impl Transport for ThreadedBinder {
-    fn transact(&self, call: DrmCall) -> Result<DrmReply, DrmError> {
-        transact_via(
-            "binder.transact.threaded",
-            self.injector.as_deref(),
-            Some(&self.server),
-            FaultStyle::Payload,
-            call,
-            |call, _| {
-                let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
-                let ctx = trace::current();
-                let _roundtrip = trace::span("pool.roundtrip");
-                self.tx.send((call, ctx, reply_tx)).map_err(|_| DrmError::BinderDied)?;
-                if wideleak_telemetry::is_enabled() {
-                    let depth = self.rx.len() as u64;
-                    wideleak_telemetry::set_gauge("binder.queue.depth", depth);
-                    wideleak_telemetry::max_gauge("binder.queue.depth.max", depth);
-                }
-                reply_rx.recv().map_err(|_| DrmError::BinderDied)?
-            },
-        )
-    }
-}
-
-impl Drop for ThreadedBinder {
-    fn drop(&mut self) {
-        // Closing the channel stops the worker loops; join must not fail
-        // the drop (C-DTOR-FAIL).
-        let (tx, _) = crossbeam::channel::unbounded::<Transaction>();
-        drop(std::mem::replace(&mut self.tx, tx));
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netserver::{TcpBinder, TcpDrmServer};
     use std::sync::Arc;
     use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
     use wideleak_cdm::cdm::Cdm;
@@ -714,32 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_binder_round_trip() {
-        let binder = ThreadedBinder::spawn(server());
-        exercise(&binder);
-    }
-
-    #[test]
-    fn threaded_binder_concurrent_clients() {
-        let binder = Arc::new(ThreadedBinder::spawn(server()));
-        let handles: Vec<_> = (0u8..8)
-            .map(|i| {
-                let b = binder.clone();
-                std::thread::spawn(move || {
-                    b.transact(DrmCall::OpenSession { nonce: [i; 16] })
-                        .unwrap()
-                        .into_session_id()
-                        .unwrap()
-                })
-            })
-            .collect();
-        let mut ids: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 8, "every client got a distinct session");
-    }
-
-    #[test]
     fn reply_shape_errors() {
         assert_eq!(DrmReply::Unit.into_bytes(), Err(DrmError::BadReply));
         assert_eq!(DrmReply::Bool(true).into_session_id(), Err(DrmError::BadReply));
@@ -749,15 +556,19 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_server_thread() {
-        let binder = ThreadedBinder::spawn(server());
+        let binder = TcpBinder::loopback(server()).build().unwrap();
+        let addr = binder.server_addr();
+        exercise(&binder);
         drop(binder);
-        // Nothing to assert beyond "no hang / no panic".
+        // Dropping the binder joins its owned server's threads, which
+        // closes the listener.
+        assert!(std::net::TcpStream::connect(addr).is_err(), "listener closed on drop");
     }
 
     #[test]
     fn pool_size_is_configurable() {
-        let binder = ThreadedBinder::builder(server()).workers(4).spawn();
-        assert_eq!(binder.worker_count(), 4);
+        let binder = TcpBinder::loopback(server()).pool_size(4).build().unwrap();
+        assert_eq!(binder.pool_size(), 4);
         exercise(&binder);
     }
 
@@ -768,13 +579,7 @@ mod tests {
         }
         assert_eq!("in-process".parse::<TransportKind>(), Ok(TransportKind::InProcess));
         assert!("quic".parse::<TransportKind>().is_err());
-    }
-
-    #[test]
-    fn default_pool_matches_available_parallelism() {
-        let binder = ThreadedBinder::spawn(server());
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        assert_eq!(binder.worker_count(), cores);
+        assert!("threaded".parse::<TransportKind>().is_err());
     }
 
     /// An OEMCrypto backend with an internal bug: every session operation
@@ -890,12 +695,13 @@ mod tests {
 
     /// Regression: a panic inside `MediaDrmServer::handle` used to kill
     /// the server thread for good — every later transact returned
-    /// `BinderDied`. Now each panic is contained to its transaction.
+    /// `BinderDied`. Now each panic is contained to its transaction, in
+    /// process and behind the reactor's dispatch pool alike.
     #[test]
     fn panic_in_handler_does_not_kill_the_pool() {
         for binder in [
             Box::new(InProcessBinder::new(panicking_server())) as Box<dyn Transport>,
-            Box::new(ThreadedBinder::builder(panicking_server()).workers(2).spawn()),
+            Box::new(TcpBinder::loopback(panicking_server()).pool_size(2).build().unwrap()),
         ] {
             for _ in 0..4 {
                 assert_eq!(
@@ -913,10 +719,42 @@ mod tests {
         }
     }
 
+    /// A contained panic crosses the wire as a typed reply on the very
+    /// connection that carried the call, and that connection keeps
+    /// serving: the reactor neither closes it nor desyncs its framing.
+    #[test]
+    fn server_panic_crosses_the_wire_and_the_connection_keeps_serving() {
+        use crate::wire::{decode_frame, encode_frame, frame_len, FrameBody, HEADER_LEN};
+        use std::io::{Read, Write};
+
+        let srv = TcpDrmServer::bind("127.0.0.1:0", panicking_server()).unwrap();
+        let mut stream = std::net::TcpStream::connect(srv.local_addr()).unwrap();
+        let mut round_trip = |call: DrmCall| {
+            stream.write_all(&encode_frame(&FrameBody::Call(call))).unwrap();
+            let mut header = [0u8; HEADER_LEN];
+            stream.read_exact(&mut header).unwrap();
+            let mut frame = vec![0u8; frame_len(&header).unwrap()];
+            frame[..HEADER_LEN].copy_from_slice(&header);
+            stream.read_exact(&mut frame[HEADER_LEN..]).unwrap();
+            decode_frame(&frame).unwrap().0
+        };
+        for _ in 0..3 {
+            assert_eq!(
+                round_trip(DrmCall::OpenSession { nonce: [1; 16] }),
+                FrameBody::Reply(Err(DrmError::ServerPanic))
+            );
+        }
+        assert_eq!(
+            round_trip(DrmCall::IsSchemeSupported { uuid: WIDEVINE_SYSTEM_ID }),
+            FrameBody::Reply(Ok(DrmReply::Bool(true)))
+        );
+        assert_eq!(srv.active_connections(), 1, "the one connection stayed open");
+    }
+
     #[test]
     fn queue_depth_gauge_is_exported() {
         wideleak_telemetry::enable();
-        let binder = ThreadedBinder::builder(server()).workers(2).spawn();
+        let binder = TcpBinder::loopback(server()).pool_size(2).build().unwrap();
         for i in 0..4u8 {
             let sid = binder
                 .transact(DrmCall::OpenSession { nonce: [i; 16] })
@@ -927,7 +765,7 @@ mod tests {
         }
         let snapshot = wideleak_telemetry::snapshot();
         assert!(
-            snapshot.gauges.iter().any(|(name, _)| name == "binder.queue.depth"),
+            snapshot.gauges.iter().any(|(name, _)| name == "reactor.dispatch.queue_depth"),
             "gauges: {:?}",
             snapshot.gauges
         );
@@ -946,10 +784,11 @@ mod tests {
                     .with_fault_injector(Arc::new(FaultInjector::new(&plan, 9))),
             ) as Box<dyn Transport>,
             Box::new(
-                ThreadedBinder::builder(server())
-                    .workers(2)
+                TcpBinder::loopback(server())
+                    .pool_size(2)
                     .fault_injector(Arc::new(FaultInjector::new(&plan, 9)))
-                    .spawn(),
+                    .build()
+                    .unwrap(),
             ),
         ] {
             assert_eq!(

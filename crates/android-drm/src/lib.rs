@@ -5,9 +5,12 @@
 //! calls cross a Binder boundary into the **Media DRM Server** process,
 //! which routes them to the Widevine HAL plugin (`wideleak-cdm`).
 //!
-//! - [`binder`] — the IPC boundary, with a synchronous in-process
-//!   transport and a threaded transport (crossbeam channels) that actually
-//!   runs the server on its own thread like `mediadrmserver` does;
+//! - [`binder`] — the IPC boundary and its synchronous in-process
+//!   transport;
+//! - [`netserver`] / [`reactor`] — the TCP transport: a pooled client
+//!   framing calls onto real sockets, served by an event-driven server
+//!   whose dispatch worker pool runs calls on their own threads like
+//!   `mediadrmserver` does;
 //! - [`server`] — the Media DRM Server: DRM-scheme registry + call router;
 //! - [`mediadrm`] — license and provisioning session management
 //!   (`openSession`, `getKeyRequest`, `provideKeyResponse`, …);

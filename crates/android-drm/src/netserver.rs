@@ -1,45 +1,34 @@
-//! The TCP client transport: a pooled (or pipelined) [`TcpBinder`]
-//! speaking the [`wire`](crate::wire) frame format over real sockets to
-//! a [`TcpDrmServer`] — the event-driven reactor server living in
+//! The TCP client transport: a pooled [`TcpBinder`] speaking the
+//! [`wire`](crate::wire) frame format over real sockets to a
+//! [`TcpDrmServer`] — the event-driven reactor server living in
 //! [`reactor`](crate::reactor) and re-exported here.
 //!
 //! [`TcpBinder`] is routed through the same
-//! [`transact_via`](crate::binder) seam as the in-memory transports so
-//! telemetry and fault injection compose identically. It has two
-//! modes:
-//!
-//! - **Pooled** (default, [`TcpBinderBuilder::pool_size`]): a bounded
-//!   pool of connections, one in-flight call per checked-out socket,
-//!   with a health-checked reconnect. The health check covers *both*
-//!   stale-socket symptoms: a failed write, and a clean EOF before any
-//!   reply byte (the write landed in a dead socket's buffer) — each
-//!   worth exactly one reconnect-and-retry.
-//! - **Pipelined** ([`TcpBinderBuilder::pipeline_depth`] ≥ 2): one
-//!   shared connection carrying up to `depth` concurrent calls, each
-//!   tagged with a wire-v3 request id; a reader thread routes the
-//!   out-of-order replies back to their callers by id.
+//! [`transact_via`](crate::binder) seam as the in-memory transport so
+//! telemetry and fault injection compose identically. It keeps a
+//! bounded pool of connections ([`TcpBinderBuilder::pool_size`]), one
+//! in-flight call per checked-out socket, with a health-checked
+//! reconnect. The health check covers *both* stale-socket symptoms: a
+//! failed write, and a clean EOF before any reply byte (the write
+//! landed in a dead socket's buffer) — each worth exactly one
+//! reconnect-and-retry.
 //!
 //! Every read is bounded by a configurable deadline
 //! ([`TcpBinderBuilder::read_timeout`]); a wedged server surfaces as
 //! the transient, retryable [`DrmError::Timeout`] instead of hanging
 //! the caller forever.
 //!
-//! Fault realisation differs from the in-memory transports by design:
-//! they corrupt the typed reply payload, but here corruption faults
+//! Fault realisation differs from the in-memory transport by design:
+//! it corrupts the typed reply payload, but here corruption faults
 //! damage the *received frame bytes* before decoding, so they surface
 //! as typed [`WireError`]s through [`DrmError::Wire`]. Drop faults
-//! sever a live pooled connection (the reconnect machinery recovers);
-//! in pipelined mode they fail only the targeted call, leaving the
-//! shared connection — and every innocent in-flight call on it —
-//! untouched, so app-visible outcomes stay identical across modes.
-//! The differential battery pins that all transports still produce
+//! sever a live pooled connection (the reconnect machinery recovers).
+//! The differential battery pins that both transports still produce
 //! byte-identical study reports.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wideleak_faults::{corrupt_body, FaultInjector, FaultKind};
@@ -47,10 +36,7 @@ use wideleak_telemetry::{trace, CounterHandle};
 
 use crate::binder::{transact_via, DrmCall, DrmReply, FaultStyle, Transport};
 use crate::server::MediaDrmServer;
-use crate::wire::{
-    decode_frame, encode_frame_full, encode_frame_with, frame_len, peek_request_id, FrameBody,
-    WireError, HEADER_LEN,
-};
+use crate::wire::{decode_frame, encode_frame_with, frame_len, FrameBody, WireError, HEADER_LEN};
 use crate::DrmError;
 
 pub use crate::reactor::{ReactorConfig, TcpDrmServer};
@@ -61,74 +47,12 @@ static BYTES_SENT: CounterHandle = CounterHandle::new("binder.tcp.bytes.sent");
 static BYTES_RECEIVED: CounterHandle = CounterHandle::new("binder.tcp.bytes.received");
 static RECONNECTS: CounterHandle = CounterHandle::new("binder.tcp.reconnects");
 
-/// How often blocked reads wake up to re-check their stop condition
-/// (the deadline for pooled reads, the shutdown flag for the pipelined
-/// reader thread).
+/// How often blocked reads wake up to re-check their deadline.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Default read deadline: generous against real dispatch latency,
 /// finite against a wedged server.
 const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Reads exactly `buf.len()` bytes, waking every [`POLL_INTERVAL`] to
-/// check `shutdown`. Returns `Ok(false)` on a clean EOF *before any
-/// byte arrived* (the peer closed between frames); EOF mid-frame is an
-/// error. Partial reads across timeouts are tracked, so a slow peer
-/// does not desync the stream.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shutdown.load(Ordering::Acquire) {
-            return Err(std::io::Error::new(std::io::ErrorKind::Interrupted, "reader shutdown"));
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one whole frame (header + payload + trailer) into a buffer.
-/// Returns `Ok(None)` on clean EOF at a frame boundary.
-fn read_frame(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> std::io::Result<Option<Result<Vec<u8>, WireError>>> {
-    let mut header = [0u8; HEADER_LEN];
-    if !read_full(stream, &mut header, shutdown)? {
-        return Ok(None);
-    }
-    let total = match frame_len(&header) {
-        Ok(total) => total,
-        // A bad header means the frame boundary is unknowable; the
-        // caller must sever, but gets the typed error first.
-        Err(e) => return Ok(Some(Err(e))),
-    };
-    let mut frame = vec![0u8; total];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    if !read_full(stream, &mut frame[HEADER_LEN..], shutdown)? {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "peer closed mid-frame",
-        ));
-    }
-    Ok(Some(Ok(frame)))
-}
 
 /// Outcome of a deadline-bounded frame read on a pooled socket.
 enum FrameRead {
@@ -216,14 +140,13 @@ fn read_frame_deadline(stream: &mut TcpStream, deadline: Duration) -> std::io::R
 /// `None` slot triggers a reconnect, which is the health check.
 type ConnSlot = Option<TcpStream>;
 
-/// Builds a [`TcpBinder`] — pool size, pipelining depth, read deadline,
-/// fault plane and target are configured here.
+/// Builds a [`TcpBinder`] — pool size, read deadline, fault plane and
+/// target are configured here.
 pub struct TcpBinderBuilder {
     target: Target,
     pool_size: usize,
     injector: Option<Arc<FaultInjector>>,
     read_timeout: Duration,
-    pipeline_depth: usize,
 }
 
 enum Target {
@@ -235,7 +158,6 @@ enum Target {
 
 impl TcpBinderBuilder {
     /// Sets the connection-pool size (clamped to ≥ 1; default 4).
-    /// Ignored in pipelined mode, which shares one connection.
     #[must_use]
     pub fn pool_size(mut self, pool_size: usize) -> Self {
         self.pool_size = pool_size.max(1);
@@ -259,16 +181,6 @@ impl TcpBinderBuilder {
         self
     }
 
-    /// Sets how many calls may be in flight on one shared connection.
-    /// Depth ≤ 1 (the default) keeps the pooled
-    /// one-call-per-checked-out-socket mode; depth ≥ 2 switches to
-    /// pipelined mode with request-id-correlated replies.
-    #[must_use]
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
-        self
-    }
-
     /// Connects (lazily — sockets open on first use).
     ///
     /// # Errors
@@ -287,25 +199,12 @@ impl TcpBinderBuilder {
         for _ in 0..self.pool_size {
             slot_tx.send(None).expect("pre-filling the connection pool");
         }
-        let pipeline = (self.pipeline_depth >= 2).then(|| {
-            let (ticket_tx, ticket_rx) = crossbeam::channel::bounded::<()>(self.pipeline_depth);
-            for _ in 0..self.pipeline_depth {
-                ticket_tx.send(()).expect("pre-filling the in-flight window");
-            }
-            PipelineState {
-                depth: self.pipeline_depth,
-                conn: Mutex::new(None),
-                ticket_tx,
-                ticket_rx,
-            }
-        });
         Ok(TcpBinder {
             addr,
             pool_size: self.pool_size,
             read_timeout: self.read_timeout,
             slot_tx,
             slot_rx,
-            pipeline,
             injector: self.injector,
             server,
             _local: local,
@@ -313,136 +212,8 @@ impl TcpBinderBuilder {
     }
 }
 
-/// The channel a pipelined caller waits on for its raw reply frame.
-type ReplyWaiter = mpsc::Sender<Result<Vec<u8>, DrmError>>;
-
-/// One shared pipelined connection: a writer half callers serialize
-/// on, a map of reply waiters keyed by request id, and a reader thread
-/// (spawned in [`PipeConn::open`]) routing inbound frames to them.
-struct PipeConn {
-    writer: Mutex<TcpStream>,
-    pending: Mutex<HashMap<u64, ReplyWaiter>>,
-    next_id: AtomicU64,
-    /// Set once the connection is known broken; callers holding a clone
-    /// reconnect instead of piling more calls onto it.
-    dead: AtomicBool,
-    /// Tells the reader thread to exit on the next poll wake-up.
-    shutdown: AtomicBool,
-}
-
-impl PipeConn {
-    /// Connects and spawns the reader thread.
-    fn open(addr: SocketAddr) -> std::io::Result<Arc<PipeConn>> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        let reader_stream = stream.try_clone()?;
-        let conn = Arc::new(PipeConn {
-            writer: Mutex::new(stream),
-            pending: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            dead: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-        });
-        let thread_conn = Arc::clone(&conn);
-        std::thread::Builder::new()
-            .name("tcpbinder-reader".into())
-            .spawn(move || reader_loop(reader_stream, &thread_conn))
-            .expect("spawning the pipelined reader");
-        Ok(conn)
-    }
-
-    /// Marks the connection dead and unblocks the reader immediately
-    /// (instead of after its next [`POLL_INTERVAL`] wake-up).
-    fn begin_shutdown(&self) {
-        self.dead.store(true, Ordering::Release);
-        self.shutdown.store(true, Ordering::Release);
-        if let Ok(writer) = self.writer.lock() {
-            let _ = writer.shutdown(std::net::Shutdown::Both);
-        }
-    }
-
-    /// Declares the connection broken and fails every waiter: their
-    /// replies can no longer arrive.
-    fn fail_all(&self, error: &DrmError) {
-        self.dead.store(true, Ordering::Release);
-        let waiters = match self.pending.lock() {
-            Ok(mut pending) => pending.drain().collect::<Vec<_>>(),
-            Err(_) => Vec::new(),
-        };
-        for (_, tx) in waiters {
-            let _ = tx.send(Err(error.clone()));
-        }
-    }
-}
-
-/// The reader half of a pipelined connection: routes each inbound
-/// reply frame to its waiter by request id. Any condition that breaks
-/// the id↔reply correspondence (EOF, IO error, unparseable header, a
-/// reply with no id) kills the connection and fails every waiter —
-/// transiently, so the retry policy pays one reconnect.
-fn reader_loop(mut stream: TcpStream, conn: &Arc<PipeConn>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    loop {
-        match read_frame(&mut stream, &conn.shutdown) {
-            Ok(Some(Ok(frame))) => {
-                let Some(id) = peek_request_id(&frame) else {
-                    conn.fail_all(&DrmError::BadReply);
-                    return;
-                };
-                let waiter = match conn.pending.lock() {
-                    Ok(mut pending) => pending.remove(&id),
-                    Err(_) => None,
-                };
-                // No waiter: the caller timed out and abandoned the id.
-                if let Some(tx) = waiter {
-                    let _ = tx.send(Ok(frame));
-                }
-            }
-            Ok(Some(Err(wire_err))) => {
-                conn.fail_all(&DrmError::Wire(wire_err));
-                return;
-            }
-            Ok(None) | Err(_) => {
-                conn.fail_all(&DrmError::BinderDied);
-                return;
-            }
-        }
-    }
-}
-
-/// The pipelined half of a [`TcpBinder`]: the current shared
-/// connection (replaced wholesale when it dies) and a ticket channel
-/// bounding calls in flight.
-struct PipelineState {
-    depth: usize,
-    conn: Mutex<Option<Arc<PipeConn>>>,
-    ticket_tx: crossbeam::channel::Sender<()>,
-    ticket_rx: crossbeam::channel::Receiver<()>,
-}
-
-impl Drop for PipelineState {
-    fn drop(&mut self) {
-        if let Ok(mut conn) = self.conn.lock() {
-            if let Some(conn) = conn.take() {
-                conn.begin_shutdown();
-            }
-        }
-    }
-}
-
-/// Returns the in-flight ticket when the call finishes, however it
-/// finishes.
-struct TicketGuard<'a>(&'a crossbeam::channel::Sender<()>);
-
-impl Drop for TicketGuard<'_> {
-    fn drop(&mut self) {
-        let _ = self.0.send(());
-    }
-}
-
 /// The client half of the TCP transport: transactions multiplexed to a
-/// [`TcpDrmServer`] over a bounded connection pool, or — in pipelined
-/// mode — over one shared request-id-correlated connection.
+/// [`TcpDrmServer`] over a bounded connection pool.
 ///
 /// Pool behaviour: a transaction checks a slot out of a bounded channel
 /// (blocking when all are in flight, which bounds concurrent sockets),
@@ -455,11 +226,9 @@ pub struct TcpBinder {
     pool_size: usize,
     read_timeout: Duration,
     // Client-side connection state is declared before `_local` so
-    // pooled sockets and the pipelined reader shut down before the
-    // owned server does.
+    // pooled sockets shut down before the owned server does.
     slot_tx: crossbeam::channel::Sender<ConnSlot>,
     slot_rx: crossbeam::channel::Receiver<ConnSlot>,
-    pipeline: Option<PipelineState>,
     injector: Option<Arc<FaultInjector>>,
     /// Loopback handle onto the served instance so clock-skew faults can
     /// reach the CDM clock; `None` when connected to a remote server.
@@ -476,7 +245,6 @@ impl TcpBinder {
             pool_size: 4,
             injector: None,
             read_timeout: DEFAULT_READ_TIMEOUT,
-            pipeline_depth: 1,
         }
     }
 
@@ -488,7 +256,6 @@ impl TcpBinder {
             pool_size: 4,
             injector: None,
             read_timeout: DEFAULT_READ_TIMEOUT,
-            pipeline_depth: 1,
         }
     }
 
@@ -498,17 +265,10 @@ impl TcpBinder {
         self.addr
     }
 
-    /// Pool capacity (concurrent connections ceiling in pooled mode).
+    /// Pool capacity (concurrent connections ceiling).
     #[must_use]
     pub fn pool_size(&self) -> usize {
         self.pool_size
-    }
-
-    /// Calls allowed in flight at once: the pipeline depth, or 1 per
-    /// pooled connection.
-    #[must_use]
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline.as_ref().map_or(1, |p| p.depth)
     }
 
     /// Opens a fresh connection to the server.
@@ -676,157 +436,6 @@ impl TcpBinder {
             }
         }
     }
-
-    /// The current shared pipelined connection, opened (or reopened)
-    /// on demand.
-    fn pipelined_conn(&self, pl: &PipelineState) -> Result<Arc<PipeConn>, DrmError> {
-        let mut current = pl.conn.lock().map_err(|_| DrmError::BinderDied)?;
-        if let Some(conn) = current.as_ref() {
-            if !conn.dead.load(Ordering::Acquire) {
-                return Ok(Arc::clone(conn));
-            }
-            conn.begin_shutdown();
-            *current = None;
-        }
-        RECONNECTS.incr();
-        match PipeConn::open(self.addr) {
-            Ok(conn) => {
-                *current = Some(Arc::clone(&conn));
-                Ok(conn)
-            }
-            Err(_) => Err(DrmError::BinderDied),
-        }
-    }
-
-    /// Takes a broken connection out of service (if it is still the
-    /// current one) so the next caller reconnects.
-    fn retire_pipelined_conn(&self, pl: &PipelineState, conn: &Arc<PipeConn>) {
-        conn.dead.store(true, Ordering::Release);
-        if let Ok(mut current) = pl.conn.lock() {
-            if current.as_ref().is_some_and(|c| Arc::ptr_eq(c, conn)) {
-                conn.begin_shutdown();
-                *current = None;
-            }
-        }
-    }
-
-    /// One pipelined call: take an in-flight ticket, tag the frame with
-    /// a fresh request id, and wait (deadline-bounded) for the reader
-    /// thread to deliver the correlated reply.
-    fn run_pipelined(
-        &self,
-        pl: &PipelineState,
-        call: DrmCall,
-        fault: Option<&FaultKind>,
-    ) -> Result<DrmReply, DrmError> {
-        let trace_ctx = trace::current();
-        if matches!(fault, Some(FaultKind::Drop)) {
-            // Pipelined drop realisation: this one call's frame never
-            // arrives. The shared connection is not severed, so
-            // innocent in-flight calls are untouched and the
-            // app-visible outcome matches the pooled transport's.
-            return Err(DrmError::BinderDied);
-        }
-        {
-            // Queue-wait phase: time blocked on the in-flight window.
-            let _checkout = trace::span("tcp.checkout");
-            pl.ticket_rx.recv().map_err(|_| DrmError::BinderDied)?;
-        }
-        let _ticket = TicketGuard(&pl.ticket_tx);
-        let body = FrameBody::Call(call);
-        // The stale-socket health check, pipelined edition: one
-        // reconnect-and-retry when the shared connection turns out to
-        // be dead (failed write, or the reader declaring it broken
-        // before this reply arrived).
-        let mut retried = false;
-        loop {
-            let conn = self.pipelined_conn(pl)?;
-            let id = conn.next_id.fetch_add(1, Ordering::Relaxed);
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if let Ok(mut pending) = conn.pending.lock() {
-                pending.insert(id, reply_tx);
-            } else {
-                return Err(DrmError::BinderDied);
-            }
-            let request = {
-                let _encode = trace::span("tcp.encode");
-                encode_frame_full(&body, trace_ctx.as_ref(), Some(id))
-            };
-            let started = Instant::now();
-            let roundtrip = trace::span("tcp.roundtrip");
-            let wrote = match conn.writer.lock() {
-                Ok(mut writer) => writer.write_all(&request).is_ok(),
-                Err(_) => false,
-            };
-            if !wrote {
-                if let Ok(mut pending) = conn.pending.lock() {
-                    pending.remove(&id);
-                }
-                self.retire_pipelined_conn(pl, &conn);
-                if retried {
-                    return Err(DrmError::BinderDied);
-                }
-                retried = true;
-                RECONNECTS.incr();
-                trace::annotate("reconnect", "stale_socket");
-                continue;
-            }
-            FRAMES_SENT.incr();
-            BYTES_SENT.add(request.len() as u64);
-            match reply_rx.recv_timeout(self.read_timeout) {
-                Ok(Ok(mut frame)) => {
-                    FRAMES_RECEIVED.incr();
-                    BYTES_RECEIVED.add(frame.len() as u64);
-                    drop(roundtrip);
-                    wideleak_telemetry::observe("binder.tcp.rtt", started.elapsed());
-                    if let Some(kind) = fault {
-                        frame = corrupt_body(kind, frame);
-                    }
-                    let _decode = trace::span("tcp.decode");
-                    return match decode_frame(&frame) {
-                        Ok((FrameBody::Reply(reply), _)) => reply,
-                        Ok((
-                            FrameBody::Call(_)
-                            | FrameBody::CampaignCall(_)
-                            | FrameBody::CampaignReply(_),
-                            _,
-                        )) => Err(DrmError::BadReply),
-                        // Corruption damaged only this copy of the
-                        // frame; the shared connection stays up.
-                        Err(wire_err) => Err(DrmError::Wire(wire_err)),
-                    };
-                }
-                Ok(Err(error)) => {
-                    // The reader declared the connection broken before
-                    // this reply arrived (EOF, IO error, desync).
-                    self.retire_pipelined_conn(pl, &conn);
-                    if retried {
-                        return Err(error);
-                    }
-                    retried = true;
-                    RECONNECTS.incr();
-                    trace::annotate("reconnect", "eof_before_reply");
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Ok(mut pending) = conn.pending.lock() {
-                        pending.remove(&id);
-                    }
-                    // A wedged server wedges every call on the shared
-                    // connection; retire it so the next call
-                    // reconnects instead of queueing behind it.
-                    self.retire_pipelined_conn(pl, &conn);
-                    return Err(DrmError::Timeout {
-                        ms: u64::try_from(self.read_timeout.as_millis()).unwrap_or(u64::MAX),
-                    });
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    self.retire_pipelined_conn(pl, &conn);
-                    return Err(DrmError::BinderDied);
-                }
-            }
-        }
-    }
 }
 
 impl Transport for TcpBinder {
@@ -837,10 +446,7 @@ impl Transport for TcpBinder {
             self.server.as_deref(),
             FaultStyle::Frame,
             call,
-            |call, fault| match &self.pipeline {
-                Some(pl) => self.run_pipelined(pl, call, fault),
-                None => self.run_over_socket(call, fault),
-            },
+            |call, fault| self.run_over_socket(call, fault),
         )
     }
 }
@@ -912,85 +518,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 8, "every client got a distinct session");
-    }
-
-    #[test]
-    fn pipelined_round_trip() {
-        let binder = TcpBinder::loopback(server()).pipeline_depth(8).build().unwrap();
-        assert_eq!(binder.pipeline_depth(), 8);
-        assert!(binder
-            .transact(DrmCall::IsSchemeSupported { uuid: WIDEVINE_SYSTEM_ID })
-            .unwrap()
-            .into_bool()
-            .unwrap());
-        let sid = binder
-            .transact(DrmCall::OpenSession { nonce: [1; 16] })
-            .unwrap()
-            .into_session_id()
-            .unwrap();
-        assert!(binder.transact(DrmCall::CloseSession { session_id: sid }).is_ok());
-        assert!(binder.transact(DrmCall::CloseSession { session_id: sid }).is_err());
-    }
-
-    #[test]
-    fn pipelined_concurrent_callers_share_one_connection() {
-        let binder = Arc::new(TcpBinder::loopback(server()).pipeline_depth(4).build().unwrap());
-        let handles: Vec<_> = (0u8..12)
-            .map(|i| {
-                let b = Arc::clone(&binder);
-                std::thread::spawn(move || {
-                    b.transact(DrmCall::OpenSession { nonce: [i; 16] })
-                        .unwrap()
-                        .into_session_id()
-                        .unwrap()
-                })
-            })
-            .collect();
-        let mut ids: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 12, "every caller got a distinct session");
-    }
-
-    #[test]
-    fn pipelined_drop_fault_spares_the_shared_connection() {
-        let plan = FaultPlan::builder()
-            .binder_fault("open_session", FaultKind::Drop, Schedule::Once { at: 0 })
-            .build();
-        let binder = TcpBinder::loopback(server())
-            .pipeline_depth(4)
-            .fault_injector(Arc::new(FaultInjector::new(&plan, 9)))
-            .build()
-            .unwrap();
-        assert!(binder.transact(DrmCall::IsProvisioned).is_ok());
-        assert_eq!(
-            binder.transact(DrmCall::OpenSession { nonce: [1; 16] }),
-            Err(DrmError::BinderDied)
-        );
-        // The shared connection survived the dropped call.
-        assert!(binder.transact(DrmCall::OpenSession { nonce: [2; 16] }).is_ok());
-    }
-
-    #[test]
-    fn pipelined_read_deadline_fires_on_a_stalled_server() {
-        // A listener that accepts and then never replies.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stall = std::thread::spawn(move || {
-            // Hold the accepted connection open without ever replying;
-            // a second accept never comes because the timeout path only
-            // retires the dead connection — the *next* call reconnects.
-            listener.accept().ok()
-        });
-        let binder = TcpBinder::connect(addr)
-            .pipeline_depth(2)
-            .read_timeout(Duration::from_millis(100))
-            .build()
-            .unwrap();
-        let reply = binder.transact(DrmCall::IsProvisioned);
-        assert_eq!(reply, Err(DrmError::Timeout { ms: 100 }));
-        drop(binder);
-        let _ = stall.join();
     }
 
     #[test]

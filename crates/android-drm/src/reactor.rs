@@ -25,8 +25,8 @@
 //! echoes it, so replies may complete out of order and the client
 //! correlates them by id. Calls without an id still work — their
 //! replies simply carry no id (and a client that sends them one at a
-//! time, like the pooled [`TcpBinder`](crate::netserver::TcpBinder) in
-//! its default mode, needs no correlation).
+//! time, like the pooled [`TcpBinder`](crate::netserver::TcpBinder),
+//! needs no correlation).
 //!
 //! **Backpressure:** per-connection in-flight dispatches and queued
 //! outbound bytes are both bounded ([`ReactorConfig`]); at either
@@ -696,9 +696,8 @@ mod tests {
         let mut seen = std::collections::HashMap::new();
         for _ in 0..2 {
             let frame = read_reply_frame(&mut stream);
-            let id = crate::wire::peek_request_id(&frame).expect("reply echoes the request id");
-            let (body, _) = decode_frame(&frame).unwrap();
-            seen.insert(id, body);
+            let (body, meta, _) = decode_frame_full(&frame).unwrap();
+            seen.insert(meta.request_id.expect("reply echoes the request id"), body);
         }
         assert_eq!(seen[&71], FrameBody::Reply(Ok(DrmReply::Bool(false))));
         assert_eq!(seen[&72], FrameBody::Reply(Ok(DrmReply::Bool(true))));
@@ -719,7 +718,9 @@ mod tests {
         }
         stream.write_all(&batch).unwrap();
         let mut ids: Vec<u64> = (0..8)
-            .map(|_| crate::wire::peek_request_id(&read_reply_frame(&mut stream)).unwrap())
+            .map(|_| {
+                decode_frame_full(&read_reply_frame(&mut stream)).unwrap().1.request_id.unwrap()
+            })
             .collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..8).collect::<Vec<u64>>());

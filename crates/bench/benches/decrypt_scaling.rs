@@ -1,13 +1,13 @@
-//! P5 — Multi-client `DecryptSample` throughput through the pooled
+//! P5 — Multi-client `DecryptSample` throughput through the pooled TCP
 //! binder: 1/2/4/8 client threads, each decrypting on its **own** CDM
-//! session, against one `ThreadedBinder` worker pool.
+//! session, against one reactor server's dispatch worker pool.
 //!
 //! This is the tentpole measurement for the concurrent DRM stack: the
 //! sharded session table in `CdmCore` lets transactions on distinct
-//! sessions execute in parallel across binder workers, so aggregate
+//! sessions execute in parallel across dispatch workers, so aggregate
 //! throughput should rise with client count until the machine runs out
-//! of cores (and even on one core, keeping the MPMC queue full amortises
-//! the two scheduler wake-ups a lone client pays per transaction).
+//! of cores (and even on one core, keeping the dispatch queue full
+//! amortises the scheduler wake-ups a lone client pays per transaction).
 //!
 //! ```text
 //! cargo bench -p wideleak-bench --bench decrypt_scaling [-- --quick]
@@ -19,7 +19,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use wideleak::android_drm::binder::{DrmCall, ThreadedBinder, Transport};
+use wideleak::android_drm::binder::{DrmCall, Transport};
+use wideleak::android_drm::netserver::{ReactorConfig, TcpBinder, TcpDrmServer};
 use wideleak::android_drm::server::MediaDrmServer;
 use wideleak::bmff::types::{KeyId, WIDEVINE_SYSTEM_ID};
 use wideleak::cdm::cdm::Cdm;
@@ -34,19 +35,21 @@ use wideleak_bench::{bench_ecosystem, BenchReport};
 
 /// One encrypted audio-sized sample per transaction: small enough that
 /// the binder round-trip is a visible fraction of the cost, the regime
-/// the worker pool is for.
+/// the dispatch pool is for.
 const SAMPLE_BYTES: usize = 4 * 1024;
 const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Workers match the largest client count so the pool is never the
-/// bottleneck being measured.
+/// Dispatch workers and pooled sockets match the largest client count,
+/// so neither is the bottleneck being measured.
 const WORKERS: usize = 8;
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick") || std::env::var_os("WIDELEAK_BENCH_QUICK").is_some()
 }
 
-/// Boots an L3 CDM behind a Media DRM server on a worker pool.
-fn boot_binder(eco: &Ecosystem) -> ThreadedBinder {
+/// Boots an L3 CDM behind a reactor Media DRM server with a
+/// [`WORKERS`]-thread dispatch pool, and a binder with one pooled
+/// socket per worker. The server is returned so it outlives the binder.
+fn boot_binder(eco: &Ecosystem) -> (TcpDrmServer, TcpBinder) {
     let backend = L3OemCrypto::new(
         CdmVersion::new(16, 0, 0),
         Arc::new(HookEngine::new()),
@@ -56,7 +59,11 @@ fn boot_binder(eco: &Ecosystem) -> ThreadedBinder {
     let mut server = MediaDrmServer::new();
     let cdm = Cdm::builder().backend(Arc::new(backend)).build();
     server.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
-    ThreadedBinder::builder(server).workers(WORKERS).spawn()
+    let config = ReactorConfig { dispatch_workers: WORKERS, ..ReactorConfig::default() };
+    let srv = TcpDrmServer::bind_with("127.0.0.1:0", Arc::new(server), config)
+        .expect("binding a loopback media drm server");
+    let binder = TcpBinder::connect(srv.local_addr()).pool_size(WORKERS).build().unwrap();
+    (srv, binder)
 }
 
 /// Provisions the device through the binder, like first app launch does.
@@ -100,7 +107,7 @@ fn license_session(binder: &dyn Transport, eco: &Ecosystem, token: &str, tag: u8
 /// Runs `iters` decrypts per client, all clients in parallel, and
 /// returns the elapsed wall time.
 fn run_clients(
-    binder: &Arc<ThreadedBinder>,
+    binder: &Arc<TcpBinder>,
     sessions: &[(u32, KeyId)],
     iters: usize,
 ) -> std::time::Duration {
@@ -138,12 +145,13 @@ fn main() {
     wideleak::telemetry::enable();
 
     let eco = bench_ecosystem();
-    let binder = Arc::new(boot_binder(&eco));
+    let (_server, binder) = boot_binder(&eco);
+    let binder = Arc::new(binder);
     provision(binder.as_ref(), &eco);
     let token = eco.accounts().subscribe("ocs", "bench-user");
 
     println!(
-        "decrypt_scaling: {SAMPLE_BYTES}-byte cenc samples, {WORKERS}-worker pool, \
+        "decrypt_scaling: {SAMPLE_BYTES}-byte cenc samples, {WORKERS}-worker dispatch pool, \
          {iters} decrypts/client ({} cores)",
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     );
@@ -193,9 +201,10 @@ fn main() {
     }
 
     let snapshot = wideleak::telemetry::snapshot();
-    if let Some((_, depth)) = snapshot.gauges.iter().find(|(n, _)| n == "binder.queue.depth.max") {
-        println!("binder.queue.depth.max = {depth}");
-        report.metric("binder.queue.depth.max", *depth as f64);
+    let gauge = "reactor.dispatch.queue_depth";
+    if let Some((_, depth)) = snapshot.gauges.iter().find(|(n, _)| n == gauge) {
+        println!("{gauge} = {depth}");
+        report.metric(gauge, *depth as f64);
     }
     report.write();
 }

@@ -7,6 +7,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use wideleak::android_drm::binder::TransportKind;
 use wideleak::device::catalog::DeviceModel;
 use wideleak_bench::bench_ecosystem;
 
@@ -33,11 +34,11 @@ fn bench_figure1(c: &mut Criterion) {
         b.iter(|| app.play("title-001").unwrap());
     });
 
-    let threaded_stack = eco.boot_device_threaded(DeviceModel::pixel_6(), false);
-    let threaded_app = eco.install_app(&threaded_stack, "showtime", "fig1-threaded");
-    threaded_app.play("title-001").expect("warm up provisioning");
-    group.bench_function("playback/threaded_binder", |b| {
-        b.iter(|| threaded_app.play("title-001").unwrap());
+    let tcp_stack = eco.boot_device_with(DeviceModel::pixel_6(), false, TransportKind::Tcp);
+    let tcp_app = eco.install_app(&tcp_stack, "showtime", "fig1-tcp");
+    tcp_app.play("title-001").expect("warm up provisioning");
+    group.bench_function("playback/tcp_binder", |b| {
+        b.iter(|| tcp_app.play("title-001").unwrap());
     });
 
     // L3 playback for comparison (no TEE world switches, sub-HD assets).

@@ -11,8 +11,9 @@
 //!   Montgomery form of 1. Multiplication uses REDC, exponentiation a
 //!   fixed 4-bit window with an on-context table of base powers.
 //! - [`ModExpContext`] — the public entry point: Montgomery for odd
-//!   moduli `> 1`, automatic schoolbook fallback otherwise, preserving
-//!   the exact semantics of the deprecated `modular::mod_pow`.
+//!   moduli `> 1`, automatic fallback to
+//!   [`modular::mod_pow_schoolbook`](crate::modular::mod_pow_schoolbook)
+//!   otherwise, with exactly the reference implementation's semantics.
 //! - [`CrtContext`] — a two-prime RSA private-operation context: one
 //!   `ModExpContext` per prime plus Garner recombination.
 
@@ -225,9 +226,9 @@ fn sub_in_place(a: &mut [u64], b: &[u64]) {
 /// A precomputed modular-exponentiation context for an arbitrary modulus.
 ///
 /// Odd moduli `> 1` get a [`Montgomery`] fast path; everything else falls
-/// back to schoolbook square-and-multiply so the semantics of the
-/// deprecated `modular::mod_pow` are preserved exactly (`m == 1` yields
-/// zero, `exp == 0` yields one).
+/// back to schoolbook square-and-multiply, and both agree exactly with
+/// [`modular::mod_pow_schoolbook`] (`m == 1` yields zero, `exp == 0`
+/// yields one).
 ///
 /// # Examples
 ///
@@ -262,7 +263,7 @@ impl ModExpContext {
     ///
     /// # Panics
     ///
-    /// Panics if `m` is zero, matching `mod_pow`.
+    /// Panics if `m` is zero, matching [`modular::mod_pow_schoolbook`].
     pub fn new(m: &BigUint) -> Self {
         assert!(!m.is_zero(), "modulus is zero");
         let inner = match Montgomery::new(m) {
@@ -285,8 +286,8 @@ impl ModExpContext {
         matches!(self.inner, Inner::Mont(_))
     }
 
-    /// Computes `base^exp mod m` with the same semantics as the
-    /// deprecated `modular::mod_pow`.
+    /// Computes `base^exp mod m` with the same semantics as
+    /// [`modular::mod_pow_schoolbook`].
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         match &self.inner {
             Inner::Mont(mont) => mont.pow(base, exp),

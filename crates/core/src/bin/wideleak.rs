@@ -17,7 +17,7 @@
 //! ```
 //!
 //! Flags: `--fast` shrinks RSA keys for quick runs; `--seed N` reseeds the
-//! deterministic ecosystem; `--transport tcp|threaded|inprocess` picks the
+//! deterministic ecosystem; `--transport inprocess|tcp` picks the
 //! binder transport devices boot with; `--telemetry <path.jsonl>` records
 //! structured spans/counters/histograms across the whole run, exports
 //! them to the given file and prints a stats summary after
@@ -68,7 +68,7 @@ fn usage() -> ExitCode {
            call ADDR [N]  drive N license-path probes against a remote serve (default 1)\n\
            stats FILE     re-render a telemetry JSONL export as a summary\n\
            trace FILE...  analyse trace JSONL sinks (phases, exemplars, faults)\n\
-         --transport picks the binder: inprocess (default), threaded, or tcp\n\
+         --transport picks the binder: inprocess (default; load defaults to tcp) or tcp\n\
          --trace FILE.jsonl records distributed trace spans (durable on ctrl-c)"
     );
     ExitCode::FAILURE
@@ -536,7 +536,7 @@ fn main() -> ExitCode {
                 let base = if quick { LoadConfig::quick() } else { LoadConfig::default() };
                 let load_config = LoadConfig {
                     seed,
-                    // The fleet defaults to the threaded binder; only a
+                    // The fleet defaults to the TCP binder; only a
                     // `--transport` flag overrides it.
                     transport: transport_flag.unwrap_or(base.transport),
                     congestion,

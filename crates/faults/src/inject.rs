@@ -7,8 +7,10 @@
 //! seed replay the identical injection sequence, which the determinism
 //! property test pins.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 use parking_lot::Mutex;
 
@@ -49,9 +51,18 @@ pub fn corrupt_body(kind: &FaultKind, mut body: Vec<u8>) -> Vec<u8> {
 /// The simulation's shared logical clock, in milliseconds. Injected
 /// latency and client backoff advance it; per-call timeouts read it.
 /// Never tied to wall time, so runs replay exactly.
+///
+/// The clock also keeps a per-thread ledger of who advanced it. Several
+/// clients can share one clock from concurrent threads, and each one
+/// serializes its own durations onto the shared timeline in an order
+/// the scheduler picks. A per-call budget therefore reads
+/// [`advanced_by_current_thread_ms`](Self::advanced_by_current_thread_ms):
+/// a call is charged only the virtual time its own thread spent, never
+/// a concurrent neighbour's.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     ms: AtomicU64,
+    by_thread: Mutex<HashMap<ThreadId, u64>>,
 }
 
 impl VirtualClock {
@@ -67,9 +78,21 @@ impl VirtualClock {
         self.ms.load(Ordering::Acquire)
     }
 
-    /// Advances the clock by `ms` milliseconds.
+    /// Advances the clock by `ms` milliseconds, on behalf of the
+    /// calling thread.
     pub fn advance_ms(&self, ms: u64) {
         self.ms.fetch_add(ms, Ordering::AcqRel);
+        let mut by_thread = self.by_thread.lock();
+        let own = by_thread.entry(std::thread::current().id()).or_default();
+        *own = own.wrapping_add(ms);
+    }
+
+    /// Total virtual time the calling thread has advanced this clock by.
+    /// The difference between two readings on one thread is what that
+    /// thread spent in between, whatever other threads did meanwhile.
+    #[must_use]
+    pub fn advanced_by_current_thread_ms(&self) -> u64 {
+        self.by_thread.lock().get(&std::thread::current().id()).copied().unwrap_or(0)
     }
 }
 
@@ -261,6 +284,21 @@ mod tests {
         clock.advance_ms(250);
         clock.advance_ms(50);
         assert_eq!(clock.now_ms(), 300);
+    }
+
+    #[test]
+    fn virtual_clock_ledgers_each_threads_own_advances() {
+        let clock = Arc::new(VirtualClock::new());
+        clock.advance_ms(40);
+        let other = Arc::clone(&clock);
+        std::thread::spawn(move || {
+            other.advance_ms(5_000);
+            assert_eq!(other.advanced_by_current_thread_ms(), 5_000);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(clock.now_ms(), 5_040, "the shared timeline sees both");
+        assert_eq!(clock.advanced_by_current_thread_ms(), 40, "the ledger sees only ours");
     }
 
     #[test]

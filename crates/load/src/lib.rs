@@ -1,9 +1,9 @@
 //! Closed-loop fleet load generator for the WideLeak ecosystem.
 //!
-//! Drives N virtual devices × M concurrent playback workers through the
-//! `ThreadedBinder` transport on the shared virtual clock. Every run is
-//! deterministic for
-//! a given [`LoadConfig`]: service times are modeled from the seed (not
+//! Drives N virtual devices × M concurrent playback workers through
+//! loopback TCP binders (the default [`TransportKind`]) on the shared
+//! virtual clock. Every run is deterministic for a given
+//! [`LoadConfig`]: service times are modeled from the seed (not
 //! wall time), percentiles are computed exactly from the full sample
 //! set, and the warm-up phase absorbs every cold cache miss on the main
 //! thread before the concurrent workers start — so cache hit/miss
@@ -140,8 +140,8 @@ impl Congestion {
 /// Parameters of one load-generator run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadConfig {
-    /// Virtual devices to boot (each with its own threaded media DRM
-    /// server).
+    /// Virtual devices to boot (each with its own media DRM server
+    /// behind the configured transport).
     pub devices: usize,
     /// Concurrent playback workers sharing each device's app.
     pub workers_per_device: usize,
@@ -168,7 +168,7 @@ impl Default for LoadConfig {
             seed: 2022,
             mode: LoadMode::Closed,
             caches: CacheConfig::all(),
-            transport: TransportKind::Threaded,
+            transport: TransportKind::Tcp,
             congestion: Congestion::None,
         }
     }
@@ -460,10 +460,10 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
 
     // Boot the fleet: discontinued L3 devices running apps that do not
     // enforce revocation (paper Table I), each media DRM server behind
-    // the configured transport (worker pool by default, loopback TCP
-    // under `--transport tcp`). Congested runs boot L1 devices instead:
-    // the adaptive path needs the full representation ladder, which L3
-    // output protection caps at 540p.
+    // the configured transport (loopback TCP by default, same-thread
+    // dispatch under `--transport inprocess`). Congested runs boot L1
+    // devices instead: the adaptive path needs the full representation
+    // ladder, which L3 output protection caps at 540p.
     let adaptive = config.congestion != Congestion::None;
     let model = if adaptive { DeviceModel::pixel_6() } else { DeviceModel::nexus_5() };
     let fleet: Vec<FleetDevice> = (0..config.devices)
@@ -657,8 +657,9 @@ const FLEET_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Parameters of one high-concurrency fleet run (`wideleak load
 /// --fleet N`): N simulated devices each hold a real socket open
-/// against one reactor [`TcpDrmServer`], with up to `pipeline_depth`
-/// wire-v3 request-id-tagged calls in flight per connection.
+/// against one reactor [`TcpDrmServer`], with up to
+/// `inflight_per_device` wire-v3 request-id-tagged calls in flight per
+/// connection.
 ///
 /// Unlike [`LoadConfig`], which measures the modeled study paths, this
 /// mode measures the transport itself: each device is a raw wire
@@ -675,7 +676,7 @@ pub struct FleetConfig {
     /// correlation mistakes are visible as unexpected replies).
     pub calls_per_device: usize,
     /// Calls each device keeps in flight on its connection.
-    pub pipeline_depth: usize,
+    pub inflight_per_device: usize,
     /// Seed for nonces and the served CDM's derivations.
     pub seed: u64,
     /// Driver threads the devices are partitioned across.
@@ -687,7 +688,7 @@ impl Default for FleetConfig {
         FleetConfig {
             devices: 10_000,
             calls_per_device: 4,
-            pipeline_depth: 4,
+            inflight_per_device: 4,
             seed: 2022,
             drivers: 4,
         }
@@ -740,11 +741,11 @@ impl FleetReport {
         let _ = writeln!(out, "== wideleak fleet report ==");
         let _ = writeln!(
             out,
-            "fleet:      {} devices x {} calls, {} drivers, pipeline depth {} (seed {})",
+            "fleet:      {} devices x {} calls, {} drivers, {} in flight per device (seed {})",
             config.devices,
             config.calls_per_device,
             config.drivers,
-            config.pipeline_depth,
+            config.inflight_per_device,
             config.seed,
         );
         let _ = writeln!(
@@ -953,7 +954,7 @@ fn drive_devices(
     connected_rendezvous: &std::sync::Barrier,
     deadline: Instant,
 ) -> DriverTally {
-    let depth = config.pipeline_depth.max(1);
+    let depth = config.inflight_per_device.max(1);
     let mut tally = DriverTally::default();
     let mut devices: Vec<Option<SimDevice>> = Vec::with_capacity(range.len());
     for d in range {
@@ -1170,13 +1171,14 @@ mod tests {
     }
 
     #[test]
-    fn tcp_fleet_matches_threaded_fleet_except_the_label() {
-        let threaded = run_load(&LoadConfig::quick());
-        let tcp = run_load(&LoadConfig { transport: TransportKind::Tcp, ..LoadConfig::quick() });
+    fn tcp_fleet_matches_inprocess_fleet_except_the_label() {
+        let tcp = run_load(&LoadConfig::quick());
+        let inprocess =
+            run_load(&LoadConfig { transport: TransportKind::InProcess, ..LoadConfig::quick() });
         assert_eq!(tcp.failed_plays, 0);
         // Same traffic, same modeled latencies — only the fleet line
         // differs, by the transport label.
-        assert_eq!(threaded.render().replace("threaded binder", "tcp binder"), tcp.render());
+        assert_eq!(inprocess.render().replace("inprocess binder", "tcp binder"), tcp.render());
     }
 
     /// A unit-test-sized fleet; the CI smoke runs the real 1k+ preset

@@ -203,24 +203,12 @@ pub fn run_resilience_study(seed: u64, quick: bool) -> ResilienceReport {
 }
 
 /// [`run_resilience_study`] with an explicit binder transport — the
-/// differential battery runs the same sweep over all three and pins
+/// differential battery runs the same sweep over both and pins
 /// byte-identical `render_q5` output.
 pub fn run_resilience_study_on(
     seed: u64,
     quick: bool,
     transport: TransportKind,
-) -> ResilienceReport {
-    run_resilience_study_with(seed, quick, transport, 1)
-}
-
-/// [`run_resilience_study_on`] with an explicit TCP pipeline depth —
-/// the pipelining differential test pins that multiplexing calls on
-/// one shared connection (depth ≥ 2) changes nothing in the report.
-pub fn run_resilience_study_with(
-    seed: u64,
-    quick: bool,
-    transport: TransportKind,
-    tcp_pipeline_depth: usize,
 ) -> ResilienceReport {
     let _span = wideleak_telemetry::span!("resilience.run");
     let policy = ResiliencePolicy::default();
@@ -231,7 +219,7 @@ pub fn run_resilience_study_with(
         let slugs: Vec<String> = roster.profiles().iter().map(|p| p.slug.to_owned()).collect();
         let take = if quick { 4 } else { slugs.len() };
         for slug in slugs.iter().take(take) {
-            cells.push(run_cell(&scenario, slug, seed, &policy, transport, tcp_pipeline_depth));
+            cells.push(run_cell(&scenario, slug, seed, &policy, transport));
         }
     }
     wideleak_telemetry::add("resilience.cells", cells.len() as u64);
@@ -246,13 +234,11 @@ fn run_cell(
     seed: u64,
     policy: &ResiliencePolicy,
     transport: TransportKind,
-    tcp_pipeline_depth: usize,
 ) -> ResilienceCell {
     let mut config = EcosystemConfig::fast_with_faults(scenario.plan.clone());
     config.seed = seed;
     config.resilience = policy.clone();
     config.transport = transport;
-    config.tcp_pipeline_depth = tcp_pipeline_depth;
     let eco = Ecosystem::new(config);
     let stack = eco.boot_device(DeviceModel::pixel_6(), false);
     let app = eco.install_app(&stack, slug, "resilience-probe");

@@ -499,14 +499,17 @@ impl OttApp {
 
     /// One request, no retries: pinned TLS to the backend, with the
     /// per-call budget enforced on the virtual clock (injected latency
-    /// pushes a call over it).
+    /// pushes a call over it). Only time this thread spent counts:
+    /// concurrent clients sharing the clock must not eat the budget.
     fn send_once(&self, path: &str, body: &[u8]) -> Result<Vec<u8>, OttError> {
-        let started = self.clock.now_ms();
+        let started = self.clock.advanced_by_current_thread_ms();
         let result = self.network.send(self.backend.as_ref(), path, body).map_err(|e| match e {
             NetError::EndpointError { message } => decode_backend_error(&message),
             other => OttError::Net(other),
         });
-        if self.clock.now_ms().saturating_sub(started) > self.policy.timeout_ms {
+        if self.clock.advanced_by_current_thread_ms().saturating_sub(started)
+            > self.policy.timeout_ms
+        {
             self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
             return Err(OttError::Net(NetError::TimedOut));
         }

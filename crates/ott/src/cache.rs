@@ -262,31 +262,41 @@ impl LicenseResponseCache {
         }
     }
 
-    /// Looks a plan up, evicting it first when its TTL lapsed.
-    pub fn lookup(&self, key: &LicensePlanKey) -> Option<Vec<LicensePlanEntry>> {
+    /// Returns the cached plan for `key`, or resolves, stores and
+    /// returns a fresh one when the key is absent or its TTL lapsed
+    /// (a lapsed plan is evicted first). The map stays locked across
+    /// `resolve`, so concurrent requests for one missing plan resolve it
+    /// exactly once and the hit/miss counts are a function of the
+    /// request sequence, not of thread interleaving. Errors are returned
+    /// uncached.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `resolve` returns.
+    pub fn get_or_resolve<E>(
+        &self,
+        key: LicensePlanKey,
+        resolve: impl FnOnce() -> Result<Vec<LicensePlanEntry>, E>,
+    ) -> Result<Vec<LicensePlanEntry>, E> {
         let now = self.clock.now_ms();
         let mut plans = self.plans.lock();
-        if let Some(plan) = plans.get(key) {
+        if let Some(plan) = plans.get(&key) {
             if now.saturating_sub(plan.inserted_at_ms) < self.ttl_ms {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 if wideleak_telemetry::is_enabled() {
                     wideleak_telemetry::incr("ott.license.cache.hits");
                 }
-                return Some(plan.entries.clone());
+                return Ok(plan.entries.clone());
             }
-            plans.remove(key);
+            plans.remove(&key);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         if wideleak_telemetry::is_enabled() {
             wideleak_telemetry::incr("ott.license.cache.misses");
         }
-        None
-    }
-
-    /// Stores a freshly resolved plan.
-    pub fn store(&self, key: LicensePlanKey, entries: Vec<LicensePlanEntry>) {
-        let inserted_at_ms = self.clock.now_ms();
-        self.plans.lock().insert(key, LicensePlan { entries, inserted_at_ms });
+        let entries = resolve()?;
+        plans.insert(key, LicensePlan { entries: entries.clone(), inserted_at_ms: now });
+        Ok(entries)
     }
 
     /// Number of cached plans.
@@ -357,15 +367,13 @@ mod tests {
         assert_eq!(cache.stats().hit_permille(), 333);
     }
 
-    #[test]
-    fn license_cache_ttl_expires_on_the_virtual_clock() {
-        let clock = Arc::new(VirtualClock::new());
-        let cache = LicenseResponseCache::new(clock.clone(), 1_000);
-        let key = plan_key(b"dev", "title-001");
-        assert!(cache.lookup(&key).is_none());
-        cache.store(
-            key.clone(),
-            vec![LicensePlanEntry {
+    /// A resolver that counts its calls and returns one fixed entry.
+    fn counting_resolver(
+        calls: &std::cell::Cell<u32>,
+    ) -> impl FnOnce() -> Result<Vec<LicensePlanEntry>, ()> + '_ {
+        move || {
+            calls.set(calls.get() + 1);
+            Ok(vec![LicensePlanEntry {
                 kid: [0xAA; 16],
                 content_key: [0xBB; 16],
                 control: KeyControl {
@@ -373,24 +381,66 @@ mod tests {
                     min_security_level: wideleak_device::catalog::SecurityLevel::L3,
                     duration_seconds: 1,
                 },
-            }],
-        );
-        assert_eq!(cache.lookup(&key).unwrap().len(), 1);
+            }])
+        }
+    }
+
+    #[test]
+    fn license_cache_ttl_expires_on_the_virtual_clock() {
+        let clock = Arc::new(VirtualClock::new());
+        let cache = LicenseResponseCache::new(clock.clone(), 1_000);
+        let key = plan_key(b"dev", "title-001");
+        let calls = std::cell::Cell::new(0);
+        assert_eq!(cache.get_or_resolve(key.clone(), counting_resolver(&calls)).unwrap().len(), 1);
+        assert_eq!(cache.get_or_resolve(key.clone(), counting_resolver(&calls)).unwrap().len(), 1);
+        assert_eq!(calls.get(), 1, "second request served from the cache");
         clock.advance_ms(999);
-        assert!(cache.lookup(&key).is_some(), "just inside the TTL");
+        cache.get_or_resolve(key.clone(), counting_resolver(&calls)).unwrap();
+        assert_eq!(calls.get(), 1, "just inside the TTL");
         clock.advance_ms(1);
-        assert!(cache.lookup(&key).is_none(), "TTL lapsed: recompute");
-        assert_eq!(cache.len(), 0, "expired plan evicted");
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 2 });
+        assert!(cache.get_or_resolve(key.clone(), || Err(())).is_err());
+        assert_eq!(cache.len(), 0, "expired plan evicted, the error not cached");
+        cache.get_or_resolve(key, counting_resolver(&calls)).unwrap();
+        assert_eq!(calls.get(), 2, "TTL lapsed: recompute");
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 3 });
     }
 
     #[test]
     fn distinct_plan_keys_do_not_collide() {
         let clock = Arc::new(VirtualClock::new());
         let cache = LicenseResponseCache::new(clock, u64::MAX);
-        cache.store(plan_key(b"dev-a", "title-001"), Vec::new());
-        assert!(cache.lookup(&plan_key(b"dev-b", "title-001")).is_none());
-        assert!(cache.lookup(&plan_key(b"dev-a", "title-002")).is_none());
-        assert!(cache.lookup(&plan_key(b"dev-a", "title-001")).is_some());
+        let calls = std::cell::Cell::new(0);
+        for (device, title) in
+            [(b"dev-a", "title-001"), (b"dev-b", "title-001"), (b"dev-a", "title-002")]
+        {
+            cache.get_or_resolve(plan_key(device, title), counting_resolver(&calls)).unwrap();
+        }
+        assert_eq!(calls.get(), 3, "every distinct key resolves on its own");
+        cache.get_or_resolve(plan_key(b"dev-a", "title-001"), counting_resolver(&calls)).unwrap();
+        assert_eq!(calls.get(), 3);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_plan_resolve_it_once() {
+        let cache = LicenseResponseCache::new(Arc::new(VirtualClock::new()), u64::MAX);
+        let resolves = std::sync::atomic::AtomicU32::new(0);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    // All eight request the missing plan at once.
+                    start.wait();
+                    cache
+                        .get_or_resolve(plan_key(b"dev", "title-001"), || {
+                            resolves.fetch_add(1, Ordering::Relaxed);
+                            std::thread::yield_now();
+                            Ok::<_, ()>(Vec::new())
+                        })
+                        .unwrap();
+                });
+            }
+        });
+        assert_eq!(resolves.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.stats(), CacheStats { hits: 7, misses: 1 });
     }
 }

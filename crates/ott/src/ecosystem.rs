@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use wideleak_android_drm::binder::{InProcessBinder, ThreadedBinder, Transport, TransportKind};
+use wideleak_android_drm::binder::{InProcessBinder, Transport, TransportKind};
 use wideleak_android_drm::netserver::TcpBinder;
 use wideleak_android_drm::server::MediaDrmServer;
 use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
@@ -53,14 +53,9 @@ pub struct EcosystemConfig {
     /// them byte-identical.
     pub caches: CacheConfig,
     /// Which binder transport booted devices use. In-process by default;
-    /// the differential battery pins that threaded and TCP produce
-    /// byte-identical study output, so this is a realism/perf knob only.
+    /// the differential battery pins that TCP produces byte-identical
+    /// study output, so this is a realism/perf knob only.
     pub transport: TransportKind,
-    /// How many calls a TCP binder may keep in flight on one shared
-    /// connection. ≤ 1 (the default) keeps the pooled
-    /// one-call-per-socket mode; ≥ 2 enables request-id pipelining.
-    /// Ignored by the in-memory transports.
-    pub tcp_pipeline_depth: usize,
     /// Bandwidth model applied to adaptive playbacks. `None` (the
     /// default) leaves every non-adaptive path untouched and mints
     /// unconstrained links for adaptive ones, keeping the Table I and
@@ -79,7 +74,6 @@ impl Default for EcosystemConfig {
             resilience: ResiliencePolicy::default(),
             caches: CacheConfig::none(),
             transport: TransportKind::InProcess,
-            tcp_pipeline_depth: 1,
             bandwidth: None,
         }
     }
@@ -424,12 +418,6 @@ impl Ecosystem {
         self.boot_device_with(model, rooted, self.config.transport)
     }
 
-    /// Boots a device whose media DRM server runs on a worker pool,
-    /// regardless of the config's transport.
-    pub fn boot_device_threaded(&self, model: DeviceModel, rooted: bool) -> DeviceStack {
-        self.boot_device_with(model, rooted, TransportKind::Threaded)
-    }
-
     /// Boots a device on an explicit transport — the differential
     /// battery sweeps this over all of [`TransportKind::ALL`].
     pub fn boot_device_with(
@@ -455,13 +443,9 @@ impl Ecosystem {
             TransportKind::InProcess => {
                 Arc::new(InProcessBinder::new(server).with_fault_injector(self.injector.clone()))
             }
-            TransportKind::Threaded => Arc::new(
-                ThreadedBinder::builder(server).fault_injector(self.injector.clone()).spawn(),
-            ),
             TransportKind::Tcp => Arc::new(
                 TcpBinder::loopback(server)
                     .fault_injector(self.injector.clone())
-                    .pipeline_depth(self.config.tcp_pipeline_depth)
                     .build()
                     .expect("binding a loopback media drm server"),
             ),
@@ -623,9 +607,9 @@ mod tests {
     }
 
     #[test]
-    fn playback_works_over_threaded_binder() {
+    fn playback_works_over_tcp_binder() {
         let eco = ecosystem();
-        let stack = eco.boot_device_threaded(DeviceModel::pixel_6(), false);
+        let stack = eco.boot_device_with(DeviceModel::pixel_6(), false, TransportKind::Tcp);
         let app = eco.install_app(&stack, "showtime", "frank");
         let outcome = app.play("title-002").unwrap();
         assert!(outcome.used_platform_widevine);

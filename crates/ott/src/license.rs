@@ -288,50 +288,44 @@ impl LicenseServer {
                 key_ids,
             }
         });
-        let cached_plan = match (&plan_key, &self.response_cache) {
-            (Some(key), Some(cache)) => cache.lookup(key),
-            _ => None,
-        };
-        let plan: Vec<LicensePlanEntry> = match cached_plan {
-            Some(plan) => plan,
-            None => {
-                // Resolve requested key ids against this app/title's labels.
-                let labels = Self::labels_for(app, title_id, policy);
-                let available: Vec<(KeyId, String)> =
-                    labels.into_iter().map(|l| (kid_from_label(&l), l)).collect();
+        let resolve = || {
+            // Resolve requested key ids against this app/title's labels.
+            let labels = Self::labels_for(app, title_id, policy);
+            let available: Vec<(KeyId, String)> =
+                labels.into_iter().map(|l| (kid_from_label(&l), l)).collect();
 
-                let selected: Vec<&(KeyId, String)> = if request.key_ids.is_empty() {
-                    // No explicit key ids: serve everything the level permits.
-                    available.iter().collect()
-                } else {
-                    available.iter().filter(|(kid, _)| request.key_ids.contains(kid)).collect()
-                };
-                if selected.is_empty() {
-                    return Err(OttError::NotFound { what: format!("keys for {title_id}") });
-                }
-                let mut entries = Vec::new();
-                for (kid, label) in selected {
-                    let control = Self::control_for(label);
-                    // HD keys never leave the server for sub-L1 requesters.
-                    if effective_level > control.min_security_level {
-                        continue;
-                    }
-                    entries.push(LicensePlanEntry {
-                        kid: kid.0,
-                        content_key: key_from_label(label).0,
-                        control,
-                    });
-                }
-                if entries.is_empty() {
-                    return Err(OttError::NotFound {
-                        what: format!("keys for {title_id} at {}", request.security_level),
-                    });
-                }
-                if let (Some(key), Some(cache)) = (plan_key, &self.response_cache) {
-                    cache.store(key, entries.clone());
-                }
-                entries
+            let selected: Vec<&(KeyId, String)> = if request.key_ids.is_empty() {
+                // No explicit key ids: serve everything the level permits.
+                available.iter().collect()
+            } else {
+                available.iter().filter(|(kid, _)| request.key_ids.contains(kid)).collect()
+            };
+            if selected.is_empty() {
+                return Err(OttError::NotFound { what: format!("keys for {title_id}") });
             }
+            let mut entries = Vec::new();
+            for (kid, label) in selected {
+                let control = Self::control_for(label);
+                // HD keys never leave the server for sub-L1 requesters.
+                if effective_level > control.min_security_level {
+                    continue;
+                }
+                entries.push(LicensePlanEntry {
+                    kid: kid.0,
+                    content_key: key_from_label(label).0,
+                    control,
+                });
+            }
+            if entries.is_empty() {
+                return Err(OttError::NotFound {
+                    what: format!("keys for {title_id} at {}", request.security_level),
+                });
+            }
+            Ok(entries)
+        };
+        let plan: Vec<LicensePlanEntry> = match (plan_key, &self.response_cache) {
+            (Some(key), Some(cache)) => cache.get_or_resolve(key, resolve)?,
+            _ => resolve()?,
         };
 
         if wideleak_telemetry::is_enabled() {

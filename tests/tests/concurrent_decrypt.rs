@@ -1,12 +1,13 @@
 //! The parallel DRM stack, end to end: N app clients decrypting on
-//! distinct sessions through the pooled `ThreadedBinder` must produce
-//! exactly the plaintext a single-threaded `InProcessBinder` does, and
-//! distinct-session transactions must actually overlap in the server
-//! (not just queue behind a global lock).
+//! distinct sessions through a pooled `TcpBinder` must produce exactly
+//! the plaintext a single-threaded `InProcessBinder` does, and
+//! distinct-session transactions must actually overlap in the reactor
+//! server's dispatch pool (not just queue behind a global lock).
 
 use std::sync::{Arc, Barrier};
 
-use wideleak::android_drm::binder::{DrmCall, InProcessBinder, ThreadedBinder, Transport};
+use wideleak::android_drm::binder::{DrmCall, InProcessBinder, Transport};
+use wideleak::android_drm::netserver::{ReactorConfig, TcpBinder, TcpDrmServer};
 use wideleak::android_drm::server::MediaDrmServer;
 use wideleak::bmff::types::{KeyId, Subsample, WIDEVINE_SYSTEM_ID};
 use wideleak::cdm::cdm::Cdm;
@@ -96,6 +97,17 @@ fn decrypt(binder: &dyn Transport, sid: u32, kid: KeyId, client: usize, index: u
         .unwrap()
 }
 
+/// Serves `server` on a reactor with `CLIENTS` dispatch workers and
+/// connects a binder with `CLIENTS` pooled sockets, so every client can
+/// have a call inside the server at once. The server is returned so it
+/// outlives the binder.
+fn serve_pooled(server: MediaDrmServer) -> (TcpDrmServer, Arc<TcpBinder>) {
+    let config = ReactorConfig { dispatch_workers: CLIENTS, ..ReactorConfig::default() };
+    let srv = TcpDrmServer::bind_with("127.0.0.1:0", Arc::new(server), config).unwrap();
+    let binder = TcpBinder::connect(srv.local_addr()).pool_size(CLIENTS).build().unwrap();
+    (srv, Arc::new(binder))
+}
+
 /// N clients hammering the pooled binder on distinct sessions recover
 /// byte-for-byte the plaintexts a single-threaded in-process transport
 /// produces for the same samples.
@@ -119,8 +131,8 @@ fn pooled_decrypt_matches_single_threaded_byte_for_byte() {
         );
     }
 
-    // Parallel run: one pooled binder, one thread per client.
-    let pooled = Arc::new(ThreadedBinder::builder(boot_server(&eco)).workers(CLIENTS).spawn());
+    // Parallel run: one pooled TCP binder, one thread per client.
+    let (_server, pooled) = serve_pooled(boot_server(&eco));
     provision(pooled.as_ref(), &eco);
     let clients: Vec<_> = (0..CLIENTS)
         .map(|client| {
@@ -245,7 +257,7 @@ fn distinct_session_decrypts_overlap_in_the_server() {
         WIDEVINE_SYSTEM_ID,
         Arc::new(Cdm::builder().backend(Arc::new(backend)).build()),
     );
-    let binder = Arc::new(ThreadedBinder::builder(server).workers(CLIENTS).spawn());
+    let (_server, binder) = serve_pooled(server);
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     for c in 0..CLIENTS {

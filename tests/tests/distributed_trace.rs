@@ -9,9 +9,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use wideleak::android_drm::binder::{
-    DrmCall, InProcessBinder, ThreadedBinder, Transport, TransportKind,
-};
+use wideleak::android_drm::binder::{DrmCall, InProcessBinder, Transport, TransportKind};
 use wideleak::android_drm::netserver::TcpBinder;
 use wideleak::android_drm::server::MediaDrmServer;
 use wideleak::android_drm::wire::{decode_frame_ext, encode_frame_with, FrameBody};
@@ -24,13 +22,12 @@ use wideleak::telemetry::trace::TraceContext;
 
 static TRACER_LOCK: Mutex<()> = Mutex::new(());
 
-/// One empty media DRM server behind each of the three transports —
+/// One empty media DRM server behind each of the two transports —
 /// `IsSchemeSupported` needs no CDM, which keeps proptest iterations
 /// cheap enough to run many cases.
 fn boot_all_transports() -> Vec<(TransportKind, Arc<dyn Transport>)> {
     vec![
         (TransportKind::InProcess, Arc::new(InProcessBinder::new(MediaDrmServer::new()))),
-        (TransportKind::Threaded, Arc::new(ThreadedBinder::builder(MediaDrmServer::new()).spawn())),
         (TransportKind::Tcp, Arc::new(TcpBinder::loopback(MediaDrmServer::new()).build().unwrap())),
     ]
 }
@@ -40,7 +37,7 @@ proptest! {
     /// Property: any `TraceContext` survives its 24-byte wire
     /// encoding, survives a full frame encode/decode, and — adopted
     /// as the origin of a real transaction — stamps its trace id on
-    /// every span each of the three transports records.
+    /// every span each of the two transports records.
     #[test]
     fn trace_context_round_trips_across_all_transports(
         trace_id in 1u64..=u64::MAX,

@@ -1,6 +1,7 @@
 //! End-to-end reproduction of Figure 1: the encrypted-content playback
 //! sequence, across devices, transports and apps.
 
+use wideleak::android_drm::binder::TransportKind;
 use wideleak::android_drm::playback::{PlaybackStep, FIGURE_1_SEQUENCE};
 use wideleak::device::catalog::DeviceModel;
 use wideleak_tests::fast_ecosystem;
@@ -18,10 +19,10 @@ fn figure_1_holds_on_l1_and_l3() {
 }
 
 #[test]
-fn figure_1_holds_over_the_threaded_binder() {
+fn figure_1_holds_over_the_tcp_binder() {
     let eco = fast_ecosystem();
-    let stack = eco.boot_device_threaded(DeviceModel::pixel_6(), false);
-    let app = eco.install_app(&stack, "salto", "fig1-threaded");
+    let stack = eco.boot_device_with(DeviceModel::pixel_6(), false, TransportKind::Tcp);
+    let app = eco.install_app(&stack, "salto", "fig1-tcp");
     let outcome = app.play("title-002").unwrap();
     assert!(outcome.trace.unwrap().matches_figure_1());
 }

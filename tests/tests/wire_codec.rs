@@ -8,8 +8,8 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use wideleak::android_drm::binder::{DrmCall, DrmReply};
 use wideleak::android_drm::wire::{
-    decode_frame, decode_frame_full, encode_frame, encode_frame_full, peek_request_id, FrameBody,
-    WireError, HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN,
+    decode_frame, decode_frame_full, encode_frame, encode_frame_full, FrameBody, WireError,
+    HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN,
 };
 use wideleak::android_drm::DrmError;
 use wideleak::bmff::types::{KeyId, Subsample};
@@ -241,13 +241,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The v3 pipelining extension: any call tagged with any request id
-    /// survives the wire byte-identically, the id is visible both to
-    /// the cheap routing peek and to the full decode, and it never
-    /// bleeds into the body.
+    /// survives the wire byte-identically, the id is visible to the
+    /// full decode, and it never bleeds into the body.
     #[test]
     fn request_ids_round_trip_on_arbitrary_calls(call in call_strategy(), id in any::<u64>()) {
         let frame = encode_frame_full(&FrameBody::Call(call.clone()), None, Some(id));
-        prop_assert_eq!(peek_request_id(&frame), Some(id));
         let (body, meta, consumed) = decode_frame_full(&frame).expect("own frames must decode");
         prop_assert_eq!(consumed, frame.len());
         prop_assert_eq!(meta.request_id, Some(id));
@@ -256,12 +254,10 @@ proptest! {
     }
 
     /// Downlevel compatibility: v1 and v2 frames (which cannot carry a
-    /// request id) still decode under the v3 decoder, with no id and no
-    /// peek hit — the pipelined reader's fallback path.
+    /// request id) still decode under the v3 decoder, with no id.
     #[test]
     fn downlevel_frames_decode_with_no_request_id(call in call_strategy(), version in 1u8..=2) {
         let frame = downlevel_frame(version, &FrameBody::Call(call.clone()));
-        prop_assert_eq!(peek_request_id(&frame), None);
         let (body, meta, consumed) = decode_frame_full(&frame).expect("downlevel frames decode");
         prop_assert_eq!(consumed, frame.len());
         prop_assert_eq!(meta.request_id, None);
@@ -278,7 +274,6 @@ fn reply_corpus_round_trips_with_request_ids() {
     for (i, reply) in reply_corpus().into_iter().enumerate() {
         let id = (i as u64).wrapping_mul(0x0101_0101_0101_0101).wrapping_add(7);
         let frame = encode_frame_full(&FrameBody::Reply(reply.clone()), None, Some(id));
-        assert_eq!(peek_request_id(&frame), Some(id));
         let (body, meta, consumed) = decode_frame_full(&frame).expect("own frames must decode");
         assert_eq!(consumed, frame.len());
         assert_eq!(meta.request_id, Some(id));
@@ -302,10 +297,9 @@ fn a_v2_frame_carrying_the_request_id_flag_is_malformed() {
     );
 }
 
-/// The routing peek deliberately skips the CRC, so a flipped id byte
-/// can mislead it — but the full decode the waiter then performs always
-/// catches the corruption. No flipped byte anywhere in an id-tagged
-/// frame may survive both layers.
+/// The request id sits under the CRC: a client correlating replies by
+/// id never acts on a corrupted one. No flipped byte anywhere in an
+/// id-tagged frame's id may survive the full decode.
 #[test]
 fn flipped_id_bytes_never_survive_the_full_decode() {
     let frame = encode_frame_full(
