@@ -523,7 +523,7 @@ impl wideleak_faults::ErrorClass for CampaignError {
 /// frames sent at it get a typed [`CampaignError::Protocol`] refusal.
 pub trait CampaignHandler: Send + Sync {
     /// Handles one campaign transaction. `RunShard` may take seconds —
-    /// it runs on a dispatch worker, so the reactor's IO loops keep
+    /// it runs on a dispatch worker, so the reactor's IO loop keeps
     /// breathing underneath it.
     fn handle(&self, call: CampaignCall) -> Result<CampaignReply, CampaignError>;
 }

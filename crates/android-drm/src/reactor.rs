@@ -1,5 +1,5 @@
-//! The readiness-driven reactor behind [`TcpDrmServer`]: a few event
-//! loops multiplexing thousands of non-blocking connections.
+//! The readiness-driven reactor behind [`TcpDrmServer`]: one event loop
+//! multiplexing thousands of non-blocking connections.
 //!
 //! The thread-per-connection server (PR 5) capped concurrent simulated
 //! devices at thread-pool size and spent a stack per idle socket. This
@@ -7,9 +7,9 @@
 //! for, hand-rolled over non-blocking `std` sockets so the workspace
 //! stays vendor-light and `#![forbid(unsafe_code)]`-clean:
 //!
-//! - an **accept thread** hands incoming connections round-robin to the
-//!   event loops (non-blocking + nodelay already set);
-//! - each **event loop** owns a slab of connections, each with a read
+//! - an **accept thread** hands incoming connections to the event loop
+//!   (non-blocking + nodelay already set);
+//! - the **event loop** owns a slab of connections, each with a read
 //!   buffer running a frame-reassembly state machine, a bounded
 //!   outbound queue, and an in-flight dispatch count. A sweep reads
 //!   until `WouldBlock`, parses complete frames, hands calls to the
@@ -17,7 +17,7 @@
 //!   flushes writes until `WouldBlock`;
 //! - a **dispatch worker pool** runs the actual
 //!   [`dispatch`](crate::binder) (panic-contained, trace-stitched) so a
-//!   slow CDM call never stalls the loops' IO.
+//!   slow CDM call never stalls the loop's IO.
 //!
 //! **Pipelining:** a connection may have many calls in flight at once.
 //! Each call frame can carry a wire-v3 request id
@@ -28,11 +28,11 @@
 //! time, like the pooled [`TcpBinder`](crate::netserver::TcpBinder),
 //! needs no correlation).
 //!
-//! **Backpressure:** per-connection in-flight dispatches and queued
-//! outbound bytes are both bounded ([`ReactorConfig`]); at either
-//! limit the loop simply stops parsing (and reading) that connection
-//! until replies drain, so one greedy or stalled peer cannot balloon
-//! server memory.
+//! **Backpressure:** per-connection in-flight dispatches
+//! ([`ReactorConfig`]) and queued outbound bytes (a fixed 1 MiB) are
+//! both bounded; at either limit the loop simply stops parsing (and
+//! reading) that connection until replies drain, so one greedy or
+//! stalled peer cannot balloon server memory.
 //!
 //! **Observability:** `netserver.connections` counts accepts (as
 //! before), the `netserver.connections.active` gauge tracks live
@@ -74,31 +74,25 @@ const IDLE_WAIT_EMPTY: Duration = Duration::from_millis(5);
 /// server cheap.
 const YIELD_STREAK: u32 = 256;
 
-/// Tuning for the reactor: how many threads it runs and where each
-/// connection's backpressure limits sit.
+/// Max bytes queued outbound per connection before the loop stops
+/// parsing new calls from it (a single larger frame still queues).
+const OUTBOUND_QUEUE_BYTES: usize = 1024 * 1024;
+
+/// Tuning for the reactor: how many dispatch threads it runs and where
+/// each connection's in-flight limit sits.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Event-loop threads multiplexing the connections (min 1).
-    pub event_loops: usize,
     /// Dispatch worker threads running CDM calls (min 1).
     pub dispatch_workers: usize,
     /// Max dispatches in flight per connection before the loop stops
     /// parsing new calls from it (min 1).
     pub max_inflight_per_conn: usize,
-    /// Max bytes queued outbound per connection before the loop stops
-    /// parsing new calls from it (min one frame).
-    pub outbound_queue_bytes: usize,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
-        ReactorConfig {
-            event_loops: 1,
-            dispatch_workers: cores.max(2),
-            max_inflight_per_conn: 32,
-            outbound_queue_bytes: 1024 * 1024,
-        }
+        ReactorConfig { dispatch_workers: cores.max(2), max_inflight_per_conn: 32 }
     }
 }
 
@@ -114,7 +108,7 @@ pub struct TcpDrmServer {
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicU64>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
-    loop_handles: Vec<std::thread::JoinHandle<()>>,
+    loop_handle: Option<std::thread::JoinHandle<()>>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
     server: Arc<MediaDrmServer>,
 }
@@ -153,7 +147,7 @@ impl TcpDrmServer {
     /// Binds a *campaign worker* endpoint: in addition to DRM calls,
     /// the server answers campaign control frames by delegating to
     /// `handler` (on the dispatch pool, so a long-running shard never
-    /// stalls the IO loops). A server bound without a handler refuses
+    /// stalls the IO loop). A server bound without a handler refuses
     /// campaign frames with a typed
     /// [`CampaignError::Protocol`](crate::campaign::CampaignError) reply.
     ///
@@ -179,29 +173,20 @@ impl TcpDrmServer {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicU64::new(0));
-        let event_loops = config.event_loops.max(1);
         let dispatch_workers = config.dispatch_workers.max(1);
 
+        // The loop owns the only job sender, so the workers' receive
+        // loop ends exactly when the event loop exits.
         let (jobs_tx, jobs_rx) = crossbeam::channel::unbounded::<Job>();
-        let mut conn_txs = Vec::with_capacity(event_loops);
-        let mut loop_handles = Vec::with_capacity(event_loops);
-        for i in 0..event_loops {
-            let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-            conn_txs.push(conn_tx);
-            let jobs_tx = jobs_tx.clone();
-            let config = config.clone();
+        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
+        let loop_handle = {
             let shutdown = Arc::clone(&shutdown);
             let active = Arc::clone(&active);
-            loop_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("netdrm-reactor-{i}"))
-                    .spawn(move || event_loop(&conn_rx, &jobs_tx, &config, &shutdown, &active))
-                    .expect("spawning a reactor event loop"),
-            );
-        }
-        // The loops own the only job senders now, so the workers'
-        // receive loop ends exactly when the last loop exits.
-        drop(jobs_tx);
+            std::thread::Builder::new()
+                .name("netdrm-reactor".into())
+                .spawn(move || event_loop(&conn_rx, &jobs_tx, &config, &shutdown, &active))
+                .expect("spawning the reactor event loop")
+        };
 
         let mut worker_handles = Vec::with_capacity(dispatch_workers);
         for i in 0..dispatch_workers {
@@ -220,7 +205,7 @@ impl TcpDrmServer {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("netdrmserver-accept".into())
-                .spawn(move || accept_loop(&listener, &conn_txs, &shutdown))
+                .spawn(move || accept_loop(&listener, &conn_tx, &shutdown))
                 .expect("spawning the accept thread")
         };
 
@@ -229,7 +214,7 @@ impl TcpDrmServer {
             shutdown,
             active,
             accept_handle: Some(accept_handle),
-            loop_handles,
+            loop_handle: Some(loop_handle),
             worker_handles,
             server,
         })
@@ -247,7 +232,7 @@ impl TcpDrmServer {
         &self.server
     }
 
-    /// Connections currently registered with the event loops. This is
+    /// Connections currently registered with the event loop. This is
     /// the per-server truth behind the global
     /// `netserver.connections.active` gauge (which aggregates every
     /// server in the process).
@@ -266,11 +251,11 @@ impl Drop for TcpDrmServer {
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
-        for handle in self.loop_handles.drain(..) {
+        if let Some(handle) = self.loop_handle.take() {
             let _ = handle.join();
         }
-        // The loops dropped their job senders; the workers drain what
-        // is queued and exit.
+        // The loop dropped its job sender; the workers drain what is
+        // queued and exit.
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
@@ -322,12 +307,7 @@ struct Conn {
     closing: bool,
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    conn_txs: &[mpsc::Sender<TcpStream>],
-    shutdown: &AtomicBool,
-) {
-    let mut next = 0usize;
+fn accept_loop(listener: &TcpListener, conn_tx: &mpsc::Sender<TcpStream>, shutdown: &AtomicBool) {
     for stream in listener.incoming() {
         if shutdown.load(Ordering::Acquire) {
             break;
@@ -338,10 +318,9 @@ fn accept_loop(
         }
         let _ = stream.set_nodelay(true);
         SERVER_CONNECTIONS.incr();
-        if conn_txs[next % conn_txs.len()].send(stream).is_err() {
+        if conn_tx.send(stream).is_err() {
             break;
         }
-        next = next.wrapping_add(1);
     }
 }
 
@@ -494,8 +473,7 @@ fn apply_completion(conns: &mut [Option<Conn>], done: &Completion) {
 
 /// Whether the connection may grow its workload, or must drain first.
 fn under_limits(conn: &Conn, config: &ReactorConfig) -> bool {
-    conn.inflight < config.max_inflight_per_conn.max(1)
-        && conn.wqueue_bytes < config.outbound_queue_bytes
+    conn.inflight < config.max_inflight_per_conn.max(1) && conn.wqueue_bytes < OUTBOUND_QUEUE_BYTES
 }
 
 fn push_reply(conn: &mut Conn, frame: Vec<u8>) {

@@ -18,11 +18,7 @@ use wideleak::bmff::fragment::{InitSegment, TrackKind};
 use wideleak::bmff::types::{KeyId, Tenc};
 use wideleak::cenc::keys::{ContentKey, MemoryKeyStore};
 use wideleak::cenc::track::{decrypt_segment, encrypt_segment, Scheme};
-use wideleak_bench::BenchReport;
-
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("WIDELEAK_BENCH_QUICK").is_some()
-}
+use wideleak_bench::{quick_mode, BenchReport};
 
 /// Median wall time of `iters` runs of `f`, in seconds.
 fn time_s<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {

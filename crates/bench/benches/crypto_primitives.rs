@@ -25,11 +25,7 @@ use wideleak::crypto::modes::ctr_xcrypt;
 use wideleak::crypto::rng::seeded_rng;
 use wideleak::crypto::rsa::RsaPrivateKey;
 use wideleak::crypto::sha256::{sha256, Sha256};
-use wideleak_bench::BenchReport;
-
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("WIDELEAK_BENCH_QUICK").is_some()
-}
+use wideleak_bench::{quick_mode, BenchReport};
 
 /// Median wall time of `iters` runs of `f`, in microseconds.
 fn time_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {

@@ -21,17 +21,12 @@ use std::time::Instant;
 
 use wideleak::android_drm::binder::{DrmCall, Transport};
 use wideleak::android_drm::netserver::{ReactorConfig, TcpBinder, TcpDrmServer};
-use wideleak::android_drm::server::MediaDrmServer;
-use wideleak::bmff::types::{KeyId, WIDEVINE_SYSTEM_ID};
-use wideleak::cdm::cdm::Cdm;
-use wideleak::cdm::oemcrypto::{L3OemCrypto, OemCrypto, SampleCrypto};
-use wideleak::cdm::wire::TlvWriter;
-use wideleak::device::catalog::CdmVersion;
-use wideleak::device::hooks::HookEngine;
-use wideleak::device::memory::ProcessMemory;
-use wideleak::device::net::RemoteEndpoint;
+use wideleak::bmff::types::KeyId;
+use wideleak::cdm::oemcrypto::SampleCrypto;
 use wideleak::ott::ecosystem::Ecosystem;
-use wideleak_bench::{bench_ecosystem, BenchReport};
+use wideleak_bench::{
+    bench_ecosystem, l3_drm_server, license_session, provision, quick_mode, BenchReport,
+};
 
 /// One encrypted audio-sized sample per transaction: small enough that
 /// the binder round-trip is a visible fraction of the cost, the regime
@@ -42,66 +37,16 @@ const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// so neither is the bottleneck being measured.
 const WORKERS: usize = 8;
 
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("WIDELEAK_BENCH_QUICK").is_some()
-}
-
 /// Boots an L3 CDM behind a reactor Media DRM server with a
 /// [`WORKERS`]-thread dispatch pool, and a binder with one pooled
 /// socket per worker. The server is returned so it outlives the binder.
 fn boot_binder(eco: &Ecosystem) -> (TcpDrmServer, TcpBinder) {
-    let backend = L3OemCrypto::new(
-        CdmVersion::new(16, 0, 0),
-        Arc::new(HookEngine::new()),
-        Arc::new(ProcessMemory::new("mediaserver")),
-    );
-    backend.install_keybox(eco.trust().issue_keybox("bench-decrypt-scaling")).unwrap();
-    let mut server = MediaDrmServer::new();
-    let cdm = Cdm::builder().backend(Arc::new(backend)).build();
-    server.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
+    let server = l3_drm_server(eco, "bench-decrypt-scaling");
     let config = ReactorConfig { dispatch_workers: WORKERS, ..ReactorConfig::default() };
     let srv = TcpDrmServer::bind_with("127.0.0.1:0", Arc::new(server), config)
         .expect("binding a loopback media drm server");
     let binder = TcpBinder::connect(srv.local_addr()).pool_size(WORKERS).build().unwrap();
     (srv, binder)
-}
-
-/// Provisions the device through the binder, like first app launch does.
-fn provision(binder: &dyn Transport, eco: &Ecosystem) {
-    let req = binder
-        .transact(DrmCall::GetProvisionRequest { nonce: [7; 16] })
-        .unwrap()
-        .into_bytes()
-        .unwrap();
-    let response = eco.backend().handle("provision/ocs", &req).unwrap();
-    binder.transact(DrmCall::ProvideProvisionResponse { nonce: [7; 16], response }).unwrap();
-}
-
-/// Opens and licenses one session; returns it with a decryptable kid.
-fn license_session(binder: &dyn Transport, eco: &Ecosystem, token: &str, tag: u8) -> (u32, KeyId) {
-    let sid = binder
-        .transact(DrmCall::OpenSession { nonce: [tag; 16] })
-        .unwrap()
-        .into_session_id()
-        .unwrap();
-    let req = binder
-        .transact(DrmCall::GetKeyRequest {
-            session_id: sid,
-            content_id: "title-001".to_owned(),
-            key_ids: vec![],
-        })
-        .unwrap()
-        .into_bytes()
-        .unwrap();
-    let mut w = TlvWriter::new();
-    w.string(1, token).bytes(2, &req);
-    let response = eco.backend().handle("license/ocs/title-001", &w.finish()).unwrap();
-    let kids = binder
-        .transact(DrmCall::ProvideKeyResponse { session_id: sid, response })
-        .unwrap()
-        .into_key_ids()
-        .unwrap();
-    (sid, kids[0])
 }
 
 /// Runs `iters` decrypts per client, all clients in parallel, and

@@ -20,17 +20,12 @@ use std::time::Instant;
 
 use wideleak::device::catalog::DeviceModel;
 use wideleak::ott::apps::OttApp;
-use wideleak::ott::cache::CacheConfig;
 use wideleak::ott::ecosystem::{Ecosystem, EcosystemConfig};
-use wideleak_bench::{BenchReport, BENCH_RSA_BITS};
+use wideleak_bench::{quick_mode, BenchReport, BENCH_RSA_BITS};
 
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("WIDELEAK_BENCH_QUICK").is_some()
-}
-
-/// Boots one ecosystem + device + app with the given cache setup and
+/// Boots one ecosystem + device + app with the caches on or off and
 /// runs the un-timed warm-up play.
-fn boot(caches: CacheConfig) -> (Ecosystem, OttApp) {
+fn boot(caches: bool) -> (Ecosystem, OttApp) {
     let eco =
         Ecosystem::new(EcosystemConfig { rsa_bits: BENCH_RSA_BITS, caches, ..Default::default() });
     let stack = eco.boot_device(DeviceModel::nexus_5(), false);
@@ -53,8 +48,8 @@ fn main() {
     let iters = if quick_mode() { 3 } else { 25 };
     println!("license_path: {iters} plays+check-ins per side, {BENCH_RSA_BITS}-bit RSA");
 
-    let (_cold_eco, cold_app) = boot(CacheConfig::none());
-    let (warm_eco, warm_app) = boot(CacheConfig::all());
+    let (_cold_eco, cold_app) = boot(false);
+    let (warm_eco, warm_app) = boot(true);
 
     let cold = run(&cold_app, iters);
     let warm = run(&warm_app, iters);

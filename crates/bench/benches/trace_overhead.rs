@@ -17,72 +17,14 @@ use std::time::{Duration, Instant};
 
 use wideleak::android_drm::binder::{DrmCall, Transport};
 use wideleak::android_drm::netserver::TcpBinder;
-use wideleak::android_drm::server::MediaDrmServer;
-use wideleak::bmff::types::{KeyId, WIDEVINE_SYSTEM_ID};
-use wideleak::cdm::cdm::Cdm;
-use wideleak::cdm::oemcrypto::{L3OemCrypto, OemCrypto, SampleCrypto};
-use wideleak::cdm::wire::TlvWriter;
-use wideleak::device::catalog::CdmVersion;
-use wideleak::device::hooks::HookEngine;
-use wideleak::device::memory::ProcessMemory;
-use wideleak::device::net::RemoteEndpoint;
-use wideleak::ott::ecosystem::Ecosystem;
+use wideleak::bmff::types::KeyId;
+use wideleak::cdm::oemcrypto::SampleCrypto;
 use wideleak::telemetry::trace;
-use wideleak_bench::{bench_ecosystem, BenchReport};
+use wideleak_bench::{
+    bench_ecosystem, l3_drm_server, license_session, provision, quick_mode, BenchReport,
+};
 
 const SAMPLE_BYTES: usize = 4 * 1024;
-
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("WIDELEAK_BENCH_QUICK").is_some()
-}
-
-/// Boots an L3 CDM behind a loopback TCP media DRM server.
-fn boot_tcp(eco: &Ecosystem) -> Arc<dyn Transport> {
-    let backend = L3OemCrypto::new(
-        CdmVersion::new(16, 0, 0),
-        Arc::new(HookEngine::new()),
-        Arc::new(ProcessMemory::new("mediaserver")),
-    );
-    backend.install_keybox(eco.trust().issue_keybox("bench-trace-overhead")).unwrap();
-    let mut server = MediaDrmServer::new();
-    let cdm = Cdm::builder().backend(Arc::new(backend)).build();
-    server.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
-    Arc::new(TcpBinder::loopback(server).build().unwrap())
-}
-
-/// Provisions and licenses one session; returns it with a usable kid.
-fn license_session(binder: &dyn Transport, eco: &Ecosystem, token: &str) -> (u32, KeyId) {
-    let req = binder
-        .transact(DrmCall::GetProvisionRequest { nonce: [7; 16] })
-        .unwrap()
-        .into_bytes()
-        .unwrap();
-    let response = eco.backend().handle("provision/ocs", &req).unwrap();
-    binder.transact(DrmCall::ProvideProvisionResponse { nonce: [7; 16], response }).unwrap();
-    let sid = binder
-        .transact(DrmCall::OpenSession { nonce: [9; 16] })
-        .unwrap()
-        .into_session_id()
-        .unwrap();
-    let req = binder
-        .transact(DrmCall::GetKeyRequest {
-            session_id: sid,
-            content_id: "title-001".to_owned(),
-            key_ids: vec![],
-        })
-        .unwrap()
-        .into_bytes()
-        .unwrap();
-    let mut w = TlvWriter::new();
-    w.string(1, token).bytes(2, &req);
-    let response = eco.backend().handle("license/ocs/title-001", &w.finish()).unwrap();
-    let kids = binder
-        .transact(DrmCall::ProvideKeyResponse { session_id: sid, response })
-        .unwrap()
-        .into_key_ids()
-        .unwrap();
-    (sid, kids[0])
-}
 
 /// Times `iters` license-path round trips (the RSA-signing
 /// `GetKeyRequest`, the paper's critical path) and returns sorted
@@ -147,8 +89,11 @@ fn main() {
 
     let eco = bench_ecosystem();
     let token = eco.accounts().subscribe("ocs", "bench-user");
-    let binder = boot_tcp(&eco);
-    let (sid, kid) = license_session(binder.as_ref(), &eco, &token);
+    // An L3 CDM behind a loopback TCP media DRM server.
+    let binder: Arc<dyn Transport> =
+        Arc::new(TcpBinder::loopback(l3_drm_server(&eco, "bench-trace-overhead")).build().unwrap());
+    provision(binder.as_ref(), &eco);
+    let (sid, kid) = license_session(binder.as_ref(), &eco, &token, 9);
 
     println!(
         "trace_overhead: tcp loopback, {license_iters} license + {decrypt_iters} decrypt calls per side"

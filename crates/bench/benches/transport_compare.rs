@@ -15,77 +15,24 @@ use std::time::{Duration, Instant};
 
 use wideleak::android_drm::binder::{DrmCall, InProcessBinder, Transport, TransportKind};
 use wideleak::android_drm::netserver::TcpBinder;
-use wideleak::android_drm::server::MediaDrmServer;
-use wideleak::bmff::types::{KeyId, WIDEVINE_SYSTEM_ID};
-use wideleak::cdm::cdm::Cdm;
-use wideleak::cdm::oemcrypto::{L3OemCrypto, OemCrypto, SampleCrypto};
-use wideleak::cdm::wire::TlvWriter;
-use wideleak::device::catalog::CdmVersion;
-use wideleak::device::hooks::HookEngine;
-use wideleak::device::memory::ProcessMemory;
-use wideleak::device::net::RemoteEndpoint;
+use wideleak::bmff::types::KeyId;
+use wideleak::cdm::oemcrypto::SampleCrypto;
 use wideleak::ott::ecosystem::Ecosystem;
-use wideleak_bench::{bench_ecosystem, BenchReport};
+use wideleak_bench::{
+    bench_ecosystem, l3_drm_server, license_session, provision, quick_mode, BenchReport,
+};
 
 /// Audio-sized samples: small enough that the transport round trip is a
 /// visible fraction of the total, the regime the comparison is about.
 const SAMPLE_BYTES: usize = 4 * 1024;
 
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("WIDELEAK_BENCH_QUICK").is_some()
-}
-
 /// Boots an L3 CDM behind a fresh media DRM server on one transport.
 fn boot_binder(eco: &Ecosystem, transport: TransportKind) -> Arc<dyn Transport> {
-    let backend = L3OemCrypto::new(
-        CdmVersion::new(16, 0, 0),
-        Arc::new(HookEngine::new()),
-        Arc::new(ProcessMemory::new("mediaserver")),
-    );
-    backend
-        .install_keybox(eco.trust().issue_keybox(&format!("bench-transport-{transport}")))
-        .unwrap();
-    let mut server = MediaDrmServer::new();
-    let cdm = Cdm::builder().backend(Arc::new(backend)).build();
-    server.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
+    let server = l3_drm_server(eco, &format!("bench-transport-{transport}"));
     match transport {
         TransportKind::InProcess => Arc::new(InProcessBinder::new(server)),
         TransportKind::Tcp => Arc::new(TcpBinder::loopback(server).build().unwrap()),
     }
-}
-
-/// Provisions and licenses one session; returns it with a decryptable kid.
-fn license_session(binder: &dyn Transport, eco: &Ecosystem, token: &str) -> (u32, KeyId) {
-    let req = binder
-        .transact(DrmCall::GetProvisionRequest { nonce: [7; 16] })
-        .unwrap()
-        .into_bytes()
-        .unwrap();
-    let response = eco.backend().handle("provision/ocs", &req).unwrap();
-    binder.transact(DrmCall::ProvideProvisionResponse { nonce: [7; 16], response }).unwrap();
-    let sid = binder
-        .transact(DrmCall::OpenSession { nonce: [9; 16] })
-        .unwrap()
-        .into_session_id()
-        .unwrap();
-    let req = binder
-        .transact(DrmCall::GetKeyRequest {
-            session_id: sid,
-            content_id: "title-001".to_owned(),
-            key_ids: vec![],
-        })
-        .unwrap()
-        .into_bytes()
-        .unwrap();
-    let mut w = TlvWriter::new();
-    w.string(1, token).bytes(2, &req);
-    let response = eco.backend().handle("license/ocs/title-001", &w.finish()).unwrap();
-    let kids = binder
-        .transact(DrmCall::ProvideKeyResponse { session_id: sid, response })
-        .unwrap()
-        .into_key_ids()
-        .unwrap();
-    (sid, kids[0])
 }
 
 /// Nearest-rank percentile over a sorted sample set.
@@ -143,7 +90,8 @@ fn main() {
     for transport in TransportKind::ALL {
         let label = transport.label();
         let binder = boot_binder(&eco, transport);
-        let (sid, kid) = license_session(binder.as_ref(), &eco, &token);
+        provision(binder.as_ref(), &eco);
+        let (sid, kid) = license_session(binder.as_ref(), &eco, &token, 9);
         // Warm-up: connections dialed, threads faulted in, caches hot.
         measure(binder.as_ref(), sid, kid, 16);
         let samples = measure(binder.as_ref(), sid, kid, iters);

@@ -4,7 +4,25 @@
 //! `benches/`; see `EXPERIMENTS.md` at the workspace root for the
 //! experiment-to-target index.
 
+use std::sync::Arc;
+
+use wideleak::android_drm::binder::{DrmCall, Transport};
+use wideleak::android_drm::server::MediaDrmServer;
+use wideleak::bmff::types::{KeyId, WIDEVINE_SYSTEM_ID};
+use wideleak::cdm::cdm::Cdm;
+use wideleak::cdm::oemcrypto::{L3OemCrypto, OemCrypto};
+use wideleak::cdm::wire::TlvWriter;
+use wideleak::device::catalog::CdmVersion;
+use wideleak::device::hooks::HookEngine;
+use wideleak::device::memory::ProcessMemory;
+use wideleak::device::net::RemoteEndpoint;
 use wideleak::ott::ecosystem::{Ecosystem, EcosystemConfig};
+
+/// Whether a bench runs its CI-sized preset: `--quick` on the command
+/// line, or `WIDELEAK_BENCH_QUICK` set in the environment.
+pub fn quick_mode() -> bool {
+    std::env::args().any(|a| a == "--quick") || std::env::var_os("WIDELEAK_BENCH_QUICK").is_some()
+}
 
 /// The RSA key size the benches use: large enough to exercise the real
 /// code paths, small enough that Criterion iteration counts stay sane.
@@ -20,6 +38,78 @@ pub fn bench_config() -> EcosystemConfig {
 /// Boots a bench ecosystem.
 pub fn bench_ecosystem() -> Ecosystem {
     Ecosystem::new(bench_config())
+}
+
+/// A media DRM server fronting a fresh software L3 CDM (version 16.0.0)
+/// whose keybox `eco`'s trust authority issues under `keybox_name`.
+///
+/// # Panics
+///
+/// Panics if the keybox does not install.
+pub fn l3_drm_server(eco: &Ecosystem, keybox_name: &str) -> MediaDrmServer {
+    let backend = L3OemCrypto::new(
+        CdmVersion::new(16, 0, 0),
+        Arc::new(HookEngine::new()),
+        Arc::new(ProcessMemory::new("mediaserver")),
+    );
+    backend.install_keybox(eco.trust().issue_keybox(keybox_name)).unwrap();
+    let mut server = MediaDrmServer::new();
+    let cdm = Cdm::builder().backend(Arc::new(backend)).build();
+    server.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
+    server
+}
+
+/// Provisions the CDM behind `binder` against `eco`'s backend, like
+/// first app launch does.
+///
+/// # Panics
+///
+/// Panics if any provisioning step fails.
+pub fn provision(binder: &dyn Transport, eco: &Ecosystem) {
+    let req = binder
+        .transact(DrmCall::GetProvisionRequest { nonce: [7; 16] })
+        .unwrap()
+        .into_bytes()
+        .unwrap();
+    let response = eco.backend().handle("provision/ocs", &req).unwrap();
+    binder.transact(DrmCall::ProvideProvisionResponse { nonce: [7; 16], response }).unwrap();
+}
+
+/// Opens one session (nonce `[tag; 16]`) on a provisioned CDM and
+/// licenses it for OCS `title-001`; returns it with a decryptable kid.
+///
+/// # Panics
+///
+/// Panics if any session or license step fails.
+pub fn license_session(
+    binder: &dyn Transport,
+    eco: &Ecosystem,
+    token: &str,
+    tag: u8,
+) -> (u32, KeyId) {
+    let sid = binder
+        .transact(DrmCall::OpenSession { nonce: [tag; 16] })
+        .unwrap()
+        .into_session_id()
+        .unwrap();
+    let req = binder
+        .transact(DrmCall::GetKeyRequest {
+            session_id: sid,
+            content_id: "title-001".to_owned(),
+            key_ids: vec![],
+        })
+        .unwrap()
+        .into_bytes()
+        .unwrap();
+    let mut w = TlvWriter::new();
+    w.string(1, token).bytes(2, &req);
+    let response = eco.backend().handle("license/ocs/title-001", &w.finish()).unwrap();
+    let kids = binder
+        .transact(DrmCall::ProvideKeyResponse { session_id: sid, response })
+        .unwrap()
+        .into_key_ids()
+        .unwrap();
+    (sid, kids[0])
 }
 
 /// Where `BENCH_*.json` result files land: `$WIDELEAK_BENCH_OUT` when

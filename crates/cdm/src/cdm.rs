@@ -43,7 +43,6 @@ impl std::fmt::Debug for Cdm {
 pub struct CdmBuilder {
     keybox: Option<Keybox>,
     backend: Option<Arc<dyn OemCrypto + Sync>>,
-    force_l3: bool,
     decrypt_cache: bool,
 }
 
@@ -61,14 +60,6 @@ impl CdmBuilder {
     #[must_use]
     pub fn backend(mut self, backend: Arc<dyn OemCrypto + Sync>) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Forces the software L3 engine even on L1-capable hardware — the
-    /// degraded-playback path apps fall back to when HD keeps failing.
-    #[must_use]
-    pub fn force_l3(mut self, force: bool) -> Self {
-        self.force_l3 = force;
         self
     }
 
@@ -98,9 +89,8 @@ impl CdmBuilder {
     pub fn boot(self, device: &Device) -> Result<Cdm, CdmError> {
         let keybox = self.keybox.expect("CdmBuilder::boot requires a keybox");
         let model = device.model();
-        let level = if self.force_l3 { SecurityLevel::L3 } else { model.security_level };
         let (backend, secure_world): (Arc<dyn OemCrypto + Sync>, Option<Arc<SecureWorld>>) =
-            match level {
+            match model.security_level {
                 SecurityLevel::L1 => {
                     let world = Arc::new(SecureWorld::new());
                     let backend = L1OemCrypto::new(
@@ -199,14 +189,6 @@ mod tests {
         assert!(cdm.secure_world().unwrap().has_trustlet("widevine"));
         // Nothing leaked into normal-world memory.
         assert!(device.drm_process_memory().scan(b"kbox").is_empty());
-    }
-
-    #[test]
-    fn force_l3_downgrades_l1_hardware() {
-        let device = Device::new(DeviceModel::pixel_6());
-        let cdm = Cdm::builder().keybox(keybox()).force_l3(true).boot(&device).unwrap();
-        assert_eq!(cdm.security_level(), SecurityLevel::L3);
-        assert!(cdm.secure_world().is_none(), "no secure world booted for forced L3");
     }
 
     #[test]

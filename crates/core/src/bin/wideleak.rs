@@ -397,7 +397,7 @@ fn main() -> ExitCode {
                 // The exposition endpoint publishes the live registry;
                 // enable collection so there is something to scrape.
                 telemetry::enable();
-                match telemetry::ExpositionServer::bind(maddr) {
+                match telemetry::ExpositionServer::bind(maddr, telemetry::global()) {
                     Ok(server) => {
                         println!(
                             "wideleak: metrics endpoint on http://{}/metrics",

@@ -13,9 +13,9 @@
 //! repeated plays hit the license-response cache, periodic device
 //! check-ins ([`OttApp::reprovision`]) hit the provisioning-certificate
 //! cache, and repeated sample decrypts hit the per-session derived-key
-//! cache in the CDM. With [`CacheConfig::none`] the same traffic runs
-//! the full cold paths, which is what `benches/license_path.rs` and the
-//! caches-off byte-identity tests compare against.
+//! cache in the CDM. With [`LoadConfig::caches`] off the same traffic
+//! runs the full cold paths, which is what `benches/license_path.rs` and
+//! the caches-off byte-identity tests compare against.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -35,7 +35,7 @@ use wideleak_faults::{det_hash, VirtualClock};
 use wideleak_ott::adapt::AdaptConfig;
 use wideleak_ott::apps::OttApp;
 use wideleak_ott::bandwidth::{BandwidthConfig, BandwidthSchedule, ClientLink};
-use wideleak_ott::cache::{CacheConfig, CacheStats};
+use wideleak_ott::cache::CacheStats;
 use wideleak_ott::ecosystem::{DeviceStack, Ecosystem, EcosystemConfig};
 
 pub use wideleak_android_drm::binder::TransportKind;
@@ -56,29 +56,6 @@ const WARM_BASE_MS: u64 = 11;
 const JITTER_MS: u64 = 9;
 /// Worker-index sentinel for warm-up plays in the latency salt.
 const WARMUP_WORKER: usize = 0xFFFF;
-
-/// Arrival discipline of the generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Each worker issues its next play as soon as the previous one
-    /// finishes.
-    Closed,
-    /// Each worker waits a fixed virtual interarrival gap before every
-    /// play.
-    Open {
-        /// Virtual milliseconds between a worker's consecutive plays.
-        interarrival_ms: u64,
-    },
-}
-
-impl LoadMode {
-    fn label(self) -> String {
-        match self {
-            LoadMode::Closed => "closed-loop".to_owned(),
-            LoadMode::Open { interarrival_ms } => format!("open-loop({interarrival_ms}ms)"),
-        }
-    }
-}
 
 /// Congestion preset the generator applies to its playback traffic.
 ///
@@ -149,10 +126,8 @@ pub struct LoadConfig {
     pub plays_per_worker: usize,
     /// Master seed: ecosystem derivations and modeled latencies.
     pub seed: u64,
-    /// Arrival discipline.
-    pub mode: LoadMode,
-    /// Which hot-path caches run.
-    pub caches: CacheConfig,
+    /// Whether the three hot-path caches run.
+    pub caches: bool,
     /// Which binder transport the fleet's devices boot with.
     pub transport: TransportKind,
     /// Congestion preset for the steady-state playback traffic.
@@ -166,8 +141,7 @@ impl Default for LoadConfig {
             workers_per_device: 3,
             plays_per_worker: 6,
             seed: 2022,
-            mode: LoadMode::Closed,
-            caches: CacheConfig::all(),
+            caches: true,
             transport: TransportKind::Tcp,
             congestion: Congestion::None,
         }
@@ -323,15 +297,15 @@ impl LoadReport {
         let _ = writeln!(out, "== wideleak load report ==");
         let _ = writeln!(
             out,
-            "fleet:      {} devices x {} workers x {} plays  (seed {}, {}, {} binder)",
+            "fleet:      {} devices x {} workers x {} plays  (seed {}, closed-loop, {} binder)",
             c.devices,
             c.workers_per_device,
             c.plays_per_worker,
             c.seed,
-            c.mode.label(),
             c.transport.label(),
         );
-        let _ = writeln!(out, "caches:     {}", cache_label(c.caches));
+        let caches = if c.caches { "provisioning+license+decrypt" } else { "disabled" };
+        let _ = writeln!(out, "caches:     {caches}");
         let _ = writeln!(
             out,
             "plays:      {} total ({} warm-up + {} steady), {} failed, {} check-ins",
@@ -400,23 +374,6 @@ impl LoadReport {
         }
         out
     }
-}
-
-fn cache_label(caches: CacheConfig) -> String {
-    if !caches.any() {
-        return "disabled".to_owned();
-    }
-    let mut parts = Vec::new();
-    if caches.provisioning_cert {
-        parts.push("provisioning");
-    }
-    if caches.license_response {
-        parts.push("license");
-    }
-    if caches.decrypt_keys {
-        parts.push("decrypt");
-    }
-    parts.join("+")
 }
 
 fn cache_stats_line(s: &CacheStats) -> String {
@@ -540,7 +497,7 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     });
     let makespan_ms = (warmup_span_ms + longest_chain_ms).max(1);
     let total_plays = warmup_samples.len() as u64 + steady_samples.len() as u64;
-    let decrypt_cache = config.caches.decrypt_keys.then(|| sum_decrypt_stats(&fleet)).flatten();
+    let decrypt_cache = config.caches.then(|| sum_decrypt_stats(&fleet)).flatten();
     LoadReport {
         config: *config,
         warmup_plays: warmup_samples.len() as u64,
@@ -558,9 +515,9 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     }
 }
 
-/// One worker's closed/open loop: returns its latency samples, the
-/// virtual span of its sequential chain (busy time plus interarrival
-/// gaps) and its adaptive counters (zeroed on the classic path).
+/// One worker's closed loop: returns its latency samples, the virtual
+/// span of its sequential chain and its adaptive counters (zeroed on
+/// the classic path).
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     config: &LoadConfig,
@@ -572,19 +529,14 @@ fn run_worker(
     worker: usize,
     mut link: Option<ClientLink>,
 ) -> (Vec<u64>, u64, AdaptiveLoadStats) {
-    let warm = config.caches.any();
     let mut samples = Vec::with_capacity(config.plays_per_worker);
     let mut span_ms = 0u64;
     let mut adaptive = AdaptiveLoadStats::default();
     for iter in 0..config.plays_per_worker {
-        if let LoadMode::Open { interarrival_ms } = config.mode {
-            clock.advance_ms(interarrival_ms);
-            span_ms += interarrival_ms;
-        }
         let title = FLEET_TITLES[iter % FLEET_TITLES.len()];
         // Under congestion a play's modeled service time additionally
         // carries the rebuffer stalls its link imposed.
-        let mut lat = modeled_latency_ms(config.seed, device, worker, iter, warm);
+        let mut lat = modeled_latency_ms(config.seed, device, worker, iter, config.caches);
         match link.as_mut() {
             Some(l) => match app.play_adaptive(title, &AdaptConfig::quick(), l) {
                 Ok(outcome) => {
@@ -655,11 +607,17 @@ fn sum_decrypt_stats(fleet: &[FleetDevice]) -> Option<DecryptCacheStats> {
 /// written off — a CI backstop, not a measurement.
 const FLEET_DEADLINE: Duration = Duration::from_secs(120);
 
+/// Wire-v3 request-id-tagged calls each fleet device keeps in flight on
+/// its connection.
+const FLEET_INFLIGHT_PER_DEVICE: usize = 4;
+
+/// Driver threads the fleet's devices are partitioned across.
+const FLEET_DRIVERS: usize = 4;
+
 /// Parameters of one high-concurrency fleet run (`wideleak load
 /// --fleet N`): N simulated devices each hold a real socket open
 /// against one reactor [`TcpDrmServer`], with up to
-/// `inflight_per_device` wire-v3 request-id-tagged calls in flight per
-/// connection.
+/// four wire-v3 request-id-tagged calls in flight per connection.
 ///
 /// Unlike [`LoadConfig`], which measures the modeled study paths, this
 /// mode measures the transport itself: each device is a raw wire
@@ -675,23 +633,13 @@ pub struct FleetConfig {
     /// Scheme probes each device issues (alternating answers, so
     /// correlation mistakes are visible as unexpected replies).
     pub calls_per_device: usize,
-    /// Calls each device keeps in flight on its connection.
-    pub inflight_per_device: usize,
     /// Seed for nonces and the served CDM's derivations.
     pub seed: u64,
-    /// Driver threads the devices are partitioned across.
-    pub drivers: usize,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        FleetConfig {
-            devices: 10_000,
-            calls_per_device: 4,
-            inflight_per_device: 4,
-            seed: 2022,
-            drivers: 4,
-        }
+        FleetConfig { devices: 10_000, calls_per_device: 4, seed: 2022 }
     }
 }
 
@@ -741,12 +689,9 @@ impl FleetReport {
         let _ = writeln!(out, "== wideleak fleet report ==");
         let _ = writeln!(
             out,
-            "fleet:      {} devices x {} calls, {} drivers, {} in flight per device (seed {})",
-            config.devices,
-            config.calls_per_device,
-            config.drivers,
-            config.inflight_per_device,
-            config.seed,
+            "fleet:      {} devices x {} calls, {FLEET_DRIVERS} drivers, \
+             {FLEET_INFLIGHT_PER_DEVICE} in flight per device (seed {})",
+            config.devices, config.calls_per_device, config.seed,
         );
         let _ = writeln!(
             out,
@@ -873,15 +818,10 @@ fn device_script(d: usize, config: &FleetConfig) -> (Vec<(Expect, DrmCall)>, usi
 /// Sweeps one device once: write while the in-flight window has room,
 /// drain the socket, settle complete reply frames. Returns
 /// `(made_progress, died)`.
-fn sweep_device(
-    dev: &mut SimDevice,
-    depth: usize,
-    scratch: &mut [u8],
-    tally: &mut DriverTally,
-) -> (bool, bool) {
+fn sweep_device(dev: &mut SimDevice, scratch: &mut [u8], tally: &mut DriverTally) -> (bool, bool) {
     let mut progress = false;
-    // Write: at most `depth` calls in flight at once.
-    while dev.pending.len() < depth {
+    // Write: at most `FLEET_INFLIGHT_PER_DEVICE` calls in flight at once.
+    while dev.pending.len() < FLEET_INFLIGHT_PER_DEVICE {
         let Some((_, _, frame)) = dev.outbox.front() else { break };
         match dev.stream.write(&frame[dev.woffset..]) {
             Ok(0) => return (progress, true),
@@ -954,7 +894,6 @@ fn drive_devices(
     connected_rendezvous: &std::sync::Barrier,
     deadline: Instant,
 ) -> DriverTally {
-    let depth = config.inflight_per_device.max(1);
     let mut tally = DriverTally::default();
     let mut devices: Vec<Option<SimDevice>> = Vec::with_capacity(range.len());
     for d in range {
@@ -1016,7 +955,7 @@ fn drive_devices(
         let mut progress = false;
         for slot in &mut devices {
             let Some(dev) = slot.as_mut() else { continue };
-            let (did, died) = sweep_device(dev, depth, &mut scratch, &mut tally);
+            let (did, died) = sweep_device(dev, &mut scratch, &mut tally);
             progress |= did;
             if died {
                 tally.undelivered += dev.expected_total.saturating_sub(dev.received) as u64;
@@ -1053,7 +992,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     let addr = server.local_addr();
     let started = Instant::now();
     let deadline = started + FLEET_DEADLINE;
-    let drivers = config.drivers.clamp(1, config.devices);
+    let drivers = FLEET_DRIVERS.min(config.devices);
     let connected_rendezvous = std::sync::Barrier::new(drivers);
     let mut tallies: Vec<DriverTally> = Vec::new();
     let mut peak = 0u64;
@@ -1130,7 +1069,7 @@ mod tests {
 
     #[test]
     fn uncached_run_reports_disabled_caches() {
-        let config = LoadConfig { caches: CacheConfig::none(), ..LoadConfig::quick() };
+        let config = LoadConfig { caches: false, ..LoadConfig::quick() };
         let report = run_load(&config);
         assert_eq!(report.failed_plays, 0);
         assert!(report.provisioning_cache.is_none());
@@ -1139,15 +1078,21 @@ mod tests {
         assert!(report.render().contains("disabled"));
     }
 
+    /// The report's `fleet:` and `caches:` header lines, verbatim.
+    fn header(report: &LoadReport) -> Vec<String> {
+        report.render().lines().skip(1).take(2).map(str::to_owned).collect()
+    }
+
     #[test]
-    fn open_loop_interarrival_stretches_the_makespan() {
-        let closed = run_load(&LoadConfig::quick());
-        let open = run_load(&LoadConfig {
-            mode: LoadMode::Open { interarrival_ms: 50 },
-            ..LoadConfig::quick()
-        });
-        assert!(open.makespan_ms > closed.makespan_ms);
-        assert!(open.throughput_centi_per_sec < closed.throughput_centi_per_sec);
+    fn quick_report_headers_are_pinned() {
+        let fleet =
+            "fleet:      2 devices x 2 workers x 3 plays  (seed 2022, closed-loop, tcp binder)";
+        assert_eq!(
+            header(&run_load(&LoadConfig::quick())),
+            [fleet, "caches:     provisioning+license+decrypt"]
+        );
+        let uncached = LoadConfig { caches: false, ..LoadConfig::quick() };
+        assert_eq!(header(&run_load(&uncached)), [fleet, "caches:     disabled"]);
     }
 
     #[test]
@@ -1196,6 +1141,12 @@ mod tests {
         // 160 devices × 2 probes, plus 10 session devices × (open+close).
         assert_eq!(report.replies_ok, 160 * 2 + 10 * 2);
         assert_eq!(report.sessions_opened, 10);
+        assert_eq!(
+            report.render(&config).lines().nth(1),
+            Some(
+                "fleet:      160 devices x 2 calls, 4 drivers, 4 in flight per device (seed 2022)"
+            )
+        );
         assert!(
             report.peak_active_connections >= 80,
             "fleet connections were concurrent: peak {}",

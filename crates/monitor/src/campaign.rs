@@ -58,7 +58,7 @@ use wideleak_load::{partition, LatencySummary};
 use wideleak_ott::apps::AppProfile;
 use wideleak_ott::content::L3_MAX_HEIGHT;
 use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
-use wideleak_ott::provisioning::RevocationPolicy;
+use wideleak_ott::provisioning::REVOCATION_FLOOR;
 use wideleak_ott::OttError;
 
 /// Salt mixed into the campaign seed when electing devices for real
@@ -127,11 +127,7 @@ impl CellKind {
 /// the campaign can cover thousands of devices while the sampled real
 /// playbacks keep the mirror honest (`sample_mismatches` stays 0).
 #[must_use]
-pub fn derive_cell(
-    model: &DeviceModel,
-    profile: &AppProfile,
-    policy: &RevocationPolicy,
-) -> CellKind {
+pub fn derive_cell(model: &DeviceModel, profile: &AppProfile) -> CellKind {
     if profile.always_custom_drm {
         return CellKind::Custom;
     }
@@ -140,7 +136,7 @@ pub fn derive_cell(
     if model.security_level == SecurityLevel::L3 && profile.custom_drm_on_l3 {
         return CellKind::Embedded;
     }
-    if profile.enforce_revocation && policy.is_revoked(model.cdm_version) {
+    if profile.enforce_revocation && model.cdm_version < REVOCATION_FLOOR {
         return CellKind::Refused;
     }
     if model.security_level == SecurityLevel::L1 {
@@ -221,7 +217,6 @@ pub fn run_shard(
         });
     }
     let apps = resolve_apps(spec)?;
-    let policy = RevocationPolicy::default();
     // The per-shard seed makes a single shard replayable in isolation;
     // it feeds the worker's private ecosystem only, never the report.
     let shard_seed = det_hash(spec.seed, u64::from(shard.shard_id));
@@ -248,7 +243,7 @@ pub fn run_shard(
         let model = DeviceModel::catalog(device_id);
         let sampled = is_sampled(spec, device_id);
         for (app_idx, profile) in apps.iter().enumerate() {
-            let kind = derive_cell(&model, profile, &policy);
+            let kind = derive_cell(&model, profile);
             cells[app_idx].record(kind.index(), device_id);
             latency.record(modeled_latency_ms(spec.seed, device_id, app_idx, kind));
             if let (true, Some(eco)) = (sampled, &eco) {
@@ -776,7 +771,6 @@ mod tests {
 
     #[test]
     fn derive_cell_matches_table_1_reference_devices() {
-        let policy = RevocationPolicy::default();
         let apps = wideleak_ott::apps::evaluated_apps();
         let netflix = apps.iter().find(|p| p.slug == "netflix").unwrap();
         let disney = apps.iter().find(|p| p.slug == "disney").unwrap();
@@ -785,13 +779,13 @@ mod tests {
         let n5 = DeviceModel::nexus_5();
         let p6 = DeviceModel::pixel_6();
         let mid = DeviceModel::midrange_l3();
-        assert_eq!(derive_cell(&n5, netflix, &policy), CellKind::PlaysSd);
-        assert_eq!(derive_cell(&n5, disney, &policy), CellKind::Refused);
-        assert_eq!(derive_cell(&n5, amazon, &policy), CellKind::Embedded);
-        assert_eq!(derive_cell(&p6, netflix, &policy), CellKind::PlaysHd);
-        assert_eq!(derive_cell(&p6, disney, &policy), CellKind::PlaysHd);
-        assert_eq!(derive_cell(&mid, amazon, &policy), CellKind::Embedded);
-        assert_eq!(derive_cell(&mid, disney, &policy), CellKind::PlaysSd);
+        assert_eq!(derive_cell(&n5, netflix), CellKind::PlaysSd);
+        assert_eq!(derive_cell(&n5, disney), CellKind::Refused);
+        assert_eq!(derive_cell(&n5, amazon), CellKind::Embedded);
+        assert_eq!(derive_cell(&p6, netflix), CellKind::PlaysHd);
+        assert_eq!(derive_cell(&p6, disney), CellKind::PlaysHd);
+        assert_eq!(derive_cell(&mid, amazon), CellKind::Embedded);
+        assert_eq!(derive_cell(&mid, disney), CellKind::PlaysSd);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! (RSA key derivation + wrapping), license issuance (policy resolution +
 //! key wrapping) and sample decryption (inside the CDM; see
 //! `wideleak_cdm::session::DecryptCache`). This module hosts the two
-//! server-side caches plus the [`CacheConfig`] switchboard the ecosystem
-//! threads through all three.
+//! server-side caches; `EcosystemConfig::caches` switches all three on
+//! or off together.
 //!
 //! Every cache is a pure accelerator: with caching disabled (the
 //! default), every byte the servers emit is identical to the uncached
@@ -20,39 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use wideleak_cdm::messages::KeyControl;
 use wideleak_faults::VirtualClock;
-
-/// Which caches an ecosystem runs with. The default is everything off —
-/// the study's published tables are produced without any cache in the
-/// loop, and the caches must never change those bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheConfig {
-    /// Provisioning-certificate cache (keyed by device identity).
-    pub provisioning_cert: bool,
-    /// License-response cache (keyed by device + content + policy).
-    pub license_response: bool,
-    /// Per-session derived-key / keystream cache in the CDM decrypt path.
-    pub decrypt_keys: bool,
-}
-
-impl CacheConfig {
-    /// Every cache on — the load generator's warm configuration.
-    #[must_use]
-    pub fn all() -> Self {
-        CacheConfig { provisioning_cert: true, license_response: true, decrypt_keys: true }
-    }
-
-    /// Every cache off (same as [`Default`]).
-    #[must_use]
-    pub fn none() -> Self {
-        CacheConfig::default()
-    }
-
-    /// Whether any cache is enabled.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.provisioning_cert || self.license_response || self.decrypt_keys
-    }
-}
 
 /// Hit/miss counters of one cache, snapshot form.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -338,9 +305,7 @@ mod tests {
 
     #[test]
     fn config_default_is_everything_off() {
-        assert!(!CacheConfig::default().any());
-        assert!(CacheConfig::all().any());
-        assert_eq!(CacheConfig::none(), CacheConfig::default());
+        assert!(!crate::ecosystem::EcosystemConfig::default().caches);
     }
 
     #[test]

@@ -20,11 +20,11 @@ use wideleak_faults::{corrupt_body, FaultInjector, FaultKind, FaultPlan, Plane, 
 use crate::accounts::AccountRegistry;
 use crate::apps::{encode_backend_error, evaluated_apps, AppProfile, EmbeddedWidevine, OttApp};
 use crate::bandwidth::{BandwidthConfig, ClientLink};
-use crate::cache::{CacheConfig, CacheStats, ProvisionCertCache};
+use crate::cache::{CacheStats, ProvisionCertCache};
 use crate::cdn::CdnServer;
 use crate::content::{demo_catalog, Title};
 use crate::license::LicenseServer;
-use crate::provisioning::{ProvisioningServer, RevocationPolicy};
+use crate::provisioning::ProvisioningServer;
 use crate::trust::TrustAuthority;
 use crate::OttError;
 
@@ -36,8 +36,6 @@ pub struct EcosystemConfig {
     /// Device RSA key size. Production Widevine uses 2048; tests shrink
     /// this for speed.
     pub rsa_bits: usize,
-    /// The Widevine revocation floor.
-    pub revocation: RevocationPolicy,
     /// Whether the license server cross-checks claimed security levels
     /// against provisioning-time attestations. `true` models Android's
     /// deployment; `false` models the web-browser deployments the
@@ -48,10 +46,11 @@ pub struct EcosystemConfig {
     pub fault_plan: FaultPlan,
     /// How installed app clients react to failures.
     pub resilience: ResiliencePolicy,
-    /// Which hot-path caches run. All off by default: the published
-    /// tables are produced cache-free, and enabling any cache must leave
-    /// them byte-identical.
-    pub caches: CacheConfig,
+    /// Whether the three hot-path caches (provisioning certificates,
+    /// license responses, CDM decrypt keys) run. Off by default: the
+    /// published tables are produced cache-free, and enabling the caches
+    /// must leave them byte-identical.
+    pub caches: bool,
     /// Which binder transport booted devices use. In-process by default;
     /// the differential battery pins that TCP produces byte-identical
     /// study output, so this is a realism/perf knob only.
@@ -68,11 +67,10 @@ impl Default for EcosystemConfig {
         EcosystemConfig {
             seed: 2022,
             rsa_bits: 2048,
-            revocation: RevocationPolicy::default(),
             verify_attested_level: true,
             fault_plan: FaultPlan::empty(),
             resilience: ResiliencePolicy::default(),
-            caches: CacheConfig::none(),
+            caches: false,
             transport: TransportKind::InProcess,
             bandwidth: None,
         }
@@ -281,10 +279,8 @@ impl Ecosystem {
         let trust = Arc::new(TrustAuthority::new(config.seed));
         let accounts = Arc::new(AccountRegistry::new());
         let injector = Arc::new(FaultInjector::new(&config.fault_plan, config.seed ^ 0xFA17));
-        let cert_cache =
-            config.caches.provisioning_cert.then(|| Arc::new(ProvisionCertCache::new()));
+        let cert_cache = config.caches.then(|| Arc::new(ProvisionCertCache::new()));
         let mut provisioning_builder = ProvisioningServer::builder(trust.clone())
-            .policy(config.revocation)
             .rsa_bits(config.rsa_bits)
             .seed(config.seed ^ 0x1111);
         if let Some(cache) = &cert_cache {
@@ -292,10 +288,9 @@ impl Ecosystem {
         }
         let provisioning = Arc::new(provisioning_builder.build());
         let mut license_builder = LicenseServer::builder(trust.clone(), accounts.clone())
-            .revocation(config.revocation)
             .verify_attested_level(config.verify_attested_level)
             .seed(config.seed ^ 0x2222);
-        if config.caches.license_response {
+        if config.caches {
             license_builder = license_builder.response_cache(injector.clock().clone());
         }
         let license = Arc::new(license_builder.build());
@@ -378,11 +373,6 @@ impl Ecosystem {
         &self.accounts
     }
 
-    /// The active cache configuration.
-    pub fn cache_config(&self) -> CacheConfig {
-        self.config.caches
-    }
-
     /// Provisioning-certificate cache counters, when that cache runs.
     pub fn provisioning_cache_stats(&self) -> Option<CacheStats> {
         self.provisioning.cert_cache_stats()
@@ -433,7 +423,7 @@ impl Ecosystem {
         let cdm = Arc::new(
             Cdm::builder()
                 .keybox(keybox)
-                .decrypt_cache(self.config.caches.decrypt_keys)
+                .decrypt_cache(self.config.caches)
                 .boot(&device)
                 .expect("keybox installation succeeds"),
         );
@@ -465,7 +455,7 @@ impl Ecosystem {
         let cdm = Arc::new(
             Cdm::builder()
                 .keybox(keybox)
-                .decrypt_cache(self.config.caches.decrypt_keys)
+                .decrypt_cache(self.config.caches)
                 .boot(&device)
                 .expect("keybox installation succeeds"),
         );
@@ -625,10 +615,8 @@ mod tests {
     #[test]
     fn cached_ecosystem_plays_byte_identically_and_registers_hits() {
         let plain = ecosystem();
-        let cached = Ecosystem::new(EcosystemConfig {
-            caches: CacheConfig::all(),
-            ..EcosystemConfig::fast_for_tests()
-        });
+        let cached =
+            Ecosystem::new(EcosystemConfig { caches: true, ..EcosystemConfig::fast_for_tests() });
         let mut outcomes = Vec::new();
         for eco in [&plain, &cached] {
             let stack = eco.boot_device(DeviceModel::nexus_5(), false);
@@ -658,10 +646,8 @@ mod tests {
 
     #[test]
     fn keybox_rotation_reprovisions_cleanly() {
-        let eco = Ecosystem::new(EcosystemConfig {
-            caches: CacheConfig::all(),
-            ..EcosystemConfig::fast_for_tests()
-        });
+        let eco =
+            Ecosystem::new(EcosystemConfig { caches: true, ..EcosystemConfig::fast_for_tests() });
         let stack = eco.boot_device(DeviceModel::nexus_5(), false);
         let app = eco.install_app(&stack, "netflix", "alice");
         app.play("title-001").unwrap();

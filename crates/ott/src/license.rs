@@ -25,7 +25,7 @@ use crate::content::{
     key_from_label, kid_from_label, track_key_label, AudioProtection, TrackSelector, L3_MAX_HEIGHT,
     RESOLUTIONS,
 };
-use crate::provisioning::RevocationPolicy;
+use crate::provisioning::REVOCATION_FLOOR;
 use crate::trust::TrustAuthority;
 use crate::OttError;
 
@@ -53,7 +53,6 @@ pub fn uri_channel_label(app: &str, title_id: &str) -> String {
 pub struct LicenseServer {
     trust: Arc<TrustAuthority>,
     accounts: Arc<AccountRegistry>,
-    revocation: RevocationPolicy,
     /// Whether to cross-check the claimed security level against the
     /// provisioning-time attestation (Android does; per the paper's §V-C,
     /// web-browser deployments effectively do not).
@@ -69,68 +68,35 @@ pub struct LicenseServer {
 
 impl std::fmt::Debug for LicenseServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LicenseServer(floor: {})", self.revocation.min_cdm_version)
+        write!(f, "LicenseServer(floor: {REVOCATION_FLOOR})")
     }
 }
 
-/// Tunable license-server knobs; [`Default`] matches production Android
-/// deployments (attestation checked, default revocation floor).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LicenseServerConfig {
-    /// Revocation floor applied to apps that opt into enforcement.
-    pub revocation: RevocationPolicy,
-    /// Whether claimed security levels are clamped to the attested one.
-    pub verify_attested_level: bool,
-    /// Seed for session-key and IV generation.
-    pub seed: u64,
-}
-
-impl Default for LicenseServerConfig {
-    fn default() -> Self {
-        LicenseServerConfig {
-            revocation: RevocationPolicy::default(),
-            verify_attested_level: true,
-            seed: 0,
-        }
-    }
-}
-
-/// Builds a [`LicenseServer`]. Obtained from [`LicenseServer::builder`].
+/// Builds a [`LicenseServer`]. Obtained from [`LicenseServer::builder`];
+/// defaults match production Android deployments (attestation checked,
+/// seed 0, no cache).
 pub struct LicenseServerBuilder {
     trust: Arc<TrustAuthority>,
     accounts: Arc<AccountRegistry>,
-    config: LicenseServerConfig,
+    verify_attested_level: bool,
+    seed: u64,
     response_cache: Option<LicenseResponseCache>,
 }
 
 impl LicenseServerBuilder {
-    /// Replaces the whole configuration at once.
-    #[must_use]
-    pub fn config(mut self, config: LicenseServerConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The revocation floor.
-    #[must_use]
-    pub fn revocation(mut self, revocation: RevocationPolicy) -> Self {
-        self.config.revocation = revocation;
-        self
-    }
-
     /// Whether to clamp claimed levels to the provisioning-time
     /// attestation (the web-browser-like deployments of §V-C turn this
     /// off).
     #[must_use]
     pub fn verify_attested_level(mut self, verify: bool) -> Self {
-        self.config.verify_attested_level = verify;
+        self.verify_attested_level = verify;
         self
     }
 
-    /// The keying seed.
+    /// The seed for session-key and IV generation.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
+        self.seed = seed;
         self
     }
 
@@ -151,9 +117,8 @@ impl LicenseServerBuilder {
         LicenseServer {
             trust: self.trust,
             accounts: self.accounts,
-            revocation: self.config.revocation,
-            verify_attested_level: self.config.verify_attested_level,
-            seed: self.config.seed,
+            verify_attested_level: self.verify_attested_level,
+            seed: self.seed,
             response_cache: self.response_cache,
         }
     }
@@ -170,7 +135,8 @@ impl LicenseServer {
         LicenseServerBuilder {
             trust,
             accounts,
-            config: LicenseServerConfig::default(),
+            verify_attested_level: true,
+            seed: 0,
             response_cache: None,
         }
     }
@@ -178,13 +144,6 @@ impl LicenseServer {
     /// Response-cache counters, when the cache is enabled.
     pub fn response_cache_stats(&self) -> Option<crate::cache::CacheStats> {
         self.response_cache.as_ref().map(LicenseResponseCache::stats)
-    }
-
-    /// Disables attested-level verification — the web-browser-like
-    /// configuration the netflix-1080p exploit relied on (§V-C).
-    pub fn without_attestation_check(mut self) -> Self {
-        self.verify_attested_level = false;
-        self
     }
 
     /// The control block for a key label (video heights gate on L1).
@@ -256,7 +215,7 @@ impl LicenseServer {
         device_rsa
             .verify_pkcs1v15_sha256(&request.body_bytes(), &request.rsa_signature)
             .map_err(|_| OttError::Unauthorized)?;
-        if policy.enforce_revocation && self.revocation.is_revoked(request.cdm_version) {
+        if policy.enforce_revocation && request.cdm_version < REVOCATION_FLOOR {
             return Err(OttError::DeviceRevoked { cdm_version: request.cdm_version.to_string() });
         }
         // Effective security level: a client may claim any level, but when

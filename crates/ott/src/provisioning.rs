@@ -23,33 +23,15 @@ use crate::cache::{ProvisionCertCache, ProvisionCertEntry};
 use crate::trust::TrustAuthority;
 use crate::OttError;
 
-/// The Widevine revocation policy: CDM versions below the floor are
-/// revoked (no longer receiving security updates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RevocationPolicy {
-    /// Minimum still-supported CDM version.
-    pub min_cdm_version: CdmVersion,
-}
-
-impl Default for RevocationPolicy {
-    fn default() -> Self {
-        // The study's discontinued Nexus 5 runs CDM 3.1.0; anything before
-        // the Android-11-era release train is revoked.
-        RevocationPolicy { min_cdm_version: CdmVersion::new(14, 0, 0) }
-    }
-}
-
-impl RevocationPolicy {
-    /// Whether a version is revoked under this policy.
-    pub fn is_revoked(&self, version: CdmVersion) -> bool {
-        version < self.min_cdm_version
-    }
-}
+/// The Widevine revocation floor: CDM versions below it are revoked (no
+/// longer receiving security updates). The study's discontinued Nexus 5
+/// runs CDM 3.1.0; anything before the Android-11-era release train is
+/// revoked.
+pub const REVOCATION_FLOOR: CdmVersion = CdmVersion::new(14, 0, 0);
 
 /// The provisioning server.
 pub struct ProvisioningServer {
     trust: Arc<TrustAuthority>,
-    policy: RevocationPolicy,
     rsa_bits: usize,
     seed: u64,
     /// Cache of generated device keys so re-provisioning is stable (and
@@ -63,66 +45,32 @@ pub struct ProvisioningServer {
 
 impl std::fmt::Debug for ProvisioningServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ProvisioningServer(rsa: {} bits, floor: {})",
-            self.rsa_bits, self.policy.min_cdm_version
-        )
-    }
-}
-
-/// Tunable provisioning-server knobs; [`Default`] is the production
-/// shape (2048-bit RSA, default revocation floor).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProvisioningServerConfig {
-    /// Revocation floor applied to apps that opt into enforcement.
-    pub policy: RevocationPolicy,
-    /// Size of issued Device RSA Keys (tests shrink this for speed).
-    pub rsa_bits: usize,
-    /// Seed for key generation and response IVs.
-    pub seed: u64,
-}
-
-impl Default for ProvisioningServerConfig {
-    fn default() -> Self {
-        ProvisioningServerConfig { policy: RevocationPolicy::default(), rsa_bits: 2048, seed: 0 }
+        write!(f, "ProvisioningServer(rsa: {} bits, floor: {REVOCATION_FLOOR})", self.rsa_bits)
     }
 }
 
 /// Builds a [`ProvisioningServer`]. Obtained from
-/// [`ProvisioningServer::builder`].
+/// [`ProvisioningServer::builder`]; defaults to the production shape
+/// (2048-bit RSA, seed 0, no cache).
 pub struct ProvisioningServerBuilder {
     trust: Arc<TrustAuthority>,
-    config: ProvisioningServerConfig,
+    rsa_bits: usize,
+    seed: u64,
     cert_cache: Option<Arc<ProvisionCertCache>>,
 }
 
 impl ProvisioningServerBuilder {
-    /// Replaces the whole configuration at once.
-    #[must_use]
-    pub fn config(mut self, config: ProvisioningServerConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The revocation floor.
-    #[must_use]
-    pub fn policy(mut self, policy: RevocationPolicy) -> Self {
-        self.config.policy = policy;
-        self
-    }
-
-    /// The issued RSA key size.
+    /// The issued RSA key size (tests shrink this for speed).
     #[must_use]
     pub fn rsa_bits(mut self, rsa_bits: usize) -> Self {
-        self.config.rsa_bits = rsa_bits;
+        self.rsa_bits = rsa_bits;
         self
     }
 
-    /// The keying seed.
+    /// The seed for key generation and response IVs.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
+        self.seed = seed;
         self
     }
 
@@ -139,9 +87,8 @@ impl ProvisioningServerBuilder {
     pub fn build(self) -> ProvisioningServer {
         ProvisioningServer {
             trust: self.trust,
-            policy: self.config.policy,
-            rsa_bits: self.config.rsa_bits,
-            seed: self.config.seed,
+            rsa_bits: self.rsa_bits,
+            seed: self.seed,
             issued: Mutex::new(HashMap::new()),
             cert_cache: self.cert_cache,
         }
@@ -152,16 +99,7 @@ impl ProvisioningServer {
     /// Starts configuring a provisioning server for a trust authority.
     #[must_use]
     pub fn builder(trust: Arc<TrustAuthority>) -> ProvisioningServerBuilder {
-        ProvisioningServerBuilder {
-            trust,
-            config: ProvisioningServerConfig::default(),
-            cert_cache: None,
-        }
-    }
-
-    /// The active revocation policy.
-    pub fn policy(&self) -> RevocationPolicy {
-        self.policy
+        ProvisioningServerBuilder { trust, rsa_bits: 2048, seed: 0, cert_cache: None }
     }
 
     /// Certificate-cache counters, when a cache is attached.
@@ -189,7 +127,7 @@ impl ProvisioningServer {
         if !ct_eq(&expected, &request.signature) {
             return Err(OttError::Unauthorized);
         }
-        if enforce_revocation && self.policy.is_revoked(request.cdm_version) {
+        if enforce_revocation && request.cdm_version < REVOCATION_FLOOR {
             return Err(OttError::DeviceRevoked { cdm_version: request.cdm_version.to_string() });
         }
 
@@ -386,9 +324,7 @@ mod tests {
 
     #[test]
     fn default_policy_revokes_the_nexus_5() {
-        let policy = RevocationPolicy::default();
-        assert!(policy.is_revoked(CdmVersion::new(3, 1, 0)));
-        assert!(!policy.is_revoked(CdmVersion::new(16, 0, 0)));
-        assert!(!policy.is_revoked(policy.min_cdm_version));
+        assert!(CdmVersion::new(3, 1, 0) < REVOCATION_FLOOR);
+        assert!(CdmVersion::new(16, 0, 0) >= REVOCATION_FLOOR);
     }
 }

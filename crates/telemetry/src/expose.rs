@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::metrics::Registry;
+use crate::Collector;
 
 /// How often the accept loop re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
@@ -76,7 +77,7 @@ pub fn render_prometheus(registry: &Registry) -> String {
     out
 }
 
-fn metrics_body() -> String {
+fn metrics_body(collector: &Collector) -> String {
     use std::fmt::Write as _;
     let mut body = String::from("# TYPE wideleak_up gauge\nwideleak_up 1\n");
     let _ = writeln!(
@@ -84,7 +85,7 @@ fn metrics_body() -> String {
         "# TYPE wideleak_trace_dropped_spans_total counter\nwideleak_trace_dropped_spans_total {}",
         crate::trace::dropped_spans()
     );
-    body.push_str(&render_prometheus(crate::global().registry()));
+    body.push_str(&render_prometheus(collector.registry()));
     body
 }
 
@@ -120,7 +121,7 @@ fn read_request_line(stream: &mut TcpStream) -> Option<String> {
     head.lines().next().map(str::to_owned)
 }
 
-fn handle_request(mut stream: TcpStream) {
+fn handle_request(mut stream: TcpStream, collector: &Collector) {
     let Some(request_line) = read_request_line(&mut stream) else {
         return;
     };
@@ -132,9 +133,12 @@ fn handle_request(mut stream: TcpStream) {
         return;
     }
     match path {
-        "/metrics" => {
-            write_response(&mut stream, "200 OK", "text/plain; version=0.0.4", &metrics_body())
-        }
+        "/metrics" => write_response(
+            &mut stream,
+            "200 OK",
+            "text/plain; version=0.0.4",
+            &metrics_body(collector),
+        ),
         "/healthz" => write_response(&mut stream, "200 OK", "text/plain", "ok\n"),
         _ => write_response(&mut stream, "404 Not Found", "text/plain", "not found\n"),
     }
@@ -151,8 +155,8 @@ pub struct ExpositionServer {
 
 impl ExpositionServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving scrapes
-    /// on a background thread.
-    pub fn bind(addr: &str) -> std::io::Result<ExpositionServer> {
+    /// of `collector`'s registry on a background thread.
+    pub fn bind(addr: &str, collector: &'static Collector) -> std::io::Result<ExpositionServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -164,7 +168,7 @@ impl ExpositionServer {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             let _ = stream.set_nonblocking(false);
-                            handle_request(stream);
+                            handle_request(stream, collector);
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(POLL_INTERVAL);
@@ -235,9 +239,11 @@ mod tests {
 
     #[test]
     fn endpoint_serves_metrics_health_and_404() {
-        crate::enable();
-        crate::incr("expose.test.hits");
-        let server = ExpositionServer::bind("127.0.0.1:0").unwrap();
+        // A private collector: tests that clear the global registry
+        // cannot race this one's counter away.
+        let collector: &'static Collector = Box::leak(Box::new(Collector::new()));
+        collector.incr("expose.test.hits");
+        let server = ExpositionServer::bind("127.0.0.1:0", collector).unwrap();
         let addr = server.local_addr();
 
         let metrics = http_get(addr, "/metrics");

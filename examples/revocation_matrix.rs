@@ -9,6 +9,7 @@
 
 use wideleak::device::catalog::DeviceModel;
 use wideleak::ott::ecosystem::{Ecosystem, EcosystemConfig};
+use wideleak::ott::provisioning::REVOCATION_FLOOR;
 use wideleak::ott::OttError;
 
 fn main() {
@@ -48,8 +49,7 @@ fn main() {
     }
 
     println!(
-        "\nrevocation floor: CDM >= {} (Nexus 5 ships v{})",
-        EcosystemConfig::default().revocation.min_cdm_version,
+        "\nrevocation floor: CDM >= {REVOCATION_FLOOR} (Nexus 5 ships v{})",
         DeviceModel::nexus_5().cdm_version,
     );
     println!("only Disney+, HBO Max and Starz enforce it — the rest choose reach over security.");

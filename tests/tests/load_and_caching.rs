@@ -11,10 +11,9 @@
 
 use wideleak::device::catalog::DeviceModel;
 use wideleak::faults::{FaultKind, FaultPlan, Schedule};
-use wideleak::load::{run_load, LoadConfig, LoadMode};
+use wideleak::load::{run_load, LoadConfig};
 use wideleak::monitor::report::render_table_1;
 use wideleak::monitor::study::run_study;
-use wideleak::ott::cache::CacheConfig;
 use wideleak::ott::ecosystem::{Ecosystem, EcosystemConfig};
 use wideleak::ott::OttError;
 
@@ -68,10 +67,8 @@ fn failed_renewal_terminates_and_is_not_counted() {
 #[test]
 fn all_caches_enabled_leave_table_1_byte_identical() {
     let plain = Ecosystem::new(EcosystemConfig::fast_for_tests());
-    let cached = Ecosystem::new(EcosystemConfig {
-        caches: CacheConfig::all(),
-        ..EcosystemConfig::fast_for_tests()
-    });
+    let cached =
+        Ecosystem::new(EcosystemConfig { caches: true, ..EcosystemConfig::fast_for_tests() });
     let plain_table = render_table_1(&run_study(&plain).expect("plain study runs"));
     let cached_table = render_table_1(&run_study(&cached).expect("cached study runs"));
     assert_eq!(plain_table, cached_table, "caches must be invisible in Table I");
@@ -87,8 +84,7 @@ fn load_reports_are_deterministic_and_register_hits() {
         workers_per_device: 2,
         plays_per_worker: 3,
         seed: 31,
-        mode: LoadMode::Closed,
-        caches: CacheConfig::all(),
+        caches: true,
         ..LoadConfig::default()
     };
     let first = run_load(&config);
@@ -109,8 +105,7 @@ fn uncached_load_runs_the_full_paths() {
         workers_per_device: 2,
         plays_per_worker: 2,
         seed: 31,
-        mode: LoadMode::Closed,
-        caches: CacheConfig::none(),
+        caches: false,
         ..LoadConfig::default()
     };
     let report = run_load(&config);
