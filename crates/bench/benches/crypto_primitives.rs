@@ -44,15 +44,22 @@ fn bench_symmetric(report: &mut BenchReport, iters: usize) {
     let cipher = Aes128::new(&[7; 16]);
     println!("{:>28} {:>12} {:>10}", "primitive", "median us", "MB/s");
 
-    let block_us = time_us(iters, || {
-        let mut block = [0u8; 16];
-        for _ in 0..1000 {
-            cipher.encrypt_block(&mut block);
-        }
-        block
-    }) / 1000.0;
-    println!("{:>28} {:>12.3} {:>10.1}", "aes128/encrypt_block", block_us, 16.0 / block_us);
-    report.metric("aes128.encrypt_block.us", block_us);
+    // Both directions: `cenc` and CMAC run the forward cipher, `cbcs`
+    // and CBC unwrap the inverse one.
+    for (name, op) in [
+        ("encrypt_block", Aes128::encrypt_block as fn(&Aes128, &mut [u8; 16])),
+        ("decrypt_block", Aes128::decrypt_block),
+    ] {
+        let block_us = time_us(iters, || {
+            let mut block = [0u8; 16];
+            for _ in 0..1000 {
+                op(&cipher, &mut block);
+            }
+            block
+        }) / 1000.0;
+        println!("{:>28} {:>12.3} {:>10.1}", format!("aes128/{name}"), block_us, 16.0 / block_us);
+        report.metric(format!("aes128.{name}.us"), block_us);
+    }
 
     for size in [64 * 1024usize, 1 << 20] {
         let data = vec![0xABu8; size];

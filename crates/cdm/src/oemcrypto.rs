@@ -79,6 +79,13 @@ pub const DEFAULT_MAX_SESSIONS: u32 = 1024;
 /// Counts session opens rejected by the cap or id exhaustion.
 static SESSION_REJECTS: CounterHandle = CounterHandle::new("cdm.session.rejected");
 
+/// Samples decrypted successfully.
+static DECRYPT_SAMPLES: CounterHandle = CounterHandle::new("cdm.decrypt.samples");
+
+/// Bytes of the samples counted by [`DECRYPT_SAMPLES`], clear and
+/// encrypted alike.
+static DECRYPT_BYTES: CounterHandle = CounterHandle::new("cdm.decrypt.bytes");
+
 /// Decrypt-cache hits (any tier), counted only while the cache is on.
 static DECRYPT_CACHE_HITS: CounterHandle = CounterHandle::new("cdm.decrypt.cache.hits");
 
@@ -495,14 +502,9 @@ impl CdmCore {
             let key = self.content_key(session_id, kid)?;
             decrypt_sample_with_key(&key, crypto, data, subsamples)
         };
-        if out.is_ok() && wideleak_telemetry::is_enabled() {
-            // Per-session throughput: decrypted sample and byte counts.
-            wideleak_telemetry::incr("cdm.decrypt.samples");
-            wideleak_telemetry::add("cdm.decrypt.bytes", data.len() as u64);
-            wideleak_telemetry::add(
-                &format!("cdm.decrypt.bytes.session.{session_id}"),
-                data.len() as u64,
-            );
+        if out.is_ok() {
+            DECRYPT_SAMPLES.incr();
+            DECRYPT_BYTES.add(data.len() as u64);
         }
         out
     }
@@ -1775,6 +1777,33 @@ mod tests {
         assert!(stats.key_hits > 0, "repeat decrypts reuse the key schedule: {stats:?}");
         assert!(stats.keystream_hits > 0, "repeat cenc decrypts reuse the keystream: {stats:?}");
         assert_eq!(cold.decrypt_cache_stats(), DecryptCacheStats::default(), "off = untouched");
+    }
+
+    #[test]
+    fn decrypt_counts_samples_and_bytes() {
+        let registry = wideleak_telemetry::global().registry();
+        let (samples, bytes) =
+            (registry.counter("cdm.decrypt.samples"), registry.counter("cdm.decrypt.bytes"));
+        let kid = KeyId([7; 16]);
+        let core = CdmCore::new(CdmVersion::new(16, 0, 0), SecurityLevel::L3);
+        let sid = core.open_session([1; 16]).unwrap();
+        load_key_directly(&core, sid, kid, [0x88; 16], 0);
+        let data = [0u8; 80];
+        wideleak_telemetry::enable();
+        // The collector is process-global and other tests decrypt
+        // concurrently, so the counters advance by at least this call.
+        let (samples_before, bytes_before) =
+            (samples.load(Ordering::Relaxed), bytes.load(Ordering::Relaxed));
+        core.decrypt_sample(sid, &kid, &SampleCrypto::Cenc { iv: [2; 8] }, &data, &[]).unwrap();
+        assert!(samples.load(Ordering::Relaxed) > samples_before);
+        assert!(bytes.load(Ordering::Relaxed) >= bytes_before + data.len() as u64);
+        assert!(
+            registry
+                .counter_values()
+                .iter()
+                .all(|(name, _)| !name.starts_with("cdm.decrypt.bytes.")),
+            "no per-session counters: the registry must not grow with sessions opened"
+        );
     }
 
     #[test]

@@ -1,8 +1,22 @@
-//! AES-128 block cipher (FIPS 197).
+//! AES-128 block cipher (FIPS 197), table-driven.
 //!
 //! The S-box, inverse S-box and round constants are computed at first use
 //! from the GF(2⁸) field definition rather than transcribed as literal
-//! tables; the FIPS-197 test vectors in this module pin the result.
+//! tables, and so are the eight 32-bit round tables derived from them; the
+//! FIPS-197 test vectors in this module pin the result.
+//!
+//! A round works on the state as four big-endian column words. Each output
+//! column is four lookups, one per row, into `Te0..Te3`: every entry holds
+//! SubBytes followed by that row's MixColumns multiples, and the row each
+//! lookup reads from applies ShiftRows. Decryption runs the *equivalent
+//! inverse cipher* of FIPS-197 §5.3.5: the same round shape over
+//! `Td0..Td3`, with InvMixColumns folded into round keys 1–9 once, in
+//! [`Aes128::new`].
+//!
+//! The lookups are indexed by secret state bytes, so the core is not
+//! constant-time; neither was the byte-wise S-box core it replaced.
+//! Constant-time (bitsliced or fixsliced) AES is out of scope: the paper's
+//! attack recovers keys from process memory, not from cache timing.
 
 use std::sync::OnceLock;
 
@@ -14,9 +28,23 @@ pub const KEY_LEN: usize = 16;
 
 const ROUNDS: usize = 10;
 
+/// Round-key words, one per state column.
+type RoundKey = [u32; 4];
+
+/// ShiftRows for [`round`]: row `r` of output column `c` is read from
+/// input column `(c + r * step) % 4`.
+const FORWARD: usize = 1;
+/// InvShiftRows: row `r` moves right by `r`, the same as left by `3r`.
+const INVERSE: usize = 3;
+
 struct Tables {
     sbox: [u8; 256],
     inv_sbox: [u8; 256],
+    /// `te[r][x]`: the column word that row `r`'s byte `x` adds to its
+    /// output column after SubBytes and MixColumns.
+    te: [[u32; 256]; 4],
+    /// `td[r][x]`: the same for InvSubBytes and InvMixColumns.
+    td: [[u32; 256]; 4],
 }
 
 /// Multiplication in GF(2^8) with the AES reduction polynomial x^8+x^4+x^3+x+1.
@@ -71,7 +99,21 @@ fn tables() -> &'static Tables {
             *entry = y;
             inv_sbox[y as usize] = i as u8;
         }
-        Tables { sbox, inv_sbox }
+        let mut te = [[0u32; 256]; 4];
+        let mut td = [[0u32; 256]; 4];
+        for x in 0..256 {
+            // Row 0's multiples down the column; row r's are rotated by r.
+            let s = sbox[x];
+            let te0 = u32::from_be_bytes([gf_mul(s, 2), s, s, gf_mul(s, 3)]);
+            let i = inv_sbox[x];
+            let td0 =
+                u32::from_be_bytes([gf_mul(i, 14), gf_mul(i, 9), gf_mul(i, 13), gf_mul(i, 11)]);
+            for r in 0..4 {
+                te[r][x] = te0.rotate_right(8 * r as u32);
+                td[r][x] = td0.rotate_right(8 * r as u32);
+            }
+        }
+        Tables { sbox, inv_sbox, te, td }
     })
 }
 
@@ -92,7 +134,11 @@ fn tables() -> &'static Tables {
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; ROUNDS + 1],
+    /// The FIPS-197 key expansion, 44 words.
+    enc: [RoundKey; ROUNDS + 1],
+    /// The equivalent inverse cipher's schedule: `enc` in reverse order,
+    /// with InvMixColumns applied to every round key but the two ends.
+    dec: [RoundKey; ROUNDS + 1],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -103,129 +149,252 @@ impl std::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expands a 16-byte key into the full round-key schedule.
+    /// Expands a 16-byte key into the encryption and decryption schedules.
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
         let t = tables();
-        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[i * 4..i * 4 + 4]);
+        let mut w = [0u32; 4 * (ROUNDS + 1)];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("key word is 4 bytes"));
         }
         let mut rcon = 1u8;
         for i in 4..w.len() {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in temp.iter_mut() {
-                    *b = t.sbox[*b as usize];
-                }
-                temp[0] ^= rcon;
+                // RotWord, SubWord, then Rcon into the first byte.
+                let rotated = temp.rotate_left(8).to_be_bytes();
+                temp = u32::from_be_bytes(rotated.map(|b| t.sbox[b as usize]))
+                    ^ (u32::from(rcon) << 24);
                 rcon = gf_mul(rcon, 2);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
         }
-        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
-        for r in 0..=ROUNDS {
-            for c in 0..4 {
-                round_keys[r][c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
+        let enc: [RoundKey; ROUNDS + 1] =
+            std::array::from_fn(|r| w[4 * r..4 * r + 4].try_into().expect("round key is 4 words"));
+        let dec = std::array::from_fn(|r| {
+            let k = enc[ROUNDS - r];
+            if r == 0 || r == ROUNDS {
+                k
+            } else {
+                k.map(|word| inv_mix_column(t, word))
             }
-        }
-        Aes128 { round_keys }
+        });
+        Aes128 { enc, dec }
     }
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
         let t = tables();
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            sub_bytes(block, &t.sbox);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+        let mut s = load(block, &self.enc[0]);
+        for k in &self.enc[1..ROUNDS] {
+            s = round(&t.te, &s, k, FORWARD);
         }
-        sub_bytes(block, &t.sbox);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[ROUNDS]);
+        store(block, final_round(&t.sbox, &s, &self.enc[ROUNDS], FORWARD));
     }
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
         let t = tables();
-        add_round_key(block, &self.round_keys[ROUNDS]);
-        inv_shift_rows(block);
-        sub_bytes(block, &t.inv_sbox);
-        for round in (1..ROUNDS).rev() {
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            sub_bytes(block, &t.inv_sbox);
+        let mut s = load(block, &self.dec[0]);
+        for k in &self.dec[1..ROUNDS] {
+            s = round(&t.td, &s, k, INVERSE);
         }
-        add_round_key(block, &self.round_keys[0]);
+        store(block, final_round(&t.inv_sbox, &s, &self.dec[ROUNDS], INVERSE));
     }
 }
 
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk) {
-        *s ^= k;
+/// InvMixColumns of one column word. `td` entries hold InvMixColumns of
+/// `InvS[x]`, so indexing them with `S[x]` leaves InvMixColumns of `x`.
+fn inv_mix_column(t: &Tables, word: u32) -> u32 {
+    let b = word.to_be_bytes();
+    (0..4).fold(0, |acc, r| acc ^ t.td[r][t.sbox[b[r] as usize] as usize])
+}
+
+/// The block as column words, XORed with the first round key.
+fn load(block: &[u8; BLOCK_LEN], k: &RoundKey) -> [u32; 4] {
+    std::array::from_fn(|c| {
+        u32::from_be_bytes([block[4 * c], block[4 * c + 1], block[4 * c + 2], block[4 * c + 3]])
+            ^ k[c]
+    })
+}
+
+fn store(block: &mut [u8; BLOCK_LEN], s: [u32; 4]) {
+    for (bytes, word) in block.chunks_exact_mut(4).zip(s) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
 }
 
-fn sub_bytes(state: &mut [u8; 16], sbox: &[u8; 256]) {
-    for b in state.iter_mut() {
-        *b = sbox[*b as usize];
-    }
+/// Byte `r` (row `r`) of the column that ShiftRows moves into column `c`.
+fn shifted(s: &[u32; 4], c: usize, r: usize, step: usize) -> usize {
+    s[(c + r * step) % 4].to_be_bytes()[r] as usize
 }
 
-/// The AES state is column-major: byte `state[c*4 + r]` is row `r`, col `c`.
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
+/// One full round: (Inv)SubBytes, (Inv)ShiftRows, (Inv)MixColumns and
+/// AddRoundKey.
+fn round(t: &[[u32; 256]; 4], s: &[u32; 4], k: &RoundKey, step: usize) -> [u32; 4] {
+    std::array::from_fn(|c| {
+        t[0][shifted(s, c, 0, step)]
+            ^ t[1][shifted(s, c, 1, step)]
+            ^ t[2][shifted(s, c, 2, step)]
+            ^ t[3][shifted(s, c, 3, step)]
+            ^ k[c]
+    })
+}
+
+/// The last round, which has no (Inv)MixColumns.
+fn final_round(sbox: &[u8; 256], s: &[u32; 4], k: &RoundKey, step: usize) -> [u32; 4] {
+    let mut out = *k;
+    for (c, word) in out.iter_mut().enumerate() {
+        for r in 0..4 {
+            *word ^= u32::from(sbox[shifted(s, c, r, step)]) << (24 - 8 * r);
         }
     }
-}
-
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[((c + r) % 4) * 4 + r] = s[c * 4 + r];
-        }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col: [u8; 4] = state[c * 4..c * 4 + 4].try_into().expect("column is 4 bytes");
-        state[c * 4] = gf_mul(col[0], 2) ^ gf_mul(col[1], 3) ^ col[2] ^ col[3];
-        state[c * 4 + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
-        state[c * 4 + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
-        state[c * 4 + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col: [u8; 4] = state[c * 4..c * 4 + 4].try_into().expect("column is 4 bytes");
-        state[c * 4] =
-            gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-        state[c * 4 + 1] =
-            gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-        state[c * 4 + 2] =
-            gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-        state[c * 4 + 3] =
-            gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-wise cipher as FIPS-197 §5.1–5.3 write it: its own key
+    /// expansion over bytes, and one transformation per step with
+    /// `gf_mul` inside (Inv)MixColumns. The table-driven core must agree
+    /// with it on every key and block.
+    mod oracle {
+        use super::super::{gf_mul, tables, ROUNDS};
+
+        pub fn expand(key: &[u8; 16]) -> [[u8; 16]; ROUNDS + 1] {
+            let t = tables();
+            let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
+            for i in 0..4 {
+                w[i].copy_from_slice(&key[i * 4..i * 4 + 4]);
+            }
+            let mut rcon = 1u8;
+            for i in 4..w.len() {
+                let mut temp = w[i - 1];
+                if i % 4 == 0 {
+                    temp.rotate_left(1);
+                    for b in temp.iter_mut() {
+                        *b = t.sbox[*b as usize];
+                    }
+                    temp[0] ^= rcon;
+                    rcon = gf_mul(rcon, 2);
+                }
+                for j in 0..4 {
+                    w[i][j] = w[i - 4][j] ^ temp[j];
+                }
+            }
+            let mut round_keys = [[0u8; 16]; ROUNDS + 1];
+            for r in 0..=ROUNDS {
+                for c in 0..4 {
+                    round_keys[r][c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
+                }
+            }
+            round_keys
+        }
+
+        pub fn encrypt(key: &[u8; 16], block: &mut [u8; 16]) {
+            let t = tables();
+            let round_keys = expand(key);
+            add_round_key(block, &round_keys[0]);
+            for k in &round_keys[1..ROUNDS] {
+                sub_bytes(block, &t.sbox);
+                shift_rows(block);
+                mix_columns(block);
+                add_round_key(block, k);
+            }
+            sub_bytes(block, &t.sbox);
+            shift_rows(block);
+            add_round_key(block, &round_keys[ROUNDS]);
+        }
+
+        pub fn decrypt(key: &[u8; 16], block: &mut [u8; 16]) {
+            let t = tables();
+            let round_keys = expand(key);
+            add_round_key(block, &round_keys[ROUNDS]);
+            inv_shift_rows(block);
+            sub_bytes(block, &t.inv_sbox);
+            for k in round_keys[1..ROUNDS].iter().rev() {
+                add_round_key(block, k);
+                inv_mix_columns(block);
+                inv_shift_rows(block);
+                sub_bytes(block, &t.inv_sbox);
+            }
+            add_round_key(block, &round_keys[0]);
+        }
+
+        fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+            for (s, k) in state.iter_mut().zip(rk) {
+                *s ^= k;
+            }
+        }
+
+        fn sub_bytes(state: &mut [u8; 16], sbox: &[u8; 256]) {
+            for b in state.iter_mut() {
+                *b = sbox[*b as usize];
+            }
+        }
+
+        /// The AES state is column-major: byte `state[c*4 + r]` is row `r`, col `c`.
+        fn shift_rows(state: &mut [u8; 16]) {
+            let s = *state;
+            for r in 1..4 {
+                for c in 0..4 {
+                    state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
+                }
+            }
+        }
+
+        fn inv_shift_rows(state: &mut [u8; 16]) {
+            let s = *state;
+            for r in 1..4 {
+                for c in 0..4 {
+                    state[((c + r) % 4) * 4 + r] = s[c * 4 + r];
+                }
+            }
+        }
+
+        fn mix_columns(state: &mut [u8; 16]) {
+            for c in 0..4 {
+                let col: [u8; 4] = state[c * 4..c * 4 + 4].try_into().unwrap();
+                state[c * 4] = gf_mul(col[0], 2) ^ gf_mul(col[1], 3) ^ col[2] ^ col[3];
+                state[c * 4 + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
+                state[c * 4 + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
+                state[c * 4 + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
+            }
+        }
+
+        pub fn inv_mix_columns(state: &mut [u8; 16]) {
+            for c in 0..4 {
+                let col: [u8; 4] = state[c * 4..c * 4 + 4].try_into().unwrap();
+                state[c * 4] = gf_mul(col[0], 14)
+                    ^ gf_mul(col[1], 11)
+                    ^ gf_mul(col[2], 13)
+                    ^ gf_mul(col[3], 9);
+                state[c * 4 + 1] = gf_mul(col[0], 9)
+                    ^ gf_mul(col[1], 14)
+                    ^ gf_mul(col[2], 11)
+                    ^ gf_mul(col[3], 13);
+                state[c * 4 + 2] = gf_mul(col[0], 13)
+                    ^ gf_mul(col[1], 9)
+                    ^ gf_mul(col[2], 14)
+                    ^ gf_mul(col[3], 11);
+                state[c * 4 + 3] = gf_mul(col[0], 11)
+                    ^ gf_mul(col[1], 13)
+                    ^ gf_mul(col[2], 9)
+                    ^ gf_mul(col[3], 14);
+            }
+        }
+    }
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    fn round_key_bytes(k: &RoundKey) -> [u8; 16] {
+        let mut bytes = [0u8; 16];
+        store(&mut bytes, *k);
+        bytes
     }
 
     #[test]
@@ -240,6 +409,10 @@ mod tests {
         for i in 0..256 {
             assert_eq!(t.inv_sbox[t.sbox[i] as usize] as usize, i);
         }
+        // First entries of the published Te0 and Td0 tables.
+        assert_eq!(t.te[0][0x00], 0xc663_63a5);
+        assert_eq!(t.td[0][0x00], 0x51f4_a750);
+        assert_eq!(t.te[1][0x00], 0xa5c6_6363);
     }
 
     #[test]
@@ -257,6 +430,27 @@ mod tests {
             assert_eq!(gf_mul(a, gf_inv(a)), 1, "inverse of {a:#x}");
         }
         assert_eq!(gf_inv(0), 0);
+    }
+
+    #[test]
+    fn fips197_appendix_a1_key_expansion() {
+        let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
+        let cipher = Aes128::new(&key);
+        assert_eq!(cipher.enc[0], [0x2b7e_1516, 0x28ae_d2a6, 0xabf7_1588, 0x09cf_4f3c]);
+        assert_eq!(cipher.enc[1], [0xa0fa_fe17, 0x8854_2cb1, 0x23a3_3939, 0x2a6c_7605]);
+        assert_eq!(cipher.enc[10], [0xd014_f9a8, 0xc9ee_2589, 0xe13f_0cc8, 0xb663_0ca6]);
+        for (r, k) in oracle::expand(&key).iter().enumerate() {
+            assert_eq!(&round_key_bytes(&cipher.enc[r]), k, "encryption round key {r}");
+        }
+        // FIPS-197 §5.3.5: the equivalent inverse cipher's schedule is the
+        // same keys in reverse order, InvMixColumns applied to rounds 1-9.
+        assert_eq!(cipher.dec[0], cipher.enc[10]);
+        assert_eq!(cipher.dec[10], cipher.enc[0]);
+        for r in 1..ROUNDS {
+            let mut expected = round_key_bytes(&cipher.enc[ROUNDS - r]);
+            oracle::inv_mix_columns(&mut expected);
+            assert_eq!(round_key_bytes(&cipher.dec[r]), expected, "decryption round key {r}");
+        }
     }
 
     #[test]
@@ -278,6 +472,24 @@ mod tests {
         let mut block: [u8; 16] = hex("3243f6a8885a308d313198a2e0370734").try_into().unwrap();
         Aes128::new(&key).encrypt_block(&mut block);
         assert_eq!(block.to_vec(), hex("3925841d02dc09fbdc118597196a0b32"));
+    }
+
+    proptest! {
+        #[test]
+        fn table_rounds_match_the_byte_wise_oracle(
+            key in any::<[u8; 16]>(),
+            block in any::<[u8; 16]>(),
+        ) {
+            let cipher = Aes128::new(&key);
+            let (mut fast, mut spec) = (block, block);
+            cipher.encrypt_block(&mut fast);
+            oracle::encrypt(&key, &mut spec);
+            prop_assert_eq!(fast, spec);
+            let (mut fast, mut spec) = (block, block);
+            cipher.decrypt_block(&mut fast);
+            oracle::decrypt(&key, &mut spec);
+            prop_assert_eq!(fast, spec);
+        }
     }
 
     #[test]
