@@ -12,26 +12,11 @@
 //! cargo bench -p wideleak-bench --bench cenc_throughput [-- --quick]
 //! ```
 
-use std::time::Instant;
-
 use wideleak::bmff::fragment::{InitSegment, TrackKind};
 use wideleak::bmff::types::{KeyId, Tenc};
 use wideleak::cenc::keys::{ContentKey, MemoryKeyStore};
 use wideleak::cenc::track::{decrypt_segment, encrypt_segment, Scheme};
-use wideleak_bench::{quick_mode, BenchReport};
-
-/// Median wall time of `iters` runs of `f`, in seconds.
-fn time_s<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
+use wideleak_bench::{median_time, quick_mode, BenchReport};
 
 fn main() {
     let iters = if quick_mode() { 3 } else { 20 };
@@ -59,9 +44,10 @@ fn main() {
                 Scheme::Cbcs => "cbcs",
             };
 
-            let secs = time_s(iters, || {
+            let secs = median_time(iters, || {
                 encrypt_segment(scheme, &key, &tenc, TrackKind::Video, 1, 1, &samples, 7).unwrap()
-            });
+            })
+            .as_secs_f64();
             let mbs = size as f64 / secs / 1e6;
             println!(
                 "{:>24} {:>10.3} {:>10.1}",
@@ -78,7 +64,8 @@ fn main() {
             let mut store = MemoryKeyStore::new();
             store.insert(kid, key);
 
-            let secs = time_s(iters, || decrypt_segment(&init, &seg, &store).unwrap());
+            let secs =
+                median_time(iters, || decrypt_segment(&init, &seg, &store).unwrap()).as_secs_f64();
             let mbs = size as f64 / secs / 1e6;
             println!(
                 "{:>24} {:>10.3} {:>10.1}",

@@ -14,8 +14,6 @@
 //! `--quick` (or `WIDELEAK_BENCH_QUICK=1`) shrinks iteration counts so
 //! CI can smoke the comparison on every PR.
 
-use std::time::Instant;
-
 use wideleak::bigint::modular::mod_pow_schoolbook;
 use wideleak::bigint::BigUint;
 use wideleak::crypto::aes::Aes128;
@@ -25,20 +23,7 @@ use wideleak::crypto::modes::ctr_xcrypt;
 use wideleak::crypto::rng::seeded_rng;
 use wideleak::crypto::rsa::RsaPrivateKey;
 use wideleak::crypto::sha256::{sha256, Sha256};
-use wideleak_bench::{quick_mode, BenchReport};
-
-/// Median wall time of `iters` runs of `f`, in microseconds.
-fn time_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
+use wideleak_bench::{median_time, micros, quick_mode, BenchReport};
 
 fn bench_symmetric(report: &mut BenchReport, iters: usize) {
     let cipher = Aes128::new(&[7; 16]);
@@ -50,13 +35,13 @@ fn bench_symmetric(report: &mut BenchReport, iters: usize) {
         ("encrypt_block", Aes128::encrypt_block as fn(&Aes128, &mut [u8; 16])),
         ("decrypt_block", Aes128::decrypt_block),
     ] {
-        let block_us = time_us(iters, || {
+        let block_us = micros(median_time(iters, || {
             let mut block = [0u8; 16];
             for _ in 0..1000 {
                 op(&cipher, &mut block);
             }
             block
-        }) / 1000.0;
+        })) / 1000.0;
         println!("{:>28} {:>12.3} {:>10.1}", format!("aes128/{name}"), block_us, 16.0 / block_us);
         report.metric(format!("aes128.{name}.us"), block_us);
     }
@@ -66,19 +51,19 @@ fn bench_symmetric(report: &mut BenchReport, iters: usize) {
         let mbs = |us: f64| size as f64 / us;
         let kib = size / 1024;
 
-        let us = time_us(iters, || ctr_xcrypt(&cipher, &[1; 16], &data));
+        let us = micros(median_time(iters, || ctr_xcrypt(&cipher, &[1; 16], &data)));
         println!("{:>28} {:>12.1} {:>10.1}", format!("ctr_xcrypt/{kib}KiB"), us, mbs(us));
         report.metric(format!("ctr_xcrypt.{kib}kib.mb_per_s"), mbs(us));
 
-        let us = time_us(iters, || aes_cmac_with_key(&[7; 16], &data));
+        let us = micros(median_time(iters, || aes_cmac_with_key(&[7; 16], &data)));
         println!("{:>28} {:>12.1} {:>10.1}", format!("aes_cmac/{kib}KiB"), us, mbs(us));
         report.metric(format!("aes_cmac.{kib}kib.mb_per_s"), mbs(us));
 
-        let us = time_us(iters, || sha256(&data));
+        let us = micros(median_time(iters, || sha256(&data)));
         println!("{:>28} {:>12.1} {:>10.1}", format!("sha256/{kib}KiB"), us, mbs(us));
         report.metric(format!("sha256.{kib}kib.mb_per_s"), mbs(us));
 
-        let us = time_us(iters, || Hmac::<Sha256>::mac(b"key", &data));
+        let us = micros(median_time(iters, || Hmac::<Sha256>::mac(b"key", &data)));
         println!("{:>28} {:>12.1} {:>10.1}", format!("hmac_sha256/{kib}KiB"), us, mbs(us));
         report.metric(format!("hmac_sha256.{kib}kib.mb_per_s"), mbs(us));
     }
@@ -98,9 +83,9 @@ fn bench_rsa(report: &mut BenchReport, iters: usize) {
         // split with per-prime Montgomery exponentiation; the schoolbook
         // path is the pre-redesign square-and-multiply on the full modulus.
         let c = &BigUint::from_bytes_be(&ct) % &n;
-        let ctx_us = time_us(iters, || key.decrypt_oaep(&ct).unwrap());
+        let ctx_us = micros(median_time(iters, || key.decrypt_oaep(&ct).unwrap()));
         // Schoolbook is slow enough that a handful of samples suffices.
-        let school_us = time_us(iters.clamp(3, 5), || mod_pow_schoolbook(&c, &d, &n));
+        let school_us = micros(median_time(iters.clamp(3, 5), || mod_pow_schoolbook(&c, &d, &n)));
         let speedup = school_us / ctx_us;
         println!(
             "{:>28} {:>12.1} {:>12.1} {:>8.2}x",
@@ -115,9 +100,10 @@ fn bench_rsa(report: &mut BenchReport, iters: usize) {
             .metric(format!("rsa.private.{bits}.speedup_vs_schoolbook"), speedup);
 
         let sig = key.sign_pkcs1v15_sha256(msg).unwrap();
-        let sign_us = time_us(iters, || key.sign_pkcs1v15_sha256(msg).unwrap());
-        let verify_us =
-            time_us(iters, || key.public_key().verify_pkcs1v15_sha256(msg, &sig).unwrap());
+        let sign_us = micros(median_time(iters, || key.sign_pkcs1v15_sha256(msg).unwrap()));
+        let verify_us = micros(median_time(iters, || {
+            key.public_key().verify_pkcs1v15_sha256(msg, &sig).unwrap()
+        }));
         println!(
             "{:>28} {:>12.1} {:>12} {:>9}",
             format!("sign_pkcs1v15/{bits}"),

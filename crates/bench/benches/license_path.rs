@@ -1,13 +1,13 @@
 //! Warm-vs-cold license path: the same playback + check-in traffic
-//! against a cache-free ecosystem and one with all three hot-path
-//! caches enabled (provisioning certificates, license-response plans,
-//! per-session decrypt keys).
+//! against a cache-free ecosystem and one with both hot-path caches
+//! enabled (provisioning certificates, license-response plans).
 //!
 //! Both ecosystems get one un-timed warm-up play first, so RSA keygen
 //! and the provisioning server's issued-key map are warm on both sides;
 //! the measured delta is the caches themselves: skipped key
-//! derivation/blob serialization on check-in, skipped license plan
-//! resolution per play, and reused AES key schedules per sample.
+//! derivation/blob serialization on check-in and skipped license plan
+//! resolution per play. Cold and warm iterations alternate, so
+//! scheduler noise lands on both sides alike.
 //!
 //! ```text
 //! cargo bench -p wideleak-bench --bench license_path [-- --quick]
@@ -16,7 +16,7 @@
 //! `--quick` (or `WIDELEAK_BENCH_QUICK=1`) shrinks the iteration count
 //! so CI can smoke the comparison on every PR.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use wideleak::device::catalog::DeviceModel;
 use wideleak::ott::apps::OttApp;
@@ -34,14 +34,19 @@ fn boot(caches: bool) -> (Ecosystem, OttApp) {
     (eco, app)
 }
 
-/// Times `iters` repetitions of one play plus one device check-in.
-fn run(app: &OttApp, iters: usize) -> std::time::Duration {
-    let start = Instant::now();
+/// Times `iters` rounds of one play plus one device check-in on each
+/// side, cold then warm within every round. Returns `(cold, warm)`.
+fn run(cold: &OttApp, warm: &OttApp, iters: usize) -> (Duration, Duration) {
+    let mut totals = [Duration::ZERO; 2];
     for _ in 0..iters {
-        app.play("title-001").unwrap();
-        app.reprovision().unwrap();
+        for (total, app) in totals.iter_mut().zip([cold, warm]) {
+            let start = Instant::now();
+            app.play("title-001").unwrap();
+            app.reprovision().unwrap();
+            *total += start.elapsed();
+        }
     }
-    start.elapsed()
+    (totals[0], totals[1])
 }
 
 fn main() {
@@ -51,10 +56,9 @@ fn main() {
     let (_cold_eco, cold_app) = boot(false);
     let (warm_eco, warm_app) = boot(true);
 
-    let cold = run(&cold_app, iters);
-    let warm = run(&warm_app, iters);
+    let (cold, warm) = run(&cold_app, &warm_app, iters);
 
-    let per = |d: std::time::Duration| d.as_secs_f64() * 1e6 / iters as f64;
+    let per = |d: Duration| d.as_secs_f64() * 1e6 / iters as f64;
     println!("{:>8} {:>14} {:>9}", "path", "us/play", "speedup");
     println!("{:>8} {:>14.1} {:>8.2}x", "cold", per(cold), 1.0);
     println!("{:>8} {:>14.1} {:>8.2}x", "warm", per(warm), cold.as_secs_f64() / warm.as_secs_f64());

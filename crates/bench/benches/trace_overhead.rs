@@ -21,13 +21,14 @@ use wideleak::bmff::types::KeyId;
 use wideleak::cdm::oemcrypto::SampleCrypto;
 use wideleak::telemetry::trace;
 use wideleak_bench::{
-    bench_ecosystem, l3_drm_server, license_session, provision, quick_mode, BenchReport,
+    bench_ecosystem, l3_drm_server, license_session, median, micros, provision, quick_mode,
+    BenchReport,
 };
 
 const SAMPLE_BYTES: usize = 4 * 1024;
 
 /// Times `iters` license-path round trips (the RSA-signing
-/// `GetKeyRequest`, the paper's critical path) and returns sorted
+/// `GetKeyRequest`, the paper's critical path) and returns the
 /// per-call latencies.
 fn measure_license(binder: &dyn Transport, sid: u32, iters: usize) -> Vec<Duration> {
     let mut samples = Vec::with_capacity(iters);
@@ -45,11 +46,10 @@ fn measure_license(binder: &dyn Transport, sid: u32, iters: usize) -> Vec<Durati
         samples.push(start.elapsed());
         assert!(!req.is_empty());
     }
-    samples.sort();
     samples
 }
 
-/// Times `iters` decrypt round trips and returns sorted latencies.
+/// Times `iters` decrypt round trips and returns their latencies.
 fn measure_decrypt(binder: &dyn Transport, sid: u32, kid: KeyId, iters: usize) -> Vec<Duration> {
     let mut samples = Vec::with_capacity(iters);
     for i in 0..iters {
@@ -69,16 +69,7 @@ fn measure_decrypt(binder: &dyn Transport, sid: u32, kid: KeyId, iters: usize) -
         samples.push(start.elapsed());
         assert_eq!(out.len(), SAMPLE_BYTES);
     }
-    samples.sort();
     samples
-}
-
-fn p50(sorted: &[Duration]) -> Duration {
-    sorted[sorted.len() / 2]
-}
-
-fn micros(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e6
 }
 
 fn main() {
@@ -121,14 +112,11 @@ fn main() {
         decrypt_on.extend(measure_decrypt(binder.as_ref(), sid, kid, decrypt_iters / CHUNKS));
     }
     trace::disable();
-    license_off.sort();
-    license_on.sort();
-    decrypt_off.sort();
-    decrypt_on.sort();
     let recorded = trace::drain().len();
 
     let overhead = |off: &[Duration], on: &[Duration]| {
-        (p50(on).as_secs_f64() - p50(off).as_secs_f64()) / p50(off).as_secs_f64()
+        let off = median(off).as_secs_f64();
+        (median(on).as_secs_f64() - off) / off
     };
     let license_overhead = overhead(&license_off, &license_on);
     let decrypt_overhead = overhead(&decrypt_off, &decrypt_on);
@@ -137,15 +125,15 @@ fn main() {
     println!(
         "{:>10} {:>14.1} {:>14.1} {:>9.1}%",
         "license",
-        micros(p50(&license_off)),
-        micros(p50(&license_on)),
+        micros(median(&license_off)),
+        micros(median(&license_on)),
         license_overhead * 100.0
     );
     println!(
         "{:>10} {:>14.1} {:>14.1} {:>9.1}%",
         "decrypt",
-        micros(p50(&decrypt_off)),
-        micros(p50(&decrypt_on)),
+        micros(median(&decrypt_off)),
+        micros(median(&decrypt_on)),
         decrypt_overhead * 100.0
     );
     println!("{recorded} trace spans recorded on the traced side");
@@ -154,11 +142,11 @@ fn main() {
     report
         .label("mode", if quick { "quick" } else { "full" })
         .label("transport", "tcp")
-        .metric("license.off_p50_us", micros(p50(&license_off)))
-        .metric("license.on_p50_us", micros(p50(&license_on)))
+        .metric("license.off_p50_us", micros(median(&license_off)))
+        .metric("license.on_p50_us", micros(median(&license_on)))
         .metric("license.p50_overhead", license_overhead)
-        .metric("decrypt.off_p50_us", micros(p50(&decrypt_off)))
-        .metric("decrypt.on_p50_us", micros(p50(&decrypt_on)))
+        .metric("decrypt.off_p50_us", micros(median(&decrypt_off)))
+        .metric("decrypt.on_p50_us", micros(median(&decrypt_on)))
         .metric("decrypt.p50_overhead", decrypt_overhead)
         .metric("spans_recorded", recorded as f64);
     report.write();

@@ -19,7 +19,7 @@ use wideleak::bmff::types::KeyId;
 use wideleak::cdm::oemcrypto::SampleCrypto;
 use wideleak::ott::ecosystem::Ecosystem;
 use wideleak_bench::{
-    bench_ecosystem, l3_drm_server, license_session, provision, quick_mode, BenchReport,
+    bench_ecosystem, l3_drm_server, license_session, micros, provision, quick_mode, BenchReport,
 };
 
 /// Audio-sized samples: small enough that the transport round trip is a
@@ -64,10 +64,6 @@ fn measure(binder: &dyn Transport, sid: u32, kid: KeyId, iters: usize) -> Vec<Du
     }
     samples.sort();
     samples
-}
-
-fn micros(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e6
 }
 
 fn main() {

@@ -5,6 +5,7 @@
 //! experiment-to-target index.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use wideleak::android_drm::binder::{DrmCall, Transport};
 use wideleak::android_drm::server::MediaDrmServer;
@@ -22,6 +23,35 @@ use wideleak::ott::ecosystem::{Ecosystem, EcosystemConfig};
 /// line, or `WIDELEAK_BENCH_QUICK` set in the environment.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick") || std::env::var_os("WIDELEAK_BENCH_QUICK").is_some()
+}
+
+/// The median the benches report: `sorted[len / 2]`, the upper median
+/// when `samples` has an even length.
+///
+/// # Panics
+///
+/// Panics when `samples` is empty.
+pub fn median(samples: &[Duration]) -> Duration {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    sorted[sorted.len() / 2]
+}
+
+/// The [`median`] wall time of `iters` runs of `f`.
+pub fn median_time<T>(iters: usize, mut f: impl FnMut() -> T) -> Duration {
+    let samples: Vec<Duration> = (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed()
+        })
+        .collect();
+    median(&samples)
+}
+
+/// `d` in microseconds.
+pub fn micros(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
 }
 
 /// The RSA key size the benches use: large enough to exercise the real
@@ -214,6 +244,13 @@ impl BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_is_the_upper_middle_of_the_sorted_samples() {
+        let ms = Duration::from_millis;
+        assert_eq!(median(&[ms(5), ms(1), ms(3)]), ms(3));
+        assert_eq!(median(&[ms(4), ms(1), ms(3), ms(2)]), ms(3));
+    }
 
     #[test]
     fn bench_report_renders_flat_json() {

@@ -43,7 +43,6 @@ impl std::fmt::Debug for Cdm {
 pub struct CdmBuilder {
     keybox: Option<Keybox>,
     backend: Option<Arc<dyn OemCrypto + Sync>>,
-    decrypt_cache: bool,
 }
 
 impl CdmBuilder {
@@ -60,15 +59,6 @@ impl CdmBuilder {
     #[must_use]
     pub fn backend(mut self, backend: Arc<dyn OemCrypto + Sync>) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Enables the per-session decrypt cache (derived key schedules +
-    /// `cenc` keystream prefixes). Off by default; backends without a
-    /// normal-world core — the L1 trustlet path — ignore the flag.
-    #[must_use]
-    pub fn decrypt_cache(mut self, enabled: bool) -> Self {
-        self.decrypt_cache = enabled;
         self
     }
 
@@ -110,9 +100,6 @@ impl CdmBuilder {
                 }
             };
         backend.install_keybox(keybox)?;
-        if self.decrypt_cache {
-            backend.set_decrypt_cache(true);
-        }
         Ok(Cdm { backend, secure_world })
     }
 
@@ -124,9 +111,6 @@ impl CdmBuilder {
     #[must_use]
     pub fn build(self) -> Cdm {
         let backend = self.backend.expect("CdmBuilder::build requires a backend");
-        if self.decrypt_cache {
-            backend.set_decrypt_cache(true);
-        }
         Cdm { backend, secure_world: None }
     }
 }

@@ -17,7 +17,7 @@
 //!   and process memory never contains key material.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -86,47 +86,6 @@ static DECRYPT_SAMPLES: CounterHandle = CounterHandle::new("cdm.decrypt.samples"
 /// encrypted alike.
 static DECRYPT_BYTES: CounterHandle = CounterHandle::new("cdm.decrypt.bytes");
 
-/// Decrypt-cache hits (any tier), counted only while the cache is on.
-static DECRYPT_CACHE_HITS: CounterHandle = CounterHandle::new("cdm.decrypt.cache.hits");
-
-/// Decrypt-cache misses (any tier), counted only while the cache is on.
-static DECRYPT_CACHE_MISSES: CounterHandle = CounterHandle::new("cdm.decrypt.cache.misses");
-
-/// Hit/miss counters for the per-session decrypt cache, split by tier:
-/// derived AES key schedules and `cenc` keystream prefixes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecryptCacheStats {
-    /// Key-schedule lookups served from cache.
-    pub key_hits: u64,
-    /// Key-schedule lookups that had to derive.
-    pub key_misses: u64,
-    /// Keystream lookups served from cache.
-    pub keystream_hits: u64,
-    /// Keystream lookups that had to run AES-CTR.
-    pub keystream_misses: u64,
-}
-
-impl DecryptCacheStats {
-    /// Total hits across both tiers.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.key_hits + self.keystream_hits
-    }
-
-    /// Total misses across both tiers.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.key_misses + self.keystream_misses
-    }
-
-    /// Hit rate in permille over both tiers (0 when never consulted),
-    /// kept integral so reports stay byte-deterministic.
-    #[must_use]
-    pub fn hit_permille(&self) -> u64 {
-        (self.hits() * 1000).checked_div(self.hits() + self.misses()).unwrap_or(0)
-    }
-}
-
 /// Device-global state: the root of trust, the provisioned RSA key and
 /// the logical clock. Mutated rarely (boot, provisioning, clock ticks);
 /// read on every session operation — hence one `RwLock` for all of it.
@@ -159,13 +118,6 @@ pub struct CdmCore {
     next_session: AtomicU32,
     open_sessions: AtomicU32,
     max_sessions: u32,
-    /// Hot-path decrypt cache switch; off by default so the cached and
-    /// uncached paths stay byte-identical unless explicitly enabled.
-    decrypt_cache_enabled: AtomicBool,
-    key_hits: AtomicU64,
-    key_misses: AtomicU64,
-    keystream_hits: AtomicU64,
-    keystream_misses: AtomicU64,
 }
 
 impl std::fmt::Debug for CdmCore {
@@ -203,39 +155,6 @@ impl CdmCore {
             next_session: AtomicU32::new(1),
             open_sessions: AtomicU32::new(0),
             max_sessions,
-            decrypt_cache_enabled: AtomicBool::new(false),
-            key_hits: AtomicU64::new(0),
-            key_misses: AtomicU64::new(0),
-            keystream_hits: AtomicU64::new(0),
-            keystream_misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Turns the per-session decrypt cache on or off. Disabling also
-    /// drops any cached state so the next decrypt runs cold.
-    pub fn set_decrypt_cache(&self, enabled: bool) {
-        self.decrypt_cache_enabled.store(enabled, Ordering::Release);
-        if !enabled {
-            for shard in &self.shards {
-                for session in shard.lock().values_mut() {
-                    session.decrypt_cache.clear();
-                }
-            }
-        }
-    }
-
-    /// Whether the decrypt cache is currently enabled.
-    pub fn decrypt_cache_enabled(&self) -> bool {
-        self.decrypt_cache_enabled.load(Ordering::Acquire)
-    }
-
-    /// Lifetime hit/miss counters of the decrypt cache.
-    pub fn decrypt_cache_stats(&self) -> DecryptCacheStats {
-        DecryptCacheStats {
-            key_hits: self.key_hits.load(Ordering::Relaxed),
-            key_misses: self.key_misses.load(Ordering::Relaxed),
-            keystream_hits: self.keystream_hits.load(Ordering::Relaxed),
-            keystream_misses: self.keystream_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -496,100 +415,13 @@ impl CdmCore {
         data: &[u8],
         subsamples: &[Subsample],
     ) -> Result<Vec<u8>, CdmError> {
-        let out = if self.decrypt_cache_enabled() {
-            self.decrypt_sample_cached(session_id, kid, crypto, data, subsamples)
-        } else {
-            let key = self.content_key(session_id, kid)?;
-            decrypt_sample_with_key(&key, crypto, data, subsamples)
-        };
+        let key = self.content_key(session_id, kid)?;
+        let out = decrypt_sample_with_key(&key, crypto, data, subsamples);
         if out.is_ok() {
             DECRYPT_SAMPLES.incr();
             DECRYPT_BYTES.add(data.len() as u64);
         }
         out
-    }
-
-    /// The cache-enabled decrypt path: derived AES key schedules are
-    /// reused across samples of a session, and for the `cenc` scheme the
-    /// continuous per-`(kid, iv)` keystream prefix is reused too. Byte
-    /// output is identical to [`decrypt_sample_with_key`]; only the
-    /// amount of AES work differs.
-    fn decrypt_sample_cached(
-        &self,
-        session_id: u32,
-        kid: &KeyId,
-        crypto: &SampleCrypto,
-        data: &[u8],
-        subsamples: &[Subsample],
-    ) -> Result<Vec<u8>, CdmError> {
-        use wideleak_cenc as cenc;
-        let now = self.now();
-        let (cipher, cached_keystream, enc_len) = {
-            let mut shard = self.shard(session_id).lock();
-            let session =
-                shard.get_mut(&session_id).ok_or(CdmError::NoSuchSession { session_id })?;
-            let key = session.content_key_at(kid, now)?.key;
-            let (cipher, key_hit) = session.decrypt_cache.cipher(kid, &key);
-            self.tally_cache(key_hit, &self.key_hits, &self.key_misses);
-            let (cached_keystream, enc_len) = match crypto {
-                SampleCrypto::Cenc { iv } => {
-                    let enc_len = encrypted_len(data.len(), subsamples);
-                    let ks = session.decrypt_cache.keystream(kid, *iv, enc_len);
-                    self.tally_cache(ks.is_some(), &self.keystream_hits, &self.keystream_misses);
-                    (ks, enc_len)
-                }
-                SampleCrypto::Cbcs { .. } => (None, 0),
-            };
-            (cipher, cached_keystream, enc_len)
-        };
-        // All cipher work runs below, without holding any lock.
-        let mut out = data.to_vec();
-        let result = match crypto {
-            SampleCrypto::Cenc { iv } => {
-                cenc::validate_subsamples(subsamples, out.len()).map(|()| {
-                    let keystream = cached_keystream.unwrap_or_else(|| {
-                        // The keystream is the CTR transform of zeros; one
-                        // prefix serves every future layout of this sample.
-                        let mut ks = vec![0u8; enc_len];
-                        cenc::ctr::xcrypt_sample_in_place_with_cipher(&cipher, *iv, &mut ks, &[])
-                            .expect("empty subsample map is always consistent");
-                        let mut shard = self.shard(session_id).lock();
-                        if let Some(session) = shard.get_mut(&session_id) {
-                            session.decrypt_cache.store_keystream(kid, *iv, ks.clone());
-                        }
-                        ks
-                    });
-                    xor_encrypted_regions(&keystream, &mut out, subsamples);
-                })
-            }
-            SampleCrypto::Cbcs { constant_iv, crypt_blocks, skip_blocks } => {
-                let pattern = wideleak_bmff::types::CryptPattern {
-                    crypt_blocks: *crypt_blocks,
-                    skip_blocks: *skip_blocks,
-                };
-                cenc::cbcs::decrypt_sample_in_place_with_cipher(
-                    &cipher,
-                    *constant_iv,
-                    pattern,
-                    &mut out,
-                    subsamples,
-                )
-            }
-        };
-        match result {
-            Ok(()) => Ok(out),
-            Err(_) => Err(CdmError::BadMessage { reason: "sample decryption failed" }),
-        }
-    }
-
-    fn tally_cache(&self, hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
-        if hit {
-            hits.fetch_add(1, Ordering::Relaxed);
-            DECRYPT_CACHE_HITS.incr();
-        } else {
-            misses.fetch_add(1, Ordering::Relaxed);
-            DECRYPT_CACHE_MISSES.incr();
-        }
     }
 
     /// Generic (non-DASH) encryption under a loaded key — the secure
@@ -659,39 +491,6 @@ impl CdmCore {
         } else {
             Err(CdmError::BadSignature)
         }
-    }
-}
-
-/// Total encrypted bytes a subsample map covers (the whole sample when
-/// the map is empty).
-fn encrypted_len(sample_len: usize, subsamples: &[Subsample]) -> usize {
-    if subsamples.is_empty() {
-        sample_len
-    } else {
-        subsamples.iter().map(|s| s.encrypted_bytes as usize).sum()
-    }
-}
-
-/// XORs a continuous keystream into the encrypted regions of a sample,
-/// mirroring the `cenc` rule that clear bytes consume no keystream.
-/// Callers must have validated the map against the sample length.
-fn xor_encrypted_regions(keystream: &[u8], sample: &mut [u8], subsamples: &[Subsample]) {
-    let mut consumed = 0usize;
-    if subsamples.is_empty() {
-        for (b, k) in sample.iter_mut().zip(keystream) {
-            *b ^= k;
-        }
-        return;
-    }
-    let mut offset = 0usize;
-    for sub in subsamples {
-        offset += sub.clear_bytes as usize;
-        let end = offset + sub.encrypted_bytes as usize;
-        for (b, k) in sample[offset..end].iter_mut().zip(&keystream[consumed..]) {
-            *b ^= k;
-        }
-        consumed += sub.encrypted_bytes as usize;
-        offset = end;
     }
 }
 
@@ -809,16 +608,6 @@ pub trait OemCrypto: Send {
         data: &[u8],
         signature: &[u8],
     ) -> Result<(), CdmError>;
-
-    /// Enables or disables the per-session decrypt cache. Default is a
-    /// no-op: backends without a normal-world core (the L1 trustlet path
-    /// keeps key material behind the TEE boundary) simply ignore it.
-    fn set_decrypt_cache(&self, _enabled: bool) {}
-
-    /// Decrypt-cache counters, when this backend has one.
-    fn decrypt_cache_stats(&self) -> Option<DecryptCacheStats> {
-        None
-    }
 }
 
 /// The software-only Widevine backend (`libwvdrmengine.so`).
@@ -1038,14 +827,6 @@ impl OemCrypto for L3OemCrypto {
             Some(vec![result.is_ok() as u8]),
         );
         result
-    }
-
-    fn set_decrypt_cache(&self, enabled: bool) {
-        self.core.set_decrypt_cache(enabled);
-    }
-
-    fn decrypt_cache_stats(&self) -> Option<DecryptCacheStats> {
-        Some(self.core.decrypt_cache_stats())
     }
 }
 
@@ -1737,7 +1518,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_decrypt_is_byte_identical_and_hits() {
+    fn decrypt_sample_recovers_plaintext_under_both_schemes() {
         use wideleak_cenc as cenc;
         let kid = KeyId([4; 16]);
         let key = [0x5A; 16];
@@ -1747,36 +1528,24 @@ mod tests {
             Subsample { clear_bytes: 12, encrypted_bytes: 300 },
             Subsample { clear_bytes: 0, encrypted_bytes: 288 },
         ];
-        let ctr_ct = cenc::ctr::encrypt_sample(&content_key, [7; 8], &sample, &subs).unwrap();
         let pattern = wideleak_bmff::types::CryptPattern { crypt_blocks: 1, skip_blocks: 9 };
-        let cbcs_ct =
-            cenc::cbcs::encrypt_sample(&content_key, [8; 16], pattern, &sample, &subs).unwrap();
-
-        let make_core = |cache: bool| {
-            let core = CdmCore::new(CdmVersion::new(16, 0, 0), SecurityLevel::L3);
-            core.set_decrypt_cache(cache);
-            let sid = core.open_session([1; 16]).unwrap();
-            load_key_directly(&core, sid, kid, key, 0);
-            (core, sid)
-        };
-        let (cold, cold_sid) = make_core(false);
-        let (warm, warm_sid) = make_core(true);
-        for crypto in [
-            SampleCrypto::Cenc { iv: [7; 8] },
-            SampleCrypto::Cbcs { constant_iv: [8; 16], crypt_blocks: 1, skip_blocks: 9 },
+        let core = CdmCore::new(CdmVersion::new(16, 0, 0), SecurityLevel::L3);
+        let sid = core.open_session([1; 16]).unwrap();
+        load_key_directly(&core, sid, kid, key, 0);
+        for (crypto, ct) in [
+            (
+                SampleCrypto::Cenc { iv: [7; 8] },
+                cenc::ctr::encrypt_sample(&content_key, [7; 8], &sample, &subs).unwrap(),
+            ),
+            (
+                SampleCrypto::Cbcs { constant_iv: [8; 16], crypt_blocks: 1, skip_blocks: 9 },
+                cenc::cbcs::encrypt_sample(&content_key, [8; 16], pattern, &sample, &subs).unwrap(),
+            ),
         ] {
-            let ct = if matches!(crypto, SampleCrypto::Cenc { .. }) { &ctr_ct } else { &cbcs_ct };
-            let expect = cold.decrypt_sample(cold_sid, &kid, &crypto, ct, &subs).unwrap();
-            assert_eq!(expect, sample);
-            for _ in 0..3 {
-                let got = warm.decrypt_sample(warm_sid, &kid, &crypto, ct, &subs).unwrap();
-                assert_eq!(got, expect, "cached output must be byte-identical");
-            }
+            assert_ne!(ct, sample, "{crypto:?} must encrypt something");
+            let got = core.decrypt_sample(sid, &kid, &crypto, &ct, &subs).unwrap();
+            assert_eq!(got, sample, "{crypto:?} must recover the plaintext");
         }
-        let stats = warm.decrypt_cache_stats();
-        assert!(stats.key_hits > 0, "repeat decrypts reuse the key schedule: {stats:?}");
-        assert!(stats.keystream_hits > 0, "repeat cenc decrypts reuse the keystream: {stats:?}");
-        assert_eq!(cold.decrypt_cache_stats(), DecryptCacheStats::default(), "off = untouched");
     }
 
     #[test]
@@ -1804,45 +1573,6 @@ mod tests {
                 .all(|(name, _)| !name.starts_with("cdm.decrypt.bytes.")),
             "no per-session counters: the registry must not grow with sessions opened"
         );
-    }
-
-    #[test]
-    fn cached_decrypt_still_enforces_key_expiry() {
-        let kid = KeyId([5; 16]);
-        let core = CdmCore::new(CdmVersion::new(16, 0, 0), SecurityLevel::L3);
-        core.set_decrypt_cache(true);
-        let sid = core.open_session([1; 16]).unwrap();
-        load_key_directly(&core, sid, kid, [0x66; 16], 10);
-        let crypto = SampleCrypto::Cenc { iv: [3; 8] };
-        assert!(core.decrypt_sample(sid, &kid, &crypto, &[0u8; 64], &[]).is_ok());
-        core.advance_clock(11);
-        assert!(
-            matches!(
-                core.decrypt_sample(sid, &kid, &crypto, &[0u8; 64], &[]),
-                Err(CdmError::KeyExpired)
-            ),
-            "a warm cache must not outlive the license duration"
-        );
-    }
-
-    #[test]
-    fn disabling_the_decrypt_cache_drops_cached_state() {
-        let kid = KeyId([6; 16]);
-        let core = CdmCore::new(CdmVersion::new(16, 0, 0), SecurityLevel::L3);
-        core.set_decrypt_cache(true);
-        let sid = core.open_session([1; 16]).unwrap();
-        load_key_directly(&core, sid, kid, [0x77; 16], 0);
-        let crypto = SampleCrypto::Cenc { iv: [9; 8] };
-        core.decrypt_sample(sid, &kid, &crypto, &[0u8; 32], &[]).unwrap();
-        {
-            let shard = core.shard(sid).lock();
-            assert!(shard.get(&sid).unwrap().decrypt_cache.cipher_count() > 0);
-        }
-        core.set_decrypt_cache(false);
-        let shard = core.shard(sid).lock();
-        let session = shard.get(&sid).unwrap();
-        assert_eq!(session.decrypt_cache.cipher_count(), 0);
-        assert_eq!(session.decrypt_cache.keystream_count(), 0);
     }
 
     #[test]

@@ -38,85 +38,6 @@ impl std::fmt::Debug for LoadedKey {
     }
 }
 
-/// Per-session decrypt-path cache: derived AES key schedules keyed by
-/// content key ID plus bounded keystream prefixes for the `cenc` CTR
-/// scheme keyed by `(key id, sample IV)`.
-///
-/// Populated only when the owning core enables its decrypt cache, and
-/// cleared whenever a license (re)loads so a rotated key can never be
-/// served from a stale schedule. Dropped wholesale with the session.
-#[derive(Default)]
-pub struct DecryptCache {
-    ciphers: HashMap<KeyId, Aes128>,
-    keystreams: HashMap<(KeyId, [u8; 8]), Vec<u8>>,
-}
-
-impl DecryptCache {
-    /// Cap on distinct keystream prefixes retained per session.
-    pub const MAX_KEYSTREAM_ENTRIES: usize = 32;
-    /// Cap on the length of one retained keystream prefix.
-    pub const MAX_KEYSTREAM_BYTES: usize = 16 * 1024;
-
-    /// Returns a clone of the cached key schedule for `kid`, deriving and
-    /// caching it from `key` on miss. The boolean is true on a hit.
-    pub fn cipher(&mut self, kid: &KeyId, key: &[u8; 16]) -> (Aes128, bool) {
-        if let Some(cipher) = self.ciphers.get(kid) {
-            return (cipher.clone(), true);
-        }
-        let cipher = Aes128::new(key);
-        self.ciphers.insert(*kid, cipher.clone());
-        (cipher, false)
-    }
-
-    /// The cached keystream prefix for `(kid, iv)` when it covers at
-    /// least `needed` bytes.
-    pub fn keystream(&self, kid: &KeyId, iv: [u8; 8], needed: usize) -> Option<Vec<u8>> {
-        self.keystreams.get(&(*kid, iv)).filter(|ks| ks.len() >= needed).cloned()
-    }
-
-    /// Stores a keystream prefix, subject to the per-session bounds.
-    pub fn store_keystream(&mut self, kid: &KeyId, iv: [u8; 8], keystream: Vec<u8>) {
-        if keystream.len() > Self::MAX_KEYSTREAM_BYTES {
-            return;
-        }
-        if self.keystreams.len() >= Self::MAX_KEYSTREAM_ENTRIES
-            && !self.keystreams.contains_key(&(*kid, iv))
-        {
-            return;
-        }
-        self.keystreams.insert((*kid, iv), keystream);
-    }
-
-    /// Drops everything (called when a license loads new keys).
-    pub fn clear(&mut self) {
-        self.ciphers.clear();
-        self.keystreams.clear();
-    }
-
-    /// Number of cached key schedules.
-    #[must_use]
-    pub fn cipher_count(&self) -> usize {
-        self.ciphers.len()
-    }
-
-    /// Number of cached keystream prefixes.
-    #[must_use]
-    pub fn keystream_count(&self) -> usize {
-        self.keystreams.len()
-    }
-}
-
-impl std::fmt::Debug for DecryptCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "DecryptCache(ciphers: {}, keystreams: {})",
-            self.ciphers.len(),
-            self.keystreams.len()
-        )
-    }
-}
-
 /// One open CDM session.
 #[derive(Debug, Default)]
 pub struct Session {
@@ -126,19 +47,12 @@ pub struct Session {
     pub keys: Option<SessionKeys>,
     /// Content keys unwrapped from the license, by key ID.
     pub content_keys: HashMap<KeyId, LoadedKey>,
-    /// Hot-path cache, only populated when the core enables it.
-    pub decrypt_cache: DecryptCache,
 }
 
 impl Session {
     /// Creates a session with the given nonce.
     pub fn new(nonce: [u8; 16]) -> Self {
-        Session {
-            nonce,
-            keys: None,
-            content_keys: HashMap::new(),
-            decrypt_cache: DecryptCache::default(),
-        }
+        Session { nonce, keys: None, content_keys: HashMap::new() }
     }
 
     /// Loads a license response into the session: RSA-OAEP-unwraps the
@@ -177,9 +91,6 @@ impl Session {
         if response.nonce != self.nonce {
             return Err(CdmError::BadMessage { reason: "license nonce mismatch" });
         }
-
-        // New keys invalidate anything derived from the old ones.
-        self.decrypt_cache.clear();
 
         let cipher = Aes128::new(&keys.enc_key);
         let mut loaded = Vec::new();
@@ -352,34 +263,6 @@ mod tests {
     fn missing_key_lookup_fails() {
         let s = Session::new([0; 16]);
         assert!(matches!(s.content_key(&KeyId([1; 16])), Err(CdmError::KeyNotLoaded)));
-    }
-
-    #[test]
-    fn decrypt_cache_cleared_when_a_license_loads() {
-        let kid = KeyId([1; 16]);
-        let resp = make_response([9; 16], &[(kid, [0xAB; 16], control(SecurityLevel::L3))]);
-        let mut s = Session::new([0; 16]);
-        s.decrypt_cache.cipher(&kid, &[0x11; 16]);
-        s.decrypt_cache.store_keystream(&kid, [7; 8], vec![1, 2, 3]);
-        s.load_license(rsa(), SecurityLevel::L3, 0, &resp).unwrap();
-        assert_eq!(s.decrypt_cache.cipher_count(), 0, "rotated keys must not be served stale");
-        assert_eq!(s.decrypt_cache.keystream_count(), 0);
-    }
-
-    #[test]
-    fn decrypt_cache_is_bounded() {
-        let mut cache = DecryptCache::default();
-        let kid = KeyId([3; 16]);
-        cache.store_keystream(&kid, [0; 8], vec![0; DecryptCache::MAX_KEYSTREAM_BYTES + 1]);
-        assert_eq!(cache.keystream_count(), 0, "oversized prefixes are not retained");
-        for i in 0..2 * DecryptCache::MAX_KEYSTREAM_ENTRIES {
-            cache.store_keystream(&kid, [i as u8; 8], vec![0; 16]);
-        }
-        assert_eq!(cache.keystream_count(), DecryptCache::MAX_KEYSTREAM_ENTRIES);
-        // Existing entries can still be refreshed at the cap.
-        cache.store_keystream(&kid, [0; 8], vec![9; 32]);
-        assert_eq!(cache.keystream(&kid, [0; 8], 20).unwrap(), vec![9; 32]);
-        assert!(cache.keystream(&kid, [0; 8], 64).is_none(), "short prefixes do not satisfy");
     }
 
     #[test]

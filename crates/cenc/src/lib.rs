@@ -100,7 +100,7 @@ impl From<wideleak_bmff::BmffError> for CencError {
 /// # Errors
 ///
 /// Returns [`CencError::SubsampleMismatch`] when coverage differs.
-pub fn validate_subsamples(
+pub(crate) fn validate_subsamples(
     subsamples: &[wideleak_bmff::types::Subsample],
     len: usize,
 ) -> Result<(), CencError> {

@@ -9,13 +9,12 @@
 //! thread before the concurrent workers start — so cache hit/miss
 //! counters come out identical run to run regardless of interleaving.
 //!
-//! The generator exercises the three hot-path caches end to end:
-//! repeated plays hit the license-response cache, periodic device
-//! check-ins ([`OttApp::reprovision`]) hit the provisioning-certificate
-//! cache, and repeated sample decrypts hit the per-session derived-key
-//! cache in the CDM. With [`LoadConfig::caches`] off the same traffic
-//! runs the full cold paths, which is what `benches/license_path.rs` and
-//! the caches-off byte-identity tests compare against.
+//! The generator exercises both backend caches end to end: repeated
+//! plays hit the license-response cache, and periodic device check-ins
+//! ([`OttApp::reprovision`]) hit the provisioning-certificate cache.
+//! With [`LoadConfig::caches`] off the same traffic runs the full cold
+//! paths, which is what `benches/license_path.rs` and the caches-off
+//! byte-identity tests compare against.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -36,10 +35,9 @@ use wideleak_ott::adapt::AdaptConfig;
 use wideleak_ott::apps::OttApp;
 use wideleak_ott::bandwidth::{BandwidthConfig, BandwidthSchedule, ClientLink};
 use wideleak_ott::cache::CacheStats;
-use wideleak_ott::ecosystem::{DeviceStack, Ecosystem, EcosystemConfig};
+use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
 
 pub use wideleak_android_drm::binder::TransportKind;
-pub use wideleak_cdm::oemcrypto::DecryptCacheStats;
 
 /// Apps that stream on a discontinued L3 device (no revocation
 /// enforcement), cycled across the fleet's devices.
@@ -126,7 +124,7 @@ pub struct LoadConfig {
     pub plays_per_worker: usize,
     /// Master seed: ecosystem derivations and modeled latencies.
     pub seed: u64,
-    /// Whether the three hot-path caches run.
+    /// Whether the two backend caches run.
     pub caches: bool,
     /// Which binder transport the fleet's devices boot with.
     pub transport: TransportKind,
@@ -245,8 +243,6 @@ pub struct LoadReport {
     pub provisioning_cache: Option<CacheStats>,
     /// License-response cache counters, when that cache ran.
     pub license_cache: Option<CacheStats>,
-    /// Decrypt-cache counters summed across the fleet, when enabled.
-    pub decrypt_cache: Option<DecryptCacheStats>,
     /// Fleet-wide adaptive-path counters, present when a congestion
     /// preset other than `none` drove the steady phase.
     pub adaptive: Option<AdaptiveLoadStats>,
@@ -304,7 +300,7 @@ impl LoadReport {
             c.seed,
             c.transport.label(),
         );
-        let caches = if c.caches { "provisioning+license+decrypt" } else { "disabled" };
+        let caches = if c.caches { "provisioning+license" } else { "disabled" };
         let _ = writeln!(out, "caches:     {caches}");
         let _ = writeln!(
             out,
@@ -348,19 +344,6 @@ impl LoadReport {
             }
             None => out.push_str("  license responses:  disabled\n"),
         }
-        match &self.decrypt_cache {
-            Some(s) => {
-                let _ = writeln!(
-                    out,
-                    "  decrypt keys:       key {}/{} hits, keystream {}/{} hits",
-                    s.key_hits,
-                    s.key_hits + s.key_misses,
-                    s.keystream_hits,
-                    s.keystream_hits + s.keystream_misses,
-                );
-            }
-            None => out.push_str("  decrypt keys:       disabled\n"),
-        }
         if let Some(a) = &self.adaptive {
             let _ = writeln!(
                 out,
@@ -387,12 +370,6 @@ fn modeled_latency_ms(seed: u64, device: usize, worker: usize, iter: usize, warm
     let salt = ((device as u64) << 40) | ((worker as u64) << 20) | iter as u64;
     let base = if warm { WARM_BASE_MS } else { COLD_BASE_MS };
     base + det_hash(seed, salt) % JITTER_MS
-}
-
-/// One booted fleet member: its stack and installed app.
-struct FleetDevice {
-    stack: DeviceStack,
-    app: OttApp,
 }
 
 /// Runs one load-generator pass and returns its report.
@@ -423,15 +400,12 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     // ladder, which L3 output protection caps at 540p.
     let adaptive = config.congestion != Congestion::None;
     let model = if adaptive { DeviceModel::pixel_6() } else { DeviceModel::nexus_5() };
-    let fleet: Vec<FleetDevice> = (0..config.devices)
+    // An installed app holds its device, binder and media DRM server, so
+    // the fleet is just the apps.
+    let fleet: Vec<OttApp> = (0..config.devices)
         .map(|d| {
             let stack = eco.boot_device_with(model.clone(), false, config.transport);
-            let app = eco.install_app(
-                &stack,
-                FLEET_APPS[d % FLEET_APPS.len()],
-                &format!("load-user-{d}"),
-            );
-            FleetDevice { stack, app }
+            eco.install_app(&stack, FLEET_APPS[d % FLEET_APPS.len()], &format!("load-user-{d}"))
         })
         .collect();
 
@@ -442,10 +416,10 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     // counters are interleaving-independent.
     let mut warmup_samples = Vec::new();
     let mut warmup_failed = 0u64;
-    for (d, member) in fleet.iter().enumerate() {
+    for (d, app) in fleet.iter().enumerate() {
         for (i, title) in FLEET_TITLES.iter().enumerate() {
             let lat = modeled_latency_ms(config.seed, d, WARMUP_WORKER, i, false);
-            if member.app.play(title).is_err() {
+            if app.play(title).is_err() {
                 warmup_failed += 1;
             }
             clock.advance_ms(lat);
@@ -469,15 +443,17 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     let mut worker_results: Vec<(Vec<u64>, u64, AdaptiveLoadStats)> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for (d, member) in fleet.iter().enumerate() {
+        for (d, app) in fleet.iter().enumerate() {
             for w in 0..config.workers_per_device {
                 let clock = &clock;
                 let failed = &failed;
                 let checkins = &checkins;
                 let link = links.pop_front().expect("one link minted per worker");
-                handles.push(scope.spawn(move || {
-                    run_worker(config, &member.app, clock, failed, checkins, d, w, link)
-                }));
+                handles.push(
+                    scope.spawn(move || {
+                        run_worker(config, app, clock, failed, checkins, d, w, link)
+                    }),
+                );
             }
         }
         for handle in handles {
@@ -497,7 +473,6 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     });
     let makespan_ms = (warmup_span_ms + longest_chain_ms).max(1);
     let total_plays = warmup_samples.len() as u64 + steady_samples.len() as u64;
-    let decrypt_cache = config.caches.then(|| sum_decrypt_stats(&fleet)).flatten();
     LoadReport {
         config: *config,
         warmup_plays: warmup_samples.len() as u64,
@@ -510,7 +485,6 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
         throughput_centi_per_sec: total_plays * 100_000 / makespan_ms,
         provisioning_cache: eco.provisioning_cache_stats(),
         license_cache: eco.license_cache_stats(),
-        decrypt_cache,
         adaptive: adaptive_stats,
     }
 }
@@ -581,22 +555,6 @@ fn observe_play(lat_ms: u64) {
         wideleak_telemetry::observe("load.play.latency", Duration::from_millis(lat_ms));
         wideleak_telemetry::incr("load.plays");
     }
-}
-
-/// Sums decrypt-cache counters across the fleet. `None` when the cache
-/// is disabled (every backend reports `None`).
-fn sum_decrypt_stats(fleet: &[FleetDevice]) -> Option<DecryptCacheStats> {
-    let mut total: Option<DecryptCacheStats> = None;
-    for member in fleet {
-        if let Some(s) = member.stack.cdm.oemcrypto().decrypt_cache_stats() {
-            let t = total.get_or_insert_with(DecryptCacheStats::default);
-            t.key_hits += s.key_hits;
-            t.key_misses += s.key_misses;
-            t.keystream_hits += s.keystream_hits;
-            t.keystream_misses += s.keystream_misses;
-        }
-    }
-    total
 }
 
 // ---------------------------------------------------------------------
@@ -1059,8 +1017,6 @@ mod tests {
         assert!(prov.hits > 0, "check-ins hit the cert cache: {prov:?}");
         let lic = report.license_cache.expect("license cache enabled");
         assert!(lic.hits > 0, "steady plays hit the license cache: {lic:?}");
-        let dec = report.decrypt_cache.expect("decrypt cache enabled");
-        assert!(dec.key_hits > 0, "repeat samples reuse key schedules: {dec:?}");
         assert!(
             report.steady_latency.p50_ms < report.warmup_latency.p50_ms,
             "warm plays are modeled faster than cold plays"
@@ -1074,7 +1030,6 @@ mod tests {
         assert_eq!(report.failed_plays, 0);
         assert!(report.provisioning_cache.is_none());
         assert!(report.license_cache.is_none());
-        assert!(report.decrypt_cache.is_none());
         assert!(report.render().contains("disabled"));
     }
 
@@ -1089,7 +1044,7 @@ mod tests {
             "fleet:      2 devices x 2 workers x 3 plays  (seed 2022, closed-loop, tcp binder)";
         assert_eq!(
             header(&run_load(&LoadConfig::quick())),
-            [fleet, "caches:     provisioning+license+decrypt"]
+            [fleet, "caches:     provisioning+license"]
         );
         let uncached = LoadConfig { caches: false, ..LoadConfig::quick() };
         assert_eq!(header(&run_load(&uncached)), [fleet, "caches:     disabled"]);

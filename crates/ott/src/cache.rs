@@ -1,11 +1,11 @@
 //! Hot-path caches for the backend servers.
 //!
-//! Three paths dominate a fleet's steady-state load: provisioning
-//! (RSA key derivation + wrapping), license issuance (policy resolution +
-//! key wrapping) and sample decryption (inside the CDM; see
-//! `wideleak_cdm::session::DecryptCache`). This module hosts the two
-//! server-side caches; `EcosystemConfig::caches` switches all three on
-//! or off together.
+//! Two backend paths repeat work across a fleet's steady-state load:
+//! provisioning (RSA key derivation + wrapping) and license issuance
+//! (policy resolution + key wrapping). This module hosts one cache for
+//! each; `EcosystemConfig::caches` switches both on or off together.
+//! Sample decryption has no cache: every `cenc` sample carries its own
+//! IV, so a session never decrypts the same keystream twice.
 //!
 //! Every cache is a pure accelerator: with caching disabled (the
 //! default), every byte the servers emit is identical to the uncached

@@ -46,10 +46,10 @@ pub struct EcosystemConfig {
     pub fault_plan: FaultPlan,
     /// How installed app clients react to failures.
     pub resilience: ResiliencePolicy,
-    /// Whether the three hot-path caches (provisioning certificates,
-    /// license responses, CDM decrypt keys) run. Off by default: the
-    /// published tables are produced cache-free, and enabling the caches
-    /// must leave them byte-identical.
+    /// Whether the two hot-path caches (provisioning certificates and
+    /// license responses) run. Off by default: the published tables are
+    /// produced cache-free, and enabling the caches must leave them
+    /// byte-identical.
     pub caches: bool,
     /// Which binder transport booted devices use. In-process by default;
     /// the differential battery pins that TCP produces byte-identical
@@ -421,11 +421,7 @@ impl Ecosystem {
         let device = Arc::new(if rooted { Device::rooted(model) } else { Device::new(model) });
         let keybox = self.trust.issue_keybox(&instance_name);
         let cdm = Arc::new(
-            Cdm::builder()
-                .keybox(keybox)
-                .decrypt_cache(self.config.caches)
-                .boot(&device)
-                .expect("keybox installation succeeds"),
+            Cdm::builder().keybox(keybox).boot(&device).expect("keybox installation succeeds"),
         );
         let mut server = MediaDrmServer::new();
         server.register_plugin(WIDEVINE_SYSTEM_ID, cdm.clone());
@@ -453,11 +449,7 @@ impl Ecosystem {
         let device = Arc::new(Device::new(model));
         let keybox = self.trust.issue_keybox(&instance_name);
         let cdm = Arc::new(
-            Cdm::builder()
-                .keybox(keybox)
-                .decrypt_cache(self.config.caches)
-                .boot(&device)
-                .expect("keybox installation succeeds"),
+            Cdm::builder().keybox(keybox).boot(&device).expect("keybox installation succeeds"),
         );
         let mut server = MediaDrmServer::new();
         server.register_plugin(WIDEVINE_SYSTEM_ID, cdm);
@@ -625,10 +617,9 @@ mod tests {
             let second = app.play("title-001").unwrap();
             assert_eq!(first.video_samples, second.video_samples);
             app.reprovision().unwrap();
-            outcomes.push((first, stack));
+            outcomes.push(first);
         }
-        let (plain_outcome, _) = &outcomes[0];
-        let (cached_outcome, cached_stack) = &outcomes[1];
+        let (plain_outcome, cached_outcome) = (&outcomes[0], &outcomes[1]);
         assert_eq!(plain_outcome.resolution, cached_outcome.resolution);
         assert_eq!(plain_outcome.video_samples, cached_outcome.video_samples);
         assert_eq!(plain_outcome.audio_samples, cached_outcome.audio_samples);
@@ -640,8 +631,6 @@ mod tests {
         assert!(license_stats.hits > 0, "second play reuses license plans: {license_stats:?}");
         let prov_stats = cached.provisioning_cache_stats().unwrap();
         assert_eq!((prov_stats.hits, prov_stats.misses), (1, 1), "check-in hits the cert cache");
-        let decrypt_stats = cached_stack.cdm.oemcrypto().decrypt_cache_stats().unwrap();
-        assert!(decrypt_stats.key_hits > 0, "repeat samples reuse key schedules");
     }
 
     #[test]

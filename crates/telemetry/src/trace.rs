@@ -32,6 +32,7 @@
 //! fleets produce distinct traces.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -127,7 +128,7 @@ struct Tracer {
     /// Salt folded into minted trace ids.
     trace_salt: AtomicU64,
     dropped: AtomicU64,
-    buffer: Mutex<Vec<TraceSpan>>,
+    buffer: Mutex<VecDeque<TraceSpan>>,
     sink: Mutex<Option<BufWriter<File>>>,
     process_label: Mutex<String>,
 }
@@ -137,7 +138,7 @@ static TRACER: Tracer = Tracer {
     next_span: AtomicU64::new(1),
     trace_salt: AtomicU64::new(0),
     dropped: AtomicU64::new(0),
-    buffer: Mutex::new(Vec::new()),
+    buffer: Mutex::new(VecDeque::new()),
     sink: Mutex::new(None),
     process_label: Mutex::new(String::new()),
 };
@@ -367,10 +368,10 @@ fn record(span: TraceSpan) {
     }
     let mut buffer = TRACER.buffer.lock();
     if buffer.len() >= BUFFER_CAP {
-        buffer.remove(0);
+        buffer.pop_front();
         TRACER.dropped.fetch_add(1, Ordering::Relaxed);
     }
-    buffer.push(span);
+    buffer.push_back(span);
 }
 
 /// Spans evicted from the in-memory buffer since process start.
@@ -382,7 +383,7 @@ pub fn dropped_spans() -> u64 {
 /// Drains and returns the in-memory span buffer, oldest first.
 #[must_use]
 pub fn drain() -> Vec<TraceSpan> {
-    std::mem::take(&mut *TRACER.buffer.lock())
+    std::mem::take(&mut *TRACER.buffer.lock()).into()
 }
 
 /// Flushes the file sink, if one is installed.
@@ -616,6 +617,23 @@ mod tests {
             assert_eq!(inner.annotations, vec![("fault", "tcp.reset".to_owned())]);
             let outer = spans.iter().find(|s| s.name == "outer").unwrap();
             assert_eq!(outer.annotations, vec![("late", "outer-only".to_owned())]);
+        });
+    }
+
+    #[test]
+    fn a_full_buffer_evicts_the_oldest_spans() {
+        const EXTRA: usize = 3;
+        with_fresh_tracer(|| {
+            let dropped_before = dropped_spans();
+            for i in 0..BUFFER_CAP + EXTRA {
+                drop(span("fill").with("i", i.to_string()));
+            }
+            assert_eq!(dropped_spans() - dropped_before, EXTRA as u64);
+            let spans = drain();
+            assert_eq!(spans.len(), BUFFER_CAP);
+            assert_eq!(spans[0].annotations, vec![("i", EXTRA.to_string())]);
+            let newest = &spans[BUFFER_CAP - 1];
+            assert_eq!(newest.annotations, vec![("i", (BUFFER_CAP + EXTRA - 1).to_string())]);
         });
     }
 
