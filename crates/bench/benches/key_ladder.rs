@@ -3,6 +3,8 @@
 //!
 //! The comparison quantifies the world-switch overhead the paper's §II-C
 //! architecture implies: every L1 operation crosses `liboemcrypto.so`.
+//! Each row is the median of a fixed number of timed calls; the rows land
+//! in `BENCH_key_ladder.json`.
 //!
 //! ```text
 //! cargo bench -p wideleak-bench --bench key_ladder
@@ -10,7 +12,6 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use wideleak::bmff::types::KeyId;
 use wideleak::cdm::ladder::{derive_provisioning_keys, derive_session_keys};
 use wideleak::cdm::messages::{LicenseResponse, ProvisioningResponse};
@@ -20,7 +21,10 @@ use wideleak::device::hooks::HookEngine;
 use wideleak::device::memory::ProcessMemory;
 use wideleak::device::net::RemoteEndpoint;
 use wideleak::tee::SecureWorld;
-use wideleak_bench::bench_ecosystem;
+use wideleak_bench::{bench_ecosystem, median_time, micros, BenchReport};
+
+/// Timed calls per row.
+const ITERS: usize = 1000;
 
 /// Provisions and licenses a backend against the real servers, returning
 /// the session and a usable key id plus encrypted payload.
@@ -46,47 +50,52 @@ fn primed(
     (sid, kid, vec![0xEE; 1024])
 }
 
-fn bench_ladder(c: &mut Criterion) {
+fn main() {
     let eco = bench_ecosystem();
+    let mut report = BenchReport::new("key_ladder");
+    report.label("iters", ITERS.to_string());
+    println!("key_ladder: median of {ITERS} timed calls per row");
+    println!("{:>36} {:>10}", "operation", "median us");
+    let mut row = |name: &str, median| {
+        let us = micros(median);
+        println!("{name:>36} {us:>10.2}");
+        report.metric(format!("{}.us", name.replace('/', ".")), us);
+    };
 
     // Pure derivation cost (what the attack replays offline).
-    let mut group = c.benchmark_group("ladder");
-    group.bench_function("derive_session_keys", |b| {
-        b.iter(|| derive_session_keys(&[7; 16], b"ENC|app|title", b"MAC|app|title"));
-    });
-    group.bench_function("derive_provisioning_keys", |b| {
-        b.iter(|| derive_provisioning_keys(&[7; 16], b"device-id-32-bytes-padded-to-32b"));
-    });
-    group.finish();
+    row(
+        "ladder/derive_session_keys",
+        median_time(ITERS, || derive_session_keys(&[7; 16], b"ENC|app|title", b"MAC|app|title")),
+    );
+    row(
+        "ladder/derive_provisioning_keys",
+        median_time(ITERS, || {
+            derive_provisioning_keys(&[7; 16], b"device-id-32-bytes-padded-to-32b")
+        }),
+    );
 
     // Per-sample decrypt latency: L3 in-process vs L1 world-switch.
-    let mut group = c.benchmark_group("decrypt_1kib_sample");
+    let cenc = SampleCrypto::Cenc { iv: [5; 8] };
     let hooks = Arc::new(HookEngine::new());
-
     let l3 = L3OemCrypto::new(
         CdmVersion::new(16, 0, 0),
         hooks.clone(),
         Arc::new(ProcessMemory::new("mediaserver")),
     );
-    let (sid3, kid3, data) = primed(&l3, &eco, "ladder-l3");
-    group.bench_function("l3_in_process", |b| {
-        b.iter(|| {
-            l3.decrypt_sample(sid3, &kid3, &SampleCrypto::Cenc { iv: [5; 8] }, &data, &[]).unwrap()
-        });
-    });
+    let (sid, kid, data) = primed(&l3, &eco, "ladder-l3");
+    row(
+        "decrypt_1kib_sample/l3_in_process",
+        median_time(ITERS, || l3.decrypt_sample(sid, &kid, &cenc, &data, &[]).unwrap()),
+    );
 
     let world = Arc::new(SecureWorld::new());
     let l1 = L1OemCrypto::new(CdmVersion::new(16, 0, 0), world.clone(), hooks);
-    let (sid1, kid1, data) = primed(&l1, &eco, "ladder-l1");
-    group.bench_function("l1_world_switch", |b| {
-        b.iter(|| {
-            l1.decrypt_sample(sid1, &kid1, &SampleCrypto::Cenc { iv: [5; 8] }, &data, &[]).unwrap()
-        });
-    });
-    group.finish();
+    let (sid, kid, data) = primed(&l1, &eco, "ladder-l1");
+    row(
+        "decrypt_1kib_sample/l1_world_switch",
+        median_time(ITERS, || l1.decrypt_sample(sid, &kid, &cenc, &data, &[]).unwrap()),
+    );
 
-    eprintln!("\nworld switches performed by the L1 backend: {}", world.switch_count());
+    println!("world switches performed by the L1 backend: {}", world.switch_count());
+    report.write();
 }
-
-criterion_group!(benches, bench_ladder);
-criterion_main!(benches);

@@ -1,8 +1,9 @@
-//! Shared helpers for the WideLeak benchmark harness.
+//! Shared helpers for the WideLeak performance benches.
 //!
-//! Every table and figure of the paper has a bench target in
-//! `benches/`; see `EXPERIMENTS.md` at the workspace root for the
-//! experiment-to-target index.
+//! Each target in `benches/` times one path with [`median_time`] and
+//! writes its rows to `BENCH_<name>.json` through [`BenchReport`]; see
+//! `EXPERIMENTS.md` at the workspace root for the experiment-to-target
+//! index. The paper's categorical results are pinned by tests instead.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,19 +56,16 @@ pub fn micros(d: Duration) -> f64 {
 }
 
 /// The RSA key size the benches use: large enough to exercise the real
-/// code paths, small enough that Criterion iteration counts stay sane.
-/// (Production Widevine uses 2048-bit keys; the asymmetric operations
-/// scale cubically, the *shape* of every comparison is size-independent.)
+/// code paths, small enough that ecosystem boot and the benches' fixed
+/// iteration counts stay quick. (Production Widevine uses 2048-bit keys;
+/// the asymmetric operations scale cubically, the *shape* of every
+/// comparison is size-independent.)
 pub const BENCH_RSA_BITS: usize = 1024;
 
-/// The ecosystem configuration every bench shares.
-pub fn bench_config() -> EcosystemConfig {
-    EcosystemConfig { rsa_bits: BENCH_RSA_BITS, ..Default::default() }
-}
-
-/// Boots a bench ecosystem.
+/// Boots the ecosystem the benches share: defaults with
+/// [`BENCH_RSA_BITS`]-bit RSA.
 pub fn bench_ecosystem() -> Ecosystem {
-    Ecosystem::new(bench_config())
+    Ecosystem::new(EcosystemConfig { rsa_bits: BENCH_RSA_BITS, ..Default::default() })
 }
 
 /// A media DRM server fronting a fresh software L3 CDM (version 16.0.0)

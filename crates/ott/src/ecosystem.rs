@@ -270,7 +270,7 @@ impl Ecosystem {
     }
 
     /// Boots the backend with custom app profiles and catalog — the
-    /// ablation benches use this to toggle single policy axes.
+    /// ablation tests use this to toggle single policy axes.
     pub fn with_profiles(
         config: EcosystemConfig,
         profiles: Vec<AppProfile>,
