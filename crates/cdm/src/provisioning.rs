@@ -65,23 +65,10 @@ pub fn wrap_rsa_key(
     key: &RsaPrivateKey,
 ) -> ProvisioningResponse {
     let (enc_key, mac_key) = derive_provisioning_keys(device_key, device_id);
-    wrap_serialized_rsa_key(&enc_key, &mac_key, nonce, iv, &serialize_rsa_key(key))
-}
-
-/// Server side, pre-derived variant: wraps an already-serialized RSA key
-/// blob under provisioning keys the caller derived (and may have cached —
-/// key derivation and blob serialization are nonce-independent, while the
-/// IV, ciphertext and signature must be recomputed per request).
-pub fn wrap_serialized_rsa_key(
-    enc_key: &[u8; 16],
-    mac_key: &[u8; 32],
-    nonce: [u8; 16],
-    iv: [u8; 16],
-    blob: &[u8],
-) -> ProvisioningResponse {
-    let encrypted_rsa_key = cbc_encrypt_padded(&Aes128::new(enc_key), &iv, blob);
+    let encrypted_rsa_key =
+        cbc_encrypt_padded(&Aes128::new(&enc_key), &iv, &serialize_rsa_key(key));
     let mut resp = ProvisioningResponse { iv, encrypted_rsa_key, nonce, signature: Vec::new() };
-    resp.signature = Hmac::<Sha256>::mac(mac_key, &resp.body_bytes());
+    resp.signature = Hmac::<Sha256>::mac(&mac_key, &resp.body_bytes());
     resp
 }
 

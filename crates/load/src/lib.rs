@@ -4,17 +4,15 @@
 //! loopback TCP binders (the default [`TransportKind`]) on the shared
 //! virtual clock. Every run is deterministic for a given
 //! [`LoadConfig`]: service times are modeled from the seed (not
-//! wall time), percentiles are computed exactly from the full sample
-//! set, and the warm-up phase absorbs every cold cache miss on the main
-//! thread before the concurrent workers start — so cache hit/miss
-//! counters come out identical run to run regardless of interleaving.
+//! wall time) and percentiles are computed exactly from the full sample
+//! set.
 //!
-//! The generator exercises both backend caches end to end: repeated
-//! plays hit the license-response cache, and periodic device check-ins
-//! ([`OttApp::reprovision`]) hit the provisioning-certificate cache.
-//! With [`LoadConfig::caches`] off the same traffic runs the full cold
-//! paths, which is what `benches/license_path.rs` and the caches-off
-//! byte-identity tests compare against.
+//! A single-threaded warm-up phase plays every title once per device on
+//! the main thread, so each device's first provisioning exchange (RSA
+//! keygen, which the provisioning server then memoizes per device) runs
+//! before the concurrent workers start. Workers then replay the titles
+//! and periodically check in ([`OttApp::reprovision`]), re-running the
+//! full provisioning and license exchanges on every request.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -34,7 +32,6 @@ use wideleak_faults::{det_hash, VirtualClock};
 use wideleak_ott::adapt::AdaptConfig;
 use wideleak_ott::apps::OttApp;
 use wideleak_ott::bandwidth::{BandwidthConfig, BandwidthSchedule, ClientLink};
-use wideleak_ott::cache::CacheStats;
 use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
 
 pub use wideleak_android_drm::binder::TransportKind;
@@ -46,9 +43,9 @@ const FLEET_APPS: &[&str] = &["netflix", "hulu", "mycanal", "showtime", "ocs", "
 /// The two demo titles workers alternate between.
 const FLEET_TITLES: &[&str] = &["title-001", "title-002"];
 
-/// Modeled service time of a play that runs the full cold path (ms).
+/// Modeled service time of a device's first play of a title (ms).
 const COLD_BASE_MS: u64 = 42;
-/// Modeled service time of a play served from warm caches (ms).
+/// Modeled service time of a device's repeat play of a title (ms).
 const WARM_BASE_MS: u64 = 11;
 /// Seeded jitter added on top of either base (exclusive upper bound, ms).
 const JITTER_MS: u64 = 9;
@@ -124,8 +121,6 @@ pub struct LoadConfig {
     pub plays_per_worker: usize,
     /// Master seed: ecosystem derivations and modeled latencies.
     pub seed: u64,
-    /// Whether the two backend caches run.
-    pub caches: bool,
     /// Which binder transport the fleet's devices boot with.
     pub transport: TransportKind,
     /// Congestion preset for the steady-state playback traffic.
@@ -139,7 +134,6 @@ impl Default for LoadConfig {
             workers_per_device: 3,
             plays_per_worker: 6,
             seed: 2022,
-            caches: true,
             transport: TransportKind::Tcp,
             congestion: Congestion::None,
         }
@@ -229,7 +223,7 @@ pub struct LoadReport {
     pub failed_plays: u64,
     /// Periodic `reprovision` check-ins issued by workers.
     pub checkins: u64,
-    /// Warm-up (cold-path) latency distribution.
+    /// Warm-up (first-play) latency distribution.
     pub warmup_latency: LatencySummary,
     /// Steady-state latency distribution.
     pub steady_latency: LatencySummary,
@@ -239,10 +233,6 @@ pub struct LoadReport {
     /// Plays per virtual second, in hundredths (integer — no float
     /// formatting differences between runs).
     pub throughput_centi_per_sec: u64,
-    /// Provisioning-certificate cache counters, when that cache ran.
-    pub provisioning_cache: Option<CacheStats>,
-    /// License-response cache counters, when that cache ran.
-    pub license_cache: Option<CacheStats>,
     /// Fleet-wide adaptive-path counters, present when a congestion
     /// preset other than `none` drove the steady phase.
     pub adaptive: Option<AdaptiveLoadStats>,
@@ -300,8 +290,6 @@ impl LoadReport {
             c.seed,
             c.transport.label(),
         );
-        let caches = if c.caches { "provisioning+license" } else { "disabled" };
-        let _ = writeln!(out, "caches:     {caches}");
         let _ = writeln!(
             out,
             "plays:      {} total ({} warm-up + {} steady), {} failed, {} check-ins",
@@ -331,19 +319,6 @@ impl LoadReport {
                 phase, l.count, l.min_ms, l.mean_ms, l.p50_ms, l.p95_ms, l.p99_ms, l.max_ms
             );
         }
-        out.push_str("cache hit rates:\n");
-        match &self.provisioning_cache {
-            Some(s) => {
-                let _ = writeln!(out, "  provisioning certs: {}", cache_stats_line(s));
-            }
-            None => out.push_str("  provisioning certs: disabled\n"),
-        }
-        match &self.license_cache {
-            Some(s) => {
-                let _ = writeln!(out, "  license responses:  {}", cache_stats_line(s));
-            }
-            None => out.push_str("  license responses:  disabled\n"),
-        }
         if let Some(a) = &self.adaptive {
             let _ = writeln!(
                 out,
@@ -359,16 +334,13 @@ impl LoadReport {
     }
 }
 
-fn cache_stats_line(s: &CacheStats) -> String {
-    format!("{}/{} hits ({} permille)", s.hits, s.lookups(), s.hit_permille())
-}
-
-/// Modeled service time of one play: a base picked by cache warmth plus
-/// seeded jitter. A pure function of the indices, so the latency
-/// population is independent of thread interleaving.
-fn modeled_latency_ms(seed: u64, device: usize, worker: usize, iter: usize, warm: bool) -> u64 {
+/// Modeled service time of one play: a base picked by whether the
+/// device has played the title before (`repeat`) plus seeded jitter. A
+/// pure function of the indices, so the latency population is
+/// independent of thread interleaving.
+fn modeled_latency_ms(seed: u64, device: usize, worker: usize, iter: usize, repeat: bool) -> u64 {
     let salt = ((device as u64) << 40) | ((worker as u64) << 20) | iter as u64;
-    let base = if warm { WARM_BASE_MS } else { COLD_BASE_MS };
+    let base = if repeat { WARM_BASE_MS } else { COLD_BASE_MS };
     base + det_hash(seed, salt) % JITTER_MS
 }
 
@@ -385,7 +357,6 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     assert!(config.devices > 0, "load run needs at least one device");
     let eco = Ecosystem::new(EcosystemConfig {
         seed: config.seed,
-        caches: config.caches,
         transport: config.transport,
         bandwidth: config.congestion.bandwidth(),
         ..EcosystemConfig::fast_for_tests()
@@ -409,11 +380,10 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
         })
         .collect();
 
-    // Warm-up: play every title once per device on the main thread.
-    // All cold cache misses (provisioning keygen, license plan
-    // resolution) happen here, sequentially and deterministically, so
-    // the concurrent phase below only ever produces cache hits and the
-    // counters are interleaving-independent.
+    // Warm-up: play every title once per device on the main thread, so
+    // each device's first provisioning exchange (RSA keygen) happens
+    // here, sequentially and deterministically. These are the fleet's
+    // only first plays; every steady-state play below is a repeat.
     let mut warmup_samples = Vec::new();
     let mut warmup_failed = 0u64;
     for (d, app) in fleet.iter().enumerate() {
@@ -430,7 +400,7 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     let warmup_span_ms: u64 = warmup_samples.iter().sum();
 
     // Steady state: M workers per device share the device's app and
-    // hammer the warmed paths concurrently.
+    // replay its titles concurrently.
     let failed = AtomicU64::new(warmup_failed);
     let checkins = AtomicU64::new(0);
     // Pre-mint every worker's link in (device, worker) order on the main
@@ -483,8 +453,6 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
         steady_latency: LatencySummary::from_samples(&mut steady_samples),
         makespan_ms,
         throughput_centi_per_sec: total_plays * 100_000 / makespan_ms,
-        provisioning_cache: eco.provisioning_cache_stats(),
-        license_cache: eco.license_cache_stats(),
         adaptive: adaptive_stats,
     }
 }
@@ -510,7 +478,7 @@ fn run_worker(
         let title = FLEET_TITLES[iter % FLEET_TITLES.len()];
         // Under congestion a play's modeled service time additionally
         // carries the rebuffer stalls its link imposed.
-        let mut lat = modeled_latency_ms(config.seed, device, worker, iter, config.caches);
+        let mut lat = modeled_latency_ms(config.seed, device, worker, iter, true);
         match link.as_mut() {
             Some(l) => match app.play_adaptive(title, &AdaptConfig::quick(), l) {
                 Ok(outcome) => {
@@ -537,8 +505,9 @@ fn run_worker(
         observe_play(lat);
         samples.push(lat);
         span_ms += lat;
-        // Periodic device check-in: re-runs the provisioning exchange,
-        // which the certificate cache serves without RSA keygen.
+        // Periodic device check-in: re-runs the full provisioning
+        // exchange. The device's RSA key is already memoized by the
+        // provisioning server, so no check-in pays keygen.
         if iter % 3 == 2 {
             if app.reprovision().is_err() {
                 failed.fetch_add(1, Ordering::Relaxed);
@@ -1008,46 +977,21 @@ mod tests {
         assert_eq!(a.render(), b.render());
     }
 
+    /// Pins every line: no play fails, check-ins run, and repeat
+    /// (steady) plays are modeled faster than first (warm-up) plays.
     #[test]
-    fn cached_run_registers_hits_on_every_tier() {
-        let report = run_load(&LoadConfig::quick());
-        assert_eq!(report.failed_plays, 0);
-        assert!(report.checkins > 0);
-        let prov = report.provisioning_cache.expect("cert cache enabled");
-        assert!(prov.hits > 0, "check-ins hit the cert cache: {prov:?}");
-        let lic = report.license_cache.expect("license cache enabled");
-        assert!(lic.hits > 0, "steady plays hit the license cache: {lic:?}");
-        assert!(
-            report.steady_latency.p50_ms < report.warmup_latency.p50_ms,
-            "warm plays are modeled faster than cold plays"
-        );
-    }
-
-    #[test]
-    fn uncached_run_reports_disabled_caches() {
-        let config = LoadConfig { caches: false, ..LoadConfig::quick() };
-        let report = run_load(&config);
-        assert_eq!(report.failed_plays, 0);
-        assert!(report.provisioning_cache.is_none());
-        assert!(report.license_cache.is_none());
-        assert!(report.render().contains("disabled"));
-    }
-
-    /// The report's `fleet:` and `caches:` header lines, verbatim.
-    fn header(report: &LoadReport) -> Vec<String> {
-        report.render().lines().skip(1).take(2).map(str::to_owned).collect()
-    }
-
-    #[test]
-    fn quick_report_headers_are_pinned() {
-        let fleet =
-            "fleet:      2 devices x 2 workers x 3 plays  (seed 2022, closed-loop, tcp binder)";
-        assert_eq!(
-            header(&run_load(&LoadConfig::quick())),
-            [fleet, "caches:     provisioning+license"]
-        );
-        let uncached = LoadConfig { caches: false, ..LoadConfig::quick() };
-        assert_eq!(header(&run_load(&uncached)), [fleet, "caches:     disabled"]);
+    fn quick_report_is_pinned() {
+        let expected = [
+            "== wideleak load report ==",
+            "fleet:      2 devices x 2 workers x 3 plays  (seed 2022, closed-loop, tcp binder)",
+            "plays:      16 total (4 warm-up + 12 steady), 0 failed, 4 check-ins",
+            "makespan:   239 virtual ms   throughput: 66.94 plays/s",
+            "latency (virtual ms):",
+            "  phase       count    min   mean    p50    p95    p99    max",
+            "  warm-up         4     45     46     47     47     47     48",
+            "  steady         12     11     14     14     17     17     19",
+        ];
+        assert_eq!(run_load(&LoadConfig::quick()).render().lines().collect::<Vec<_>>(), expected);
     }
 
     #[test]

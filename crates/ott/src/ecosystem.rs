@@ -20,7 +20,6 @@ use wideleak_faults::{corrupt_body, FaultInjector, FaultKind, FaultPlan, Plane, 
 use crate::accounts::AccountRegistry;
 use crate::apps::{encode_backend_error, evaluated_apps, AppProfile, EmbeddedWidevine, OttApp};
 use crate::bandwidth::{BandwidthConfig, ClientLink};
-use crate::cache::{CacheStats, ProvisionCertCache};
 use crate::cdn::CdnServer;
 use crate::content::{demo_catalog, Title};
 use crate::license::LicenseServer;
@@ -46,11 +45,6 @@ pub struct EcosystemConfig {
     pub fault_plan: FaultPlan,
     /// How installed app clients react to failures.
     pub resilience: ResiliencePolicy,
-    /// Whether the two hot-path caches (provisioning certificates and
-    /// license responses) run. Off by default: the published tables are
-    /// produced cache-free, and enabling the caches must leave them
-    /// byte-identical.
-    pub caches: bool,
     /// Which binder transport booted devices use. In-process by default;
     /// the differential battery pins that TCP produces byte-identical
     /// study output, so this is a realism/perf knob only.
@@ -70,7 +64,6 @@ impl Default for EcosystemConfig {
             verify_attested_level: true,
             fault_plan: FaultPlan::empty(),
             resilience: ResiliencePolicy::default(),
-            caches: false,
             transport: TransportKind::InProcess,
             bandwidth: None,
         }
@@ -239,9 +232,6 @@ pub struct Ecosystem {
     trust: Arc<TrustAuthority>,
     accounts: Arc<AccountRegistry>,
     backend: Arc<BackendRouter>,
-    provisioning: Arc<ProvisioningServer>,
-    license: Arc<LicenseServer>,
-    cert_cache: Option<Arc<ProvisionCertCache>>,
     injector: Arc<FaultInjector>,
     profiles: Vec<AppProfile>,
     titles: Vec<Title>,
@@ -279,29 +269,26 @@ impl Ecosystem {
         let trust = Arc::new(TrustAuthority::new(config.seed));
         let accounts = Arc::new(AccountRegistry::new());
         let injector = Arc::new(FaultInjector::new(&config.fault_plan, config.seed ^ 0xFA17));
-        let cert_cache = config.caches.then(|| Arc::new(ProvisionCertCache::new()));
-        let mut provisioning_builder = ProvisioningServer::builder(trust.clone())
-            .rsa_bits(config.rsa_bits)
-            .seed(config.seed ^ 0x1111);
-        if let Some(cache) = &cert_cache {
-            provisioning_builder = provisioning_builder.cert_cache(cache.clone());
-        }
-        let provisioning = Arc::new(provisioning_builder.build());
-        let mut license_builder = LicenseServer::builder(trust.clone(), accounts.clone())
-            .verify_attested_level(config.verify_attested_level)
-            .seed(config.seed ^ 0x2222);
-        if config.caches {
-            license_builder = license_builder.response_cache(injector.clock().clone());
-        }
-        let license = Arc::new(license_builder.build());
+        let provisioning = Arc::new(
+            ProvisioningServer::builder(trust.clone())
+                .rsa_bits(config.rsa_bits)
+                .seed(config.seed ^ 0x1111)
+                .build(),
+        );
+        let license = Arc::new(
+            LicenseServer::builder(trust.clone(), accounts.clone())
+                .verify_attested_level(config.verify_attested_level)
+                .seed(config.seed ^ 0x2222)
+                .build(),
+        );
         let cdn = Arc::new(CdnServer::new(
             accounts.clone(),
             profiles.iter().map(AppProfile::cdn_config).collect(),
             titles.clone(),
         ));
         let backend = Arc::new(BackendRouter {
-            provisioning: provisioning.clone(),
-            license: license.clone(),
+            provisioning,
+            license,
             cdn,
             profiles: profiles.iter().map(|p| (p.slug.to_owned(), p.clone())).collect(),
             injector: injector.clone(),
@@ -311,9 +298,6 @@ impl Ecosystem {
             trust,
             accounts,
             backend,
-            provisioning,
-            license,
-            cert_cache,
             injector,
             profiles,
             titles,
@@ -373,31 +357,16 @@ impl Ecosystem {
         &self.accounts
     }
 
-    /// Provisioning-certificate cache counters, when that cache runs.
-    pub fn provisioning_cache_stats(&self) -> Option<CacheStats> {
-        self.provisioning.cert_cache_stats()
-    }
-
-    /// License-response cache counters, when that cache runs.
-    pub fn license_cache_stats(&self) -> Option<CacheStats> {
-        self.license.response_cache_stats()
-    }
-
     /// Rotates a device's keybox in place: the trust authority issues a
-    /// fresh-generation keybox under the same identity, the device's CDM
-    /// installs it, and the provisioning-certificate cache drops the now
-    /// stale wrap material for that identity.
+    /// fresh-generation keybox under the same identity and the device's
+    /// CDM installs it.
     ///
     /// # Errors
     ///
     /// Propagates keybox installation failures from the CDM.
     pub fn rotate_keybox(&self, stack: &DeviceStack) -> Result<(), OttError> {
         let keybox = self.trust.rotate_keybox(&stack.instance_name);
-        let device_id = keybox.device_id().to_vec();
         stack.cdm.oemcrypto().install_keybox(keybox)?;
-        if let Some(cache) = &self.cert_cache {
-            cache.invalidate(&device_id);
-        }
         Ok(())
     }
 
@@ -605,44 +574,14 @@ mod tests {
     }
 
     #[test]
-    fn cached_ecosystem_plays_byte_identically_and_registers_hits() {
-        let plain = ecosystem();
-        let cached =
-            Ecosystem::new(EcosystemConfig { caches: true, ..EcosystemConfig::fast_for_tests() });
-        let mut outcomes = Vec::new();
-        for eco in [&plain, &cached] {
-            let stack = eco.boot_device(DeviceModel::nexus_5(), false);
-            let app = eco.install_app(&stack, "netflix", "alice");
-            let first = app.play("title-001").unwrap();
-            let second = app.play("title-001").unwrap();
-            assert_eq!(first.video_samples, second.video_samples);
-            app.reprovision().unwrap();
-            outcomes.push(first);
-        }
-        let (plain_outcome, cached_outcome) = (&outcomes[0], &outcomes[1]);
-        assert_eq!(plain_outcome.resolution, cached_outcome.resolution);
-        assert_eq!(plain_outcome.video_samples, cached_outcome.video_samples);
-        assert_eq!(plain_outcome.audio_samples, cached_outcome.audio_samples);
-        assert_eq!(plain_outcome.subtitle_text, cached_outcome.subtitle_text);
-
-        assert!(plain.license_cache_stats().is_none());
-        assert!(plain.provisioning_cache_stats().is_none());
-        let license_stats = cached.license_cache_stats().unwrap();
-        assert!(license_stats.hits > 0, "second play reuses license plans: {license_stats:?}");
-        let prov_stats = cached.provisioning_cache_stats().unwrap();
-        assert_eq!((prov_stats.hits, prov_stats.misses), (1, 1), "check-in hits the cert cache");
-    }
-
-    #[test]
     fn keybox_rotation_reprovisions_cleanly() {
-        let eco =
-            Ecosystem::new(EcosystemConfig { caches: true, ..EcosystemConfig::fast_for_tests() });
+        let eco = ecosystem();
         let stack = eco.boot_device(DeviceModel::nexus_5(), false);
         let app = eco.install_app(&stack, "netflix", "alice");
         app.play("title-001").unwrap();
         eco.rotate_keybox(&stack).unwrap();
-        // The rotated device re-provisions through the full path (the
-        // stale cache entry was invalidated) and keeps playing.
+        // The rotated device re-provisions under its new keybox and keeps
+        // playing.
         app.reprovision().unwrap();
         app.play("title-001").unwrap();
     }

@@ -20,7 +20,6 @@ use wideleak_crypto::sha256::Sha256;
 use wideleak_device::catalog::SecurityLevel;
 
 use crate::accounts::AccountRegistry;
-use crate::cache::{LicensePlanEntry, LicensePlanKey, LicenseResponseCache};
 use crate::content::{
     key_from_label, kid_from_label, track_key_label, AudioProtection, TrackSelector, L3_MAX_HEIGHT,
     RESOLUTIONS,
@@ -58,12 +57,6 @@ pub struct LicenseServer {
     /// web-browser deployments effectively do not).
     verify_attested_level: bool,
     seed: u64,
-    /// Optional response cache of resolved key plans. The plan — which
-    /// keys a `(device, app, title, policy, level, key-id set)` request
-    /// resolves to — is nonce-independent; the nonce-derived session key,
-    /// IVs and wraps are always recomputed, so cached responses stay
-    /// byte-identical to uncached ones.
-    response_cache: Option<LicenseResponseCache>,
 }
 
 impl std::fmt::Debug for LicenseServer {
@@ -74,13 +67,12 @@ impl std::fmt::Debug for LicenseServer {
 
 /// Builds a [`LicenseServer`]. Obtained from [`LicenseServer::builder`];
 /// defaults match production Android deployments (attestation checked,
-/// seed 0, no cache).
+/// seed 0).
 pub struct LicenseServerBuilder {
     trust: Arc<TrustAuthority>,
     accounts: Arc<AccountRegistry>,
     verify_attested_level: bool,
     seed: u64,
-    response_cache: Option<LicenseResponseCache>,
 }
 
 impl LicenseServerBuilder {
@@ -100,17 +92,6 @@ impl LicenseServerBuilder {
         self
     }
 
-    /// Enables the license-response cache on the given virtual clock.
-    /// Plans expire after the default license duration, so a cached plan
-    /// can never outlive the license it produced (`KeyExpired` semantics
-    /// are decided by the CDM from load time, unchanged).
-    #[must_use]
-    pub fn response_cache(mut self, clock: Arc<wideleak_faults::VirtualClock>) -> Self {
-        self.response_cache =
-            Some(LicenseResponseCache::new(clock, u64::from(DEFAULT_LICENSE_DURATION_SECS) * 1000));
-        self
-    }
-
     /// Builds the server.
     #[must_use]
     pub fn build(self) -> LicenseServer {
@@ -119,7 +100,6 @@ impl LicenseServerBuilder {
             accounts: self.accounts,
             verify_attested_level: self.verify_attested_level,
             seed: self.seed,
-            response_cache: self.response_cache,
         }
     }
 }
@@ -132,18 +112,7 @@ impl LicenseServer {
         trust: Arc<TrustAuthority>,
         accounts: Arc<AccountRegistry>,
     ) -> LicenseServerBuilder {
-        LicenseServerBuilder {
-            trust,
-            accounts,
-            verify_attested_level: true,
-            seed: 0,
-            response_cache: None,
-        }
-    }
-
-    /// Response-cache counters, when the cache is enabled.
-    pub fn response_cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.response_cache.as_ref().map(LicenseResponseCache::stats)
+        LicenseServerBuilder { trust, accounts, verify_attested_level: true, seed: 0 }
     }
 
     /// The control block for a key label (video heights gate on L1).
@@ -230,62 +199,31 @@ impl LicenseServer {
             request.security_level
         };
 
-        // The key *plan* — which keys this (device, app, title, policy,
-        // level, key-id set) resolves to — is nonce-independent and is
-        // what the response cache holds. Errors are never cached.
-        let plan_key = self.response_cache.as_ref().map(|_| {
-            let mut key_ids: Vec<[u8; 16]> = request.key_ids.iter().map(|k| k.0).collect();
-            key_ids.sort_unstable();
-            LicensePlanKey {
-                device_id: request.device_id.clone(),
-                app: app.to_owned(),
-                title: title_id.to_owned(),
-                audio: policy.audio as u8,
-                enforce_revocation: policy.enforce_revocation,
-                uri_channel: policy.uri_channel,
-                effective_level: effective_level as u8,
-                key_ids,
-            }
-        });
-        let resolve = || {
-            // Resolve requested key ids against this app/title's labels.
-            let labels = Self::labels_for(app, title_id, policy);
-            let available: Vec<(KeyId, String)> =
-                labels.into_iter().map(|l| (kid_from_label(&l), l)).collect();
+        // Resolve requested key ids against this app/title's labels.
+        let labels = Self::labels_for(app, title_id, policy);
+        let available: Vec<(KeyId, String)> =
+            labels.into_iter().map(|l| (kid_from_label(&l), l)).collect();
 
-            let selected: Vec<&(KeyId, String)> = if request.key_ids.is_empty() {
-                // No explicit key ids: serve everything the level permits.
-                available.iter().collect()
-            } else {
-                available.iter().filter(|(kid, _)| request.key_ids.contains(kid)).collect()
-            };
-            if selected.is_empty() {
-                return Err(OttError::NotFound { what: format!("keys for {title_id}") });
-            }
-            let mut entries = Vec::new();
-            for (kid, label) in selected {
-                let control = Self::control_for(label);
-                // HD keys never leave the server for sub-L1 requesters.
-                if effective_level > control.min_security_level {
-                    continue;
-                }
-                entries.push(LicensePlanEntry {
-                    kid: kid.0,
-                    content_key: key_from_label(label).0,
-                    control,
-                });
-            }
-            if entries.is_empty() {
-                return Err(OttError::NotFound {
-                    what: format!("keys for {title_id} at {}", request.security_level),
-                });
-            }
-            Ok(entries)
+        let selected: Vec<&(KeyId, String)> = if request.key_ids.is_empty() {
+            // No explicit key ids: serve everything the level permits.
+            available.iter().collect()
+        } else {
+            available.iter().filter(|(kid, _)| request.key_ids.contains(kid)).collect()
         };
-        let plan: Vec<LicensePlanEntry> = match (plan_key, &self.response_cache) {
-            (Some(key), Some(cache)) => cache.get_or_resolve(key, resolve)?,
-            _ => resolve()?,
-        };
+        if selected.is_empty() {
+            return Err(OttError::NotFound { what: format!("keys for {title_id}") });
+        }
+        // HD keys never leave the server for sub-L1 requesters.
+        let plan: Vec<(&KeyId, &String, KeyControl)> = selected
+            .into_iter()
+            .map(|(kid, label)| (kid, label, Self::control_for(label)))
+            .filter(|(_, _, control)| effective_level <= control.min_security_level)
+            .collect();
+        if plan.is_empty() {
+            return Err(OttError::NotFound {
+                what: format!("keys for {title_id} at {}", request.security_level),
+            });
+        }
 
         if wideleak_telemetry::is_enabled() {
             // Narrow (per-tier) requests are the license-churn signal the
@@ -298,9 +236,8 @@ impl LicenseServer {
             wideleak_telemetry::add("license.keys_served", plan.len() as u64);
         }
 
-        // Session key and derivation contexts — always nonce-seeded and
-        // recomputed, cached plan or not, so responses are byte-identical
-        // either way.
+        // Session key, IVs and wraps are all seeded from the request
+        // nonce, so no two exchanges share response bytes.
         let mut rng = seeded_rng(
             self.seed ^ u64::from_be_bytes(request.nonce[..8].try_into().expect("8 bytes")),
         );
@@ -311,14 +248,14 @@ impl LicenseServer {
         let cipher = Aes128::new(&keys.enc_key);
 
         let key_entries: Vec<KeyEntry> = plan
-            .iter()
-            .map(|entry| {
+            .into_iter()
+            .map(|(kid, label, control)| {
                 let iv: [u8; 16] = random_array(&mut rng);
                 KeyEntry {
-                    kid: KeyId(entry.kid),
+                    kid: *kid,
                     iv,
-                    encrypted_key: cbc_encrypt_padded(&cipher, &iv, &entry.content_key),
-                    control: entry.control,
+                    encrypted_key: cbc_encrypt_padded(&cipher, &iv, &key_from_label(label).0),
+                    control,
                 }
             })
             .collect();
@@ -426,18 +363,24 @@ mod tests {
         let f = fixture();
         let token = f.accounts.subscribe("amazon", "alice");
         let req = signed_request(&f, vec![], SecurityLevel::L1, CdmVersion::new(16, 0, 0));
-        let resp = f
-            .license
-            .issue_license(
-                "amazon",
-                "title-001",
-                policy(AudioProtection::DistinctKey, false),
-                &token,
-                &req,
-            )
-            .unwrap();
+        let pol = policy(AudioProtection::DistinctKey, false);
+        let resp = f.license.issue_license("amazon", "title-001", pol, &token, &req).unwrap();
         // 3 video resolutions + 1 distinct audio key.
         assert_eq!(resp.key_entries.len(), 4);
+
+        // A fresh nonce re-derives the session key, every IV and every
+        // wrapped key; only the key ids carry over.
+        let mut fresh = LicenseRequest { nonce: [0x4C; 16], ..req };
+        fresh.rsa_signature = f.rsa.sign_pkcs1v15_sha256(&fresh.body_bytes()).unwrap();
+        let again = f.license.issue_license("amazon", "title-001", pol, &token, &fresh).unwrap();
+        let session_key = |r: &LicenseResponse| f.rsa.decrypt_oaep(&r.encrypted_session_key);
+        assert_ne!(session_key(&again).unwrap(), session_key(&resp).unwrap());
+        assert_eq!(again.key_entries.len(), resp.key_entries.len());
+        for (a, b) in again.key_entries.iter().zip(&resp.key_entries) {
+            assert_eq!(a.kid, b.kid);
+            assert_ne!(a.iv, b.iv);
+            assert_ne!(a.encrypted_key, b.encrypted_key);
+        }
     }
 
     #[test]
@@ -541,84 +484,6 @@ mod tests {
             ),
             Err(OttError::NotFound { .. })
         ));
-    }
-
-    #[test]
-    fn response_cache_keeps_licenses_byte_identical() {
-        use wideleak_faults::VirtualClock;
-        let f = fixture();
-        let token = f.accounts.subscribe("netflix", "alice");
-        let cached = LicenseServer::builder(f.license.trust.clone(), f.accounts.clone())
-            .seed(7)
-            .response_cache(Arc::new(VirtualClock::new()))
-            .build();
-        let pol = policy(AudioProtection::Clear, false);
-        let req = signed_request(&f, vec![], SecurityLevel::L3, CdmVersion::new(3, 1, 0));
-        let baseline = f.license.issue_license("netflix", "title-001", pol, &token, &req).unwrap();
-        // Miss then hit: both identical to the uncached server.
-        assert_eq!(
-            cached.issue_license("netflix", "title-001", pol, &token, &req).unwrap(),
-            baseline
-        );
-        assert_eq!(
-            cached.issue_license("netflix", "title-001", pol, &token, &req).unwrap(),
-            baseline
-        );
-        let stats = cached.response_cache_stats().unwrap();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        // A fresh nonce reuses the plan but re-derives every wrapped byte.
-        let mut req2 = signed_request(&f, vec![], SecurityLevel::L3, CdmVersion::new(3, 1, 0));
-        req2.nonce = [0x4C; 16];
-        req2.rsa_signature = f.rsa.sign_pkcs1v15_sha256(&req2.body_bytes()).unwrap();
-        let resp2 = cached.issue_license("netflix", "title-001", pol, &token, &req2).unwrap();
-        assert_ne!(resp2, baseline);
-        assert_eq!(resp2.key_entries.len(), baseline.key_entries.len());
-        assert_eq!(cached.response_cache_stats().unwrap().hits, 2);
-    }
-
-    #[test]
-    fn response_cache_expires_with_the_license_duration() {
-        use wideleak_faults::VirtualClock;
-        let f = fixture();
-        let token = f.accounts.subscribe("netflix", "alice");
-        let clock = Arc::new(VirtualClock::new());
-        let cached = LicenseServer::builder(f.license.trust.clone(), f.accounts.clone())
-            .seed(7)
-            .response_cache(clock.clone())
-            .build();
-        let pol = policy(AudioProtection::Clear, false);
-        let req = signed_request(&f, vec![], SecurityLevel::L3, CdmVersion::new(3, 1, 0));
-        cached.issue_license("netflix", "title-001", pol, &token, &req).unwrap();
-        clock.advance_ms(u64::from(DEFAULT_LICENSE_DURATION_SECS) * 1000);
-        cached.issue_license("netflix", "title-001", pol, &token, &req).unwrap();
-        let stats = cached.response_cache_stats().unwrap();
-        assert_eq!((stats.hits, stats.misses), (0, 2), "TTL forced a recompute");
-    }
-
-    #[test]
-    fn response_cache_never_caches_errors() {
-        use wideleak_faults::VirtualClock;
-        let f = fixture();
-        let token = f.accounts.subscribe("netflix", "alice");
-        let cached = LicenseServer::builder(f.license.trust.clone(), f.accounts.clone())
-            .seed(7)
-            .response_cache(Arc::new(VirtualClock::new()))
-            .build();
-        let pol = policy(AudioProtection::Clear, false);
-        let req = signed_request(
-            &f,
-            vec![KeyId([0xEE; 16])],
-            SecurityLevel::L3,
-            CdmVersion::new(3, 1, 0),
-        );
-        for _ in 0..2 {
-            assert!(matches!(
-                cached.issue_license("netflix", "title-001", pol, &token, &req),
-                Err(OttError::NotFound { .. })
-            ));
-        }
-        let stats = cached.response_cache_stats().unwrap();
-        assert_eq!((stats.hits, stats.misses), (0, 2), "failed lookups never populate");
     }
 
     #[test]

@@ -60,8 +60,7 @@ impl TrustAuthority {
 
     /// Rotates a device's keybox: the device identity stays, the device
     /// key changes. Existing provisioning records remain (the Device RSA
-    /// Key is independent of the keybox); any cache keyed on the old
-    /// keybox material must be invalidated by the caller.
+    /// Key is independent of the keybox).
     pub fn rotate_keybox(&self, device_name: &str) -> Keybox {
         let generation = {
             let mut generations = self.generations.write();
