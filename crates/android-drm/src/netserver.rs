@@ -28,9 +28,10 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
 use wideleak_faults::{corrupt_body, FaultInjector, FaultKind};
 use wideleak_telemetry::{trace, CounterHandle};
 
@@ -195,7 +196,7 @@ impl TcpBinderBuilder {
                 (local.local_addr(), Some(server), Some(local))
             }
         };
-        let (slot_tx, slot_rx) = crossbeam::channel::bounded::<ConnSlot>(self.pool_size);
+        let (slot_tx, slot_rx) = mpsc::sync_channel::<ConnSlot>(self.pool_size);
         for _ in 0..self.pool_size {
             slot_tx.send(None).expect("pre-filling the connection pool");
         }
@@ -204,7 +205,7 @@ impl TcpBinderBuilder {
             pool_size: self.pool_size,
             read_timeout: self.read_timeout,
             slot_tx,
-            slot_rx,
+            slot_rx: Mutex::new(slot_rx),
             injector: self.injector,
             server,
             _local: local,
@@ -215,8 +216,9 @@ impl TcpBinderBuilder {
 /// The client half of the TCP transport: transactions multiplexed to a
 /// [`TcpDrmServer`] over a bounded connection pool.
 ///
-/// Pool behaviour: a transaction checks a slot out of a bounded channel
-/// (blocking when all are in flight, which bounds concurrent sockets),
+/// Pool behaviour: a transaction checks a slot out of a bounded `std`
+/// channel (blocking when all are in flight, which bounds concurrent
+/// sockets; waiting callers queue on the receiver's lock),
 /// reconnects if the slot is dead, and returns the slot — live on
 /// success, dead after any IO or frame error, because a failed stream
 /// cannot be trusted to be frame-aligned. Reconnects are counted on
@@ -227,8 +229,8 @@ pub struct TcpBinder {
     read_timeout: Duration,
     // Client-side connection state is declared before `_local` so
     // pooled sockets shut down before the owned server does.
-    slot_tx: crossbeam::channel::Sender<ConnSlot>,
-    slot_rx: crossbeam::channel::Receiver<ConnSlot>,
+    slot_tx: mpsc::SyncSender<ConnSlot>,
+    slot_rx: Mutex<mpsc::Receiver<ConnSlot>>,
     injector: Option<Arc<FaultInjector>>,
     /// Loopback handle onto the served instance so clock-skew faults can
     /// reach the CDM clock; `None` when connected to a remote server.
@@ -284,7 +286,7 @@ impl TcpBinder {
 
     /// Checks a slot out of the pool, reconnecting if it is dead.
     fn checkout(&self) -> Result<TcpStream, DrmError> {
-        let slot = self.slot_rx.recv().map_err(|_| DrmError::BinderDied)?;
+        let slot = self.slot_rx.lock().recv().map_err(|_| DrmError::BinderDied)?;
         match slot {
             Some(stream) => Ok(stream),
             None => {
@@ -502,7 +504,8 @@ mod tests {
 
     #[test]
     fn concurrent_clients_share_the_pool() {
-        let binder = Arc::new(TcpBinder::loopback(server()).pool_size(2).build().unwrap());
+        let srv = TcpDrmServer::bind("127.0.0.1:0", server()).unwrap();
+        let binder = Arc::new(TcpBinder::connect(srv.local_addr()).pool_size(2).build().unwrap());
         let handles: Vec<_> = (0u8..8)
             .map(|i| {
                 let b = Arc::clone(&binder);
@@ -518,6 +521,8 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 8, "every client got a distinct session");
+        // Eight clients went through two pooled sockets, and no more.
+        assert_eq!(srv.active_connections(), 2, "the pool caps open sockets at pool_size");
     }
 
     #[test]

@@ -13,11 +13,18 @@
 //!   buffer running a frame-reassembly state machine, a bounded
 //!   outbound queue, and an in-flight dispatch count. A sweep reads
 //!   until `WouldBlock`, parses complete frames, hands calls to the
-//!   dispatch pool, drains finished replies into outbound queues, and
-//!   flushes writes until `WouldBlock`;
+//!   dispatch pool, and flushes writes until `WouldBlock`;
 //! - a **dispatch worker pool** runs the actual
 //!   [`dispatch`](crate::binder) (panic-contained, trace-stitched) so a
-//!   slow CDM call never stalls the loop's IO.
+//!   slow CDM call never stalls the loop's IO. The workers share one
+//!   `JobQueue`: a job wakes one idle worker, and a worker that
+//!   finishes takes the next job without waiting for the loop.
+//!
+//! **Wake-ups:** new connections and finished dispatches reach the loop
+//! on one channel. The loop drains it before each sweep and, once idle,
+//! parks on it, so either kind of event ends a park at once. Bytes
+//! arriving on a live socket cannot end it: they wait for the park's
+//! timeout.
 //!
 //! **Pipelining:** a connection may have many calls in flight at once.
 //! Each call frame can carry a wire-v3 request id
@@ -45,7 +52,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use wideleak_telemetry::{trace, CounterHandle, TraceContext};
@@ -109,6 +116,7 @@ pub struct TcpDrmServer {
     active: Arc<AtomicU64>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
     loop_handle: Option<std::thread::JoinHandle<()>>,
+    jobs: Arc<JobQueue>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
     server: Arc<MediaDrmServer>,
 }
@@ -175,28 +183,28 @@ impl TcpDrmServer {
         let active = Arc::new(AtomicU64::new(0));
         let dispatch_workers = config.dispatch_workers.max(1);
 
-        // The loop owns the only job sender, so the workers' receive
-        // loop ends exactly when the event loop exits.
-        let (jobs_tx, jobs_rx) = crossbeam::channel::unbounded::<Job>();
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
+        let jobs = Arc::new(JobQueue::default());
+        let (events_tx, events_rx) = mpsc::channel::<Event>();
         let loop_handle = {
+            let jobs = Arc::clone(&jobs);
             let shutdown = Arc::clone(&shutdown);
             let active = Arc::clone(&active);
             std::thread::Builder::new()
                 .name("netdrm-reactor".into())
-                .spawn(move || event_loop(&conn_rx, &jobs_tx, &config, &shutdown, &active))
+                .spawn(move || event_loop(&events_rx, &jobs, &config, &shutdown, &active))
                 .expect("spawning the reactor event loop")
         };
 
         let mut worker_handles = Vec::with_capacity(dispatch_workers);
         for i in 0..dispatch_workers {
-            let jobs_rx = jobs_rx.clone();
+            let jobs = Arc::clone(&jobs);
+            let events_tx = events_tx.clone();
             let server = Arc::clone(&server);
             let campaign = campaign.clone();
             worker_handles.push(
                 std::thread::Builder::new()
                     .name(format!("netdrm-dispatch-{i}"))
-                    .spawn(move || worker_loop(&jobs_rx, &server, campaign.as_deref()))
+                    .spawn(move || worker_loop(&jobs, &events_tx, &server, campaign.as_deref()))
                     .expect("spawning a dispatch worker"),
             );
         }
@@ -205,7 +213,7 @@ impl TcpDrmServer {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("netdrmserver-accept".into())
-                .spawn(move || accept_loop(&listener, &conn_tx, &shutdown))
+                .spawn(move || accept_loop(&listener, &events_tx, &shutdown))
                 .expect("spawning the accept thread")
         };
 
@@ -215,6 +223,7 @@ impl TcpDrmServer {
             active,
             accept_handle: Some(accept_handle),
             loop_handle: Some(loop_handle),
+            jobs,
             worker_handles,
             server,
         })
@@ -254,8 +263,8 @@ impl Drop for TcpDrmServer {
         if let Some(handle) = self.loop_handle.take() {
             let _ = handle.join();
         }
-        // The loop dropped its job sender; the workers drain what is
-        // queued and exit.
+        // The workers drain what is queued and exit.
+        self.jobs.close();
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
@@ -268,7 +277,6 @@ struct Job {
     generation: u64,
     work: Work,
     request_id: Option<u64>,
-    done: mpsc::Sender<Completion>,
 }
 
 /// What a dispatch worker runs: a DRM transaction through the server
@@ -283,6 +291,61 @@ struct Completion {
     slot: usize,
     generation: u64,
     frame: Vec<u8>,
+}
+
+/// The dispatch pool's job queue. Idle workers wait on one condvar, so
+/// a job wakes exactly one of them, and a worker that finishes takes the
+/// next job itself. (Workers sharing an `mpsc::Receiver` behind a lock
+/// woke a second worker per job, the next to take the lock.)
+#[derive(Default)]
+struct JobQueue {
+    state: Mutex<Jobs>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct Jobs {
+    queue: VecDeque<Job>,
+    /// Set once the event loop has exited: workers drain the queue and
+    /// stop.
+    closed: bool,
+}
+
+impl JobQueue {
+    /// Every update leaves `Jobs` valid, so a poisoned lock is still
+    /// safe to use.
+    fn lock(&self) -> MutexGuard<'_, Jobs> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, job: Job) {
+        self.lock().queue.push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// The next job, waiting for one; `None` once the queue is closed
+    /// and empty.
+    fn pop(&self) -> Option<Job> {
+        let jobs = self.ready.wait_while(self.lock(), |jobs| jobs.queue.is_empty() && !jobs.closed);
+        jobs.unwrap_or_else(PoisonError::into_inner).queue.pop_front()
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    fn len(&self) -> usize {
+        self.lock().queue.len()
+    }
+}
+
+/// What the event loop's one channel carries.
+enum Event {
+    /// A connection the accept thread handed over.
+    Accepted(TcpStream),
+    /// A reply a dispatch worker finished.
+    Completed(Completion),
 }
 
 /// One connection's state in an event loop's slab.
@@ -307,7 +370,7 @@ struct Conn {
     closing: bool,
 }
 
-fn accept_loop(listener: &TcpListener, conn_tx: &mpsc::Sender<TcpStream>, shutdown: &AtomicBool) {
+fn accept_loop(listener: &TcpListener, events: &mpsc::Sender<Event>, shutdown: &AtomicBool) {
     for stream in listener.incoming() {
         if shutdown.load(Ordering::Acquire) {
             break;
@@ -318,18 +381,19 @@ fn accept_loop(listener: &TcpListener, conn_tx: &mpsc::Sender<TcpStream>, shutdo
         }
         let _ = stream.set_nodelay(true);
         SERVER_CONNECTIONS.incr();
-        if conn_tx.send(stream).is_err() {
+        if events.send(Event::Accepted(stream)).is_err() {
             break;
         }
     }
 }
 
 fn worker_loop(
-    jobs: &crossbeam::channel::Receiver<Job>,
+    jobs: &JobQueue,
+    events: &mpsc::Sender<Event>,
     server: &Arc<MediaDrmServer>,
     campaign: Option<&dyn CampaignHandler>,
 ) {
-    while let Ok(job) = jobs.recv() {
+    while let Some(job) = jobs.pop() {
         let frame = match job.work {
             Work::Drm { call, ctx } => {
                 // When the frame carried the caller's trace context,
@@ -355,7 +419,8 @@ fn worker_loop(
         };
         // A send failure means the owning loop is gone (shutdown); the
         // reply has nowhere to go.
-        let _ = job.done.send(Completion { slot: job.slot, generation: job.generation, frame });
+        let done = Completion { slot: job.slot, generation: job.generation, frame };
+        let _ = events.send(Event::Completed(done));
     }
 }
 
@@ -369,19 +434,20 @@ fn bump_active(active: &AtomicU64, opened: bool) {
 }
 
 fn event_loop(
-    conn_rx: &mpsc::Receiver<TcpStream>,
-    jobs: &crossbeam::channel::Sender<Job>,
+    events: &mpsc::Receiver<Event>,
+    jobs: &JobQueue,
     config: &ReactorConfig,
     shutdown: &AtomicBool,
     active: &AtomicU64,
 ) {
-    let (done_tx, done_rx) = mpsc::channel::<Completion>();
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut live = 0usize;
     let mut generation = 0u64;
     let mut scratch = vec![0u8; 64 * 1024];
     let mut idle_streak = 0u32;
+    // The event that ended the last park, handled first by the next drain.
+    let mut woken: Option<Event> = None;
 
     loop {
         if shutdown.load(Ordering::Acquire) {
@@ -390,39 +456,38 @@ fn event_loop(
         let tick = Instant::now();
         let mut work = 0usize;
 
-        // Register connections the accept thread handed over.
-        while let Ok(stream) = conn_rx.try_recv() {
-            generation += 1;
-            let conn = Conn {
-                stream,
-                generation,
-                rbuf: Vec::new(),
-                wqueue: VecDeque::new(),
-                woffset: 0,
-                wqueue_bytes: 0,
-                inflight: 0,
-                closing: false,
-            };
-            let slot = free.pop().unwrap_or_else(|| {
-                conns.push(None);
-                conns.len() - 1
-            });
-            conns[slot] = Some(conn);
-            live += 1;
-            bump_active(active, true);
+        // Register handed-over connections and queue finished replies.
+        while let Some(event) = woken.take().or_else(|| events.try_recv().ok()) {
             work += 1;
-        }
-
-        // Drain finished dispatches into their connections' queues.
-        while let Ok(done) = done_rx.try_recv() {
-            apply_completion(&mut conns, &done);
-            work += 1;
+            match event {
+                Event::Accepted(stream) => {
+                    generation += 1;
+                    let conn = Conn {
+                        stream,
+                        generation,
+                        rbuf: Vec::new(),
+                        wqueue: VecDeque::new(),
+                        woffset: 0,
+                        wqueue_bytes: 0,
+                        inflight: 0,
+                        closing: false,
+                    };
+                    let slot = free.pop().unwrap_or_else(|| {
+                        conns.push(None);
+                        conns.len() - 1
+                    });
+                    conns[slot] = Some(conn);
+                    live += 1;
+                    bump_active(active, true);
+                }
+                Event::Completed(done) => apply_completion(&mut conns, done),
+            }
         }
 
         // IO sweep.
         for (slot, entry) in conns.iter_mut().enumerate() {
             let Some(conn) = entry.as_mut() else { continue };
-            let (did, dead) = sweep_conn(conn, slot, jobs, &done_tx, config, &mut scratch);
+            let (did, dead) = sweep_conn(conn, slot, jobs, config, &mut scratch);
             work += did;
             if dead || (conn.closing && conn.wqueue.is_empty() && conn.inflight == 0) {
                 *entry = None;
@@ -447,8 +512,8 @@ fn event_loop(
             continue;
         }
         let wait = if live == 0 { IDLE_WAIT_EMPTY } else { IDLE_WAIT_BUSY };
-        match done_rx.recv_timeout(wait) {
-            Ok(done) => apply_completion(&mut conns, &done),
+        match events.recv_timeout(wait) {
+            Ok(event) => woken = Some(event),
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
         }
@@ -461,12 +526,11 @@ fn event_loop(
     }
 }
 
-fn apply_completion(conns: &mut [Option<Conn>], done: &Completion) {
+fn apply_completion(conns: &mut [Option<Conn>], done: Completion) {
     if let Some(conn) = conns.get_mut(done.slot).and_then(Option::as_mut) {
         if conn.generation == done.generation {
             conn.inflight -= 1;
-            conn.wqueue_bytes += done.frame.len();
-            conn.wqueue.push_back(done.frame.clone());
+            push_reply(conn, done.frame);
         }
     }
 }
@@ -486,8 +550,7 @@ fn push_reply(conn: &mut Conn, frame: Vec<u8>) {
 fn sweep_conn(
     conn: &mut Conn,
     slot: usize,
-    jobs: &crossbeam::channel::Sender<Job>,
-    done_tx: &mpsc::Sender<Completion>,
+    jobs: &JobQueue,
     config: &ReactorConfig,
     scratch: &mut [u8],
 ) -> (usize, bool) {
@@ -535,34 +598,11 @@ fn sweep_conn(
         let frame: Vec<u8> = conn.rbuf.drain(..total).collect();
         SERVER_FRAMES.incr();
         work += 1;
-        match decode_frame_full(&frame) {
+        let (task, request_id) = match decode_frame_full(&frame) {
             Ok((FrameBody::Call(call), meta, _)) => {
-                conn.inflight += 1;
-                let job = Job {
-                    slot,
-                    generation: conn.generation,
-                    work: Work::Drm { call, ctx: meta.ctx },
-                    request_id: meta.request_id,
-                    done: done_tx.clone(),
-                };
-                if jobs.send(job).is_err() {
-                    // Shutdown already tore the worker pool down.
-                    return (work, true);
-                }
+                (Work::Drm { call, ctx: meta.ctx }, meta.request_id)
             }
-            Ok((FrameBody::CampaignCall(call), meta, _)) => {
-                conn.inflight += 1;
-                let job = Job {
-                    slot,
-                    generation: conn.generation,
-                    work: Work::Campaign(call),
-                    request_id: meta.request_id,
-                    done: done_tx.clone(),
-                };
-                if jobs.send(job).is_err() {
-                    return (work, true);
-                }
-            }
+            Ok((FrameBody::CampaignCall(call), meta, _)) => (Work::Campaign(call), meta.request_id),
             Ok((FrameBody::Reply(_), meta, _)) => {
                 // A reply frame arriving at the server is a protocol
                 // violation; answer with the taxonomy's close cousin
@@ -575,6 +615,7 @@ fn sweep_conn(
                         meta.request_id,
                     ),
                 );
+                continue;
             }
             Ok((FrameBody::CampaignReply(_), meta, _)) => {
                 push_reply(
@@ -587,6 +628,7 @@ fn sweep_conn(
                         meta.request_id,
                     ),
                 );
+                continue;
             }
             Err(e) => {
                 push_reply(
@@ -597,7 +639,9 @@ fn sweep_conn(
                 conn.rbuf.clear();
                 break;
             }
-        }
+        };
+        conn.inflight += 1;
+        jobs.push(Job { slot, generation: conn.generation, work: task, request_id });
     }
 
     // Flush queued replies until WouldBlock.

@@ -6,9 +6,10 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  "WDLK"
-//!      4     1  version (currently 3; v1 and v2 still decode)
-//!      5     1  frame type (0 = call, 1 = reply)
-//!      6     1  flags (v2+; bit 0 = trace context, bit 1 = request id)
+//!      4     1  version (3, the only one decoded)
+//!      5     1  frame type (0 = call, 1 = reply, 2/3 = campaign
+//!               call/reply)
+//!      6     1  flags (bit 0 = trace context, bit 1 = request id)
 //!      7     1  reserved (must be 0)
 //!      8     4  payload length, little-endian
 //!     12     n  payload (optional 24-byte trace context, optional
@@ -17,27 +18,21 @@
 //!   12+n     4  CRC-32 (IEEE) over bytes 0..12+n, little-endian
 //! ```
 //!
-//! Version 2 spent one of the two reserved bytes as a flags field.
 //! When [`FLAG_TRACE_CONTEXT`] is set, the payload region opens with a
 //! [`TraceContext`] in its fixed 24-byte wire form
 //! ([`TraceContext::WIRE_LEN`]) before the body, which is how a client
 //! call's trace identity reaches the server process (and stitches the
 //! server's spans into the caller's trace).
 //!
-//! Version 3 spends the next flag bit on pipelining: when
-//! [`FLAG_REQUEST_ID`] is set, an 8-byte little-endian request id
+//! When [`FLAG_REQUEST_ID`] is set, an 8-byte little-endian request id
 //! follows the (optional) trace context. The reactor server echoes a
 //! call's request id on its reply frame, which is what lets a client
 //! keep several calls in flight on one connection and correlate the
-//! out-of-order replies. The flag is only legal from v3 on — a v2
-//! decoder rejects it as an unknown flag, exactly as the v2 format
-//! promised — and flags are validated against the *sender's* version,
-//! so a v2 frame carrying bit 1 is still malformed to a v3 decoder.
+//! out-of-order replies. Any other flag bit, or a nonzero reserved
+//! byte, is [`WireError::Malformed`].
 //!
 //! The length field covers the extensions and the body; the CRC covers
-//! everything, extensions included. A v1 frame (flags byte zero, no
-//! extensions) still decodes — the promise the v1 format made by
-//! reserving the byte.
+//! everything, extensions included.
 //!
 //! [`encode_frame`] and [`decode_frame`] are pure functions over byte
 //! slices — no sockets, no clocks — so the property/fuzz battery can
@@ -45,7 +40,7 @@
 //! one [`WireError`] variant: short input is [`WireError::Truncated`], a
 //! length field past [`MAX_PAYLOAD`] is [`WireError::Oversized`] (checked
 //! *before* any allocation), a foreign protocol is
-//! [`WireError::BadMagic`], a future protocol revision is
+//! [`WireError::BadMagic`], any other protocol revision is
 //! [`WireError::UnsupportedVersion`], bit rot is [`WireError::BadCrc`],
 //! and a payload whose tags or field lengths are inconsistent is
 //! [`WireError::Malformed`]. The decoder never panics on arbitrary
@@ -53,8 +48,8 @@
 //!
 //! Version negotiation is deliberately one-sided: the header carries the
 //! sender's version and the receiver rejects anything it does not speak.
-//! With exactly one version in existence that collapses to an equality
-//! check; the byte is reserved so a v2 decoder can accept v1 frames.
+//! Every peer is this build, so that is an equality check against
+//! [`VERSION`].
 
 use wideleak_bmff::types::{KeyId, Subsample};
 use wideleak_cdm::oemcrypto::SampleCrypto;
@@ -69,34 +64,20 @@ use crate::DrmError;
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"WDLK";
 
-/// The wire-format revision this build speaks.
+/// The wire-format revision this build speaks, and the only one it
+/// decodes.
 pub const VERSION: u8 = 3;
 
-/// The oldest revision this build still decodes.
-pub const MIN_VERSION: u8 = 1;
-
-/// Header flag (v2+): the payload opens with a 24-byte trace context.
+/// Header flag: the payload opens with a 24-byte trace context.
 pub const FLAG_TRACE_CONTEXT: u8 = 0x01;
 
-/// Header flag (v3+): an 8-byte little-endian request id follows the
+/// Header flag: an 8-byte little-endian request id follows the
 /// (optional) trace context. Replies echo the request id of the call
 /// they answer, which is what makes frame pipelining correlatable.
 pub const FLAG_REQUEST_ID: u8 = 0x02;
 
-/// The flag bits legal for a frame claiming `version`; anything else
-/// in the flags byte is [`WireError::Malformed`]. Flags are validated
-/// against the *sender's* version so each revision keeps the promise
-/// it made about its reserved bits: a v2 frame carrying the request-id
-/// bit is malformed even to this decoder.
-fn known_flags(version: u8) -> u8 {
-    match version {
-        0 | 1 => 0,
-        2 => FLAG_TRACE_CONTEXT,
-        _ => FLAG_TRACE_CONTEXT | FLAG_REQUEST_ID,
-    }
-}
-
-/// Fixed header size (magic + version + type + reserved + length).
+/// Fixed header size (magic + version + type + flags + reserved +
+/// length).
 pub const HEADER_LEN: usize = 12;
 
 /// CRC-32 trailer size.
@@ -203,9 +184,9 @@ pub enum FrameBody {
     Call(DrmCall),
     /// A server-to-client DRM outcome.
     Reply(Result<DrmReply, DrmError>),
-    /// A coordinator-to-worker campaign transaction (v3+ frames only).
+    /// A coordinator-to-worker campaign transaction.
     CampaignCall(crate::campaign::CampaignCall),
-    /// A worker-to-coordinator campaign outcome (v3+ frames only).
+    /// A worker-to-coordinator campaign outcome.
     CampaignReply(Result<crate::campaign::CampaignReply, crate::campaign::CampaignError>),
 }
 
@@ -303,7 +284,7 @@ pub fn frame_len(header: &[u8]) -> Result<usize, WireError> {
     if magic != MAGIC {
         return Err(WireError::BadMagic { found: magic });
     }
-    if !(MIN_VERSION..=VERSION).contains(&header[4]) {
+    if header[4] != VERSION {
         return Err(WireError::UnsupportedVersion { version: header[4] });
     }
     let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
@@ -358,11 +339,12 @@ pub fn decode_frame_full(buf: &[u8]) -> Result<(FrameBody, FrameMeta, usize), Wi
     if expected != found {
         return Err(WireError::BadCrc { expected, found });
     }
-    // v1 reserved its two header bytes without validating them; the
-    // flags field only exists from v2 on.
-    let flags = if buf[4] >= 2 { buf[6] } else { 0 };
-    if flags & !known_flags(buf[4]) != 0 {
+    let flags = buf[6];
+    if flags & !(FLAG_TRACE_CONTEXT | FLAG_REQUEST_ID) != 0 {
         return Err(WireError::Malformed { what: "unknown header flags" });
+    }
+    if buf[7] != 0 {
+        return Err(WireError::Malformed { what: "reserved header byte set" });
     }
     let mut payload = &buf[HEADER_LEN..body_end];
     let ctx = if flags & FLAG_TRACE_CONTEXT != 0 {
@@ -392,11 +374,6 @@ pub fn decode_frame_full(buf: &[u8]) -> Result<(FrameBody, FrameMeta, usize), Wi
     let body = match buf[5] {
         FRAME_TYPE_CALL => FrameBody::Call(decode_call(&mut r)?),
         FRAME_TYPE_REPLY => FrameBody::Reply(decode_reply(&mut r)?),
-        // The campaign control channel arrived with v3; a frame claiming
-        // an older revision cannot legitimately carry one.
-        FRAME_TYPE_CAMPAIGN_CALL | FRAME_TYPE_CAMPAIGN_REPLY if buf[4] < 3 => {
-            return Err(WireError::Malformed { what: "campaign frame below wire v3" })
-        }
         FRAME_TYPE_CAMPAIGN_CALL => {
             FrameBody::CampaignCall(crate::campaign::decode_campaign_call(&mut r)?)
         }
@@ -1107,13 +1084,12 @@ mod tests {
     }
 
     #[test]
-    fn future_version_is_rejected() {
-        let mut frame = encode_frame(&FrameBody::Call(DrmCall::IsProvisioned));
-        frame[4] = VERSION + 1;
-        assert_eq!(
-            decode_frame(&frame),
-            Err(WireError::UnsupportedVersion { version: VERSION + 1 })
-        );
+    fn other_versions_are_rejected() {
+        for version in [0, 1, 2, VERSION + 1, 255] {
+            let mut frame = encode_frame(&FrameBody::Call(DrmCall::IsProvisioned));
+            frame[4] = version;
+            assert_eq!(decode_frame(&frame), Err(WireError::UnsupportedVersion { version }));
+        }
     }
 
     #[test]
@@ -1184,30 +1160,21 @@ mod tests {
         );
     }
 
-    /// Builds a frame by hand with an arbitrary version and flags byte
-    /// and a correct CRC, so decode paths past the header checks are
-    /// reachable.
-    fn handmade_frame(version: u8, flags: u8, payload: &[u8]) -> Vec<u8> {
+    /// Builds a call frame by hand with arbitrary flags and reserved
+    /// bytes and a correct CRC, so decode paths past the header checks
+    /// are reachable.
+    fn handmade_frame(flags: u8, reserved: u8, payload: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
         frame.extend_from_slice(&MAGIC);
-        frame.push(version);
+        frame.push(VERSION);
         frame.push(FRAME_TYPE_CALL);
         frame.push(flags);
-        frame.push(0);
+        frame.push(reserved);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(payload);
         let crc = crc32(&frame);
         frame.extend_from_slice(&crc.to_le_bytes());
         frame
-    }
-
-    #[test]
-    fn v1_frames_still_decode() {
-        let frame = handmade_frame(1, 0, &encode_call(&DrmCall::IsProvisioned));
-        let (body, ctx, used) = decode_frame_ext(&frame).unwrap();
-        assert_eq!(body, FrameBody::Call(DrmCall::IsProvisioned));
-        assert_eq!(ctx, None);
-        assert_eq!(used, frame.len());
     }
 
     #[test]
@@ -1238,7 +1205,7 @@ mod tests {
 
     #[test]
     fn trace_flag_without_room_for_the_context_is_malformed() {
-        let frame = handmade_frame(VERSION, FLAG_TRACE_CONTEXT, &[0u8; 8]);
+        let frame = handmade_frame(FLAG_TRACE_CONTEXT, 0, &[0u8; 8]);
         assert_eq!(
             decode_frame_ext(&frame),
             Err(WireError::Malformed { what: "trace context exceeds payload" })
@@ -1249,7 +1216,7 @@ mod tests {
     fn zero_span_id_context_is_malformed() {
         let mut payload = [0u8; TraceContext::WIRE_LEN + 1].to_vec();
         payload[TraceContext::WIRE_LEN] = 3; // IsProvisioned call tag
-        let frame = handmade_frame(VERSION, FLAG_TRACE_CONTEXT, &payload);
+        let frame = handmade_frame(FLAG_TRACE_CONTEXT, 0, &payload);
         assert_eq!(
             decode_frame_ext(&frame),
             Err(WireError::Malformed { what: "trace context with zero span id" })
@@ -1258,7 +1225,7 @@ mod tests {
 
     #[test]
     fn unknown_flag_bits_are_malformed() {
-        let frame = handmade_frame(VERSION, 0x80, &encode_call(&DrmCall::IsProvisioned));
+        let frame = handmade_frame(0x80, 0, &encode_call(&DrmCall::IsProvisioned));
         assert_eq!(
             decode_frame_ext(&frame),
             Err(WireError::Malformed { what: "unknown header flags" })
@@ -1266,44 +1233,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_never_carry_flags() {
-        // A v1 sender's reserved bytes were not validated; even a set
-        // bit must not be read as a trace flag on a v1 frame.
-        let frame = handmade_frame(1, FLAG_TRACE_CONTEXT, &encode_call(&DrmCall::IsProvisioned));
-        let (body, ctx, _) = decode_frame_ext(&frame).unwrap();
-        assert_eq!(body, FrameBody::Call(DrmCall::IsProvisioned));
-        assert_eq!(ctx, None);
-    }
-
-    #[test]
-    fn v2_frames_still_decode() {
-        let frame = handmade_frame(2, 0, &encode_call(&DrmCall::IsProvisioned));
-        let (body, meta, used) = decode_frame_full(&frame).unwrap();
-        assert_eq!(body, FrameBody::Call(DrmCall::IsProvisioned));
-        assert_eq!(meta, FrameMeta::default());
-        assert_eq!(used, frame.len());
-
-        // A v2 frame with a trace context still surfaces it.
-        let ctx = TraceContext { trace_id: 5, span_id: 6, parent_span_id: 0 };
-        let mut payload = ctx.encode().to_vec();
-        payload.extend_from_slice(&encode_call(&DrmCall::IsProvisioned));
-        let frame = handmade_frame(2, FLAG_TRACE_CONTEXT, &payload);
-        let (_, meta, _) = decode_frame_full(&frame).unwrap();
-        assert_eq!(meta.ctx, Some(ctx));
-        assert_eq!(meta.request_id, None);
-    }
-
-    #[test]
-    fn v2_frames_reject_the_request_id_flag() {
-        // The request-id bit only exists from v3 on; a v2 sender setting
-        // it is claiming a flag its own revision never defined.
-        let mut payload = 7u64.to_le_bytes().to_vec();
-        payload.extend_from_slice(&encode_call(&DrmCall::IsProvisioned));
-        let frame = handmade_frame(2, FLAG_REQUEST_ID, &payload);
-        assert_eq!(
-            decode_frame_full(&frame),
-            Err(WireError::Malformed { what: "unknown header flags" })
-        );
+    fn reserved_header_byte_set_is_malformed() {
+        for reserved in [0x01, 0x80, 0xFF] {
+            let frame = handmade_frame(0, reserved, &encode_call(&DrmCall::IsProvisioned));
+            assert_eq!(
+                decode_frame_full(&frame),
+                Err(WireError::Malformed { what: "reserved header byte set" })
+            );
+        }
     }
 
     #[test]
@@ -1336,7 +1273,7 @@ mod tests {
 
     #[test]
     fn request_id_flag_without_room_is_malformed() {
-        let frame = handmade_frame(VERSION, FLAG_REQUEST_ID, &[0u8; 4]);
+        let frame = handmade_frame(FLAG_REQUEST_ID, 0, &[0u8; 4]);
         assert_eq!(
             decode_frame_full(&frame),
             Err(WireError::Malformed { what: "request id exceeds payload" })

@@ -1,6 +1,6 @@
 //! Counter atomicity and shard integrity under thread fan-out: many
-//! threads hammer the same collector through crossbeam's scoped
-//! threads; nothing may be lost or double-counted.
+//! threads hammer the same collector through std's scoped threads;
+//! nothing may be lost or double-counted.
 
 use std::time::Duration;
 
@@ -12,17 +12,16 @@ const PER_THREAD: u64 = 10_000;
 #[test]
 fn counters_are_atomic_under_fanout() {
     let c = Collector::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..THREADS {
-            s.spawn(|_| {
+            s.spawn(|| {
                 for _ in 0..PER_THREAD {
                     c.incr("shared");
                 }
                 c.add("batched", PER_THREAD);
             });
         }
-    })
-    .unwrap();
+    });
     let snap = c.snapshot();
     let get = |name: &str| snap.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap();
     assert_eq!(get("shared"), THREADS as u64 * PER_THREAD);
@@ -32,17 +31,16 @@ fn counters_are_atomic_under_fanout() {
 #[test]
 fn histogram_observations_survive_fanout() {
     let c = Collector::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let c = &c;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..1_000u64 {
                     c.observe("lat", Duration::from_nanos((t as u64 + 1) * 100 + i));
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let snap = c.snapshot();
     let (_, h) = snap.histograms.iter().find(|(n, _)| n == "lat").unwrap();
     assert_eq!(h.count, THREADS as u64 * 1_000);
@@ -52,16 +50,15 @@ fn histogram_observations_survive_fanout() {
 #[test]
 fn spans_from_many_threads_all_land() {
     let c = Collector::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..THREADS {
-            s.spawn(|_| {
+            s.spawn(|| {
                 for _ in 0..200 {
                     let _g = c.span("worker.op");
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let snap = c.snapshot();
     assert_eq!(snap.spans.len(), THREADS * 200);
     // Ids are unique even though storage is sharded.

@@ -4,7 +4,8 @@
 //! distinct-session transactions must actually overlap in the reactor
 //! server's dispatch pool (not just queue behind a global lock).
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use wideleak::android_drm::binder::{DrmCall, InProcessBinder, Transport};
 use wideleak::android_drm::netserver::{ReactorConfig, TcpBinder, TcpDrmServer};
@@ -156,13 +157,19 @@ fn pooled_decrypt_matches_single_threaded_byte_for_byte() {
     }
 }
 
+/// How long a decrypt waits in the rendezvous before it gives up. A
+/// serialising server never fills the rendezvous; the deadline frees its
+/// wedged dispatch worker, so dropping the server cannot hang the test.
+const RENDEZVOUS_DEADLINE: Duration = Duration::from_secs(10);
+
 /// An OEMCrypto backend whose `decrypt_sample` blocks until `CLIENTS`
 /// calls are inside it at once. Only a transport that really executes
 /// distinct-session transactions in parallel can finish this; the old
 /// single-thread server loop (or a CDM with one global session mutex)
-/// would wedge on the first call.
+/// would wedge on the first call until the deadline.
 struct RendezvousBackend {
-    barrier: Barrier,
+    arrived: Mutex<usize>,
+    all_arrived: Condvar,
     next_session: std::sync::atomic::AtomicU32,
 }
 
@@ -212,7 +219,16 @@ impl OemCrypto for RendezvousBackend {
         _: &[Subsample],
     ) -> Result<Vec<u8>, CdmError> {
         // Every decrypt waits for CLIENTS-way overlap before returning.
-        self.barrier.wait();
+        let mut arrived = self.arrived.lock().unwrap();
+        *arrived += 1;
+        self.all_arrived.notify_all();
+        let (_arrived, wait) = self
+            .all_arrived
+            .wait_timeout_while(arrived, RENDEZVOUS_DEADLINE, |n| *n < CLIENTS)
+            .unwrap();
+        if wait.timed_out() {
+            return Err(CdmError::Rejected { reason: "decrypts never overlapped".into() });
+        }
         Ok(data.to_vec())
     }
     fn generic_encrypt(
@@ -242,14 +258,15 @@ impl OemCrypto for RendezvousBackend {
 }
 
 /// Distinct-session decrypts overlap inside the server: CLIENTS calls
-/// rendezvous on a barrier held *inside* `decrypt_sample`, which only a
+/// rendezvous *inside* `decrypt_sample`, which only a
 /// genuinely parallel transport can satisfy. Works on any core count —
 /// blocked threads yield the CPU — so it pins the tentpole property
 /// even where wall-clock scaling is core-bound.
 #[test]
 fn distinct_session_decrypts_overlap_in_the_server() {
     let backend = RendezvousBackend {
-        barrier: Barrier::new(CLIENTS),
+        arrived: Mutex::new(0),
+        all_arrived: Condvar::new(),
         next_session: std::sync::atomic::AtomicU32::new(1),
     };
     let mut server = MediaDrmServer::new();
@@ -275,12 +292,11 @@ fn distinct_session_decrypts_overlap_in_the_server() {
     }
     drop(done_tx);
 
-    // A transport that serialises sessions never reaches the barrier's
-    // count and would hang; bound the wait so that regression fails
-    // loudly instead.
+    // A transport that serialises sessions never fills the rendezvous;
+    // bound the wait so that regression fails loudly instead.
     for _ in 0..CLIENTS {
         done_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
+            .recv_timeout(Duration::from_secs(30))
             .expect("decrypts never overlapped: transactions are serialised");
     }
 }

@@ -223,24 +223,10 @@ fn mutated_corpus_never_panics_and_never_false_decodes() {
     }
 }
 
-/// Rewrites a v3 frame's header version byte to an older revision and
-/// recomputes the CRC, producing the frame a downlevel peer would have
-/// sent (a bare frame carries no extension flags, so the payload layout
-/// is identical across versions).
-fn downlevel_frame(version: u8, body: &FrameBody) -> Vec<u8> {
-    let mut frame = encode_frame(body);
-    assert_eq!(frame[6], 0, "a bare frame carries no extension flags");
-    frame[4] = version;
-    let body_end = frame.len() - TRAILER_LEN;
-    let crc = wideleak::crypto::crc32::crc32(&frame[..body_end]);
-    frame[body_end..].copy_from_slice(&crc.to_le_bytes());
-    frame
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The v3 pipelining extension: any call tagged with any request id
+    /// The pipelining extension: any call tagged with any request id
     /// survives the wire byte-identically, the id is visible to the
     /// full decode, and it never bleeds into the body.
     #[test]
@@ -249,18 +235,6 @@ proptest! {
         let (body, meta, consumed) = decode_frame_full(&frame).expect("own frames must decode");
         prop_assert_eq!(consumed, frame.len());
         prop_assert_eq!(meta.request_id, Some(id));
-        prop_assert!(meta.ctx.is_none());
-        prop_assert_eq!(body, FrameBody::Call(call));
-    }
-
-    /// Downlevel compatibility: v1 and v2 frames (which cannot carry a
-    /// request id) still decode under the v3 decoder, with no id.
-    #[test]
-    fn downlevel_frames_decode_with_no_request_id(call in call_strategy(), version in 1u8..=2) {
-        let frame = downlevel_frame(version, &FrameBody::Call(call.clone()));
-        let (body, meta, consumed) = decode_frame_full(&frame).expect("downlevel frames decode");
-        prop_assert_eq!(consumed, frame.len());
-        prop_assert_eq!(meta.request_id, None);
         prop_assert!(meta.ctx.is_none());
         prop_assert_eq!(body, FrameBody::Call(call));
     }
@@ -279,22 +253,6 @@ fn reply_corpus_round_trips_with_request_ids() {
         assert_eq!(meta.request_id, Some(id));
         assert_eq!(body, FrameBody::Reply(reply));
     }
-}
-
-/// The request-id flag is only legal from v3 on. A v2 frame carrying it
-/// breaks v2's reserved-bits promise and must be rejected as malformed,
-/// not silently decoded.
-#[test]
-fn a_v2_frame_carrying_the_request_id_flag_is_malformed() {
-    let mut frame = encode_frame_full(&FrameBody::Call(DrmCall::IsProvisioned), None, Some(9));
-    frame[4] = 2;
-    let body_end = frame.len() - TRAILER_LEN;
-    let crc = wideleak::crypto::crc32::crc32(&frame[..body_end]);
-    frame[body_end..].copy_from_slice(&crc.to_le_bytes());
-    assert_eq!(
-        decode_frame_full(&frame),
-        Err(WireError::Malformed { what: "unknown header flags" })
-    );
 }
 
 /// The request id sits under the CRC: a client correlating replies by
