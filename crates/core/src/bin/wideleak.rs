@@ -469,10 +469,10 @@ fn main() -> ExitCode {
             let outcomes = attack_all(&eco);
             for o in &outcomes {
                 let status = if o.succeeded() {
-                    format!(
-                        "DRM-free media at {:?}",
-                        o.media.as_ref().and_then(|m| m.best_resolution())
-                    )
+                    match o.media.as_ref().and_then(|m| m.best_resolution()) {
+                        Some((w, h)) => format!("DRM-free media at {w}x{h}"),
+                        None => "DRM-free media, no video track".to_owned(),
+                    }
                 } else {
                     format!(
                         "blocked ({})",
