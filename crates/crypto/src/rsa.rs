@@ -7,14 +7,13 @@
 //! and signs license requests with PKCS#1 v1.5. Both operations are
 //! reproduced here over [`wideleak_bigint`].
 
-use rand::RngCore;
 use wideleak_bigint::modular::{gcd, mod_inv};
 use wideleak_bigint::montgomery::{CrtContext, ModExpContext};
 use wideleak_bigint::prime::{next_prime_from, DEFAULT_ROUNDS};
 use wideleak_bigint::BigUint;
 
 use crate::digest::Digest;
-use crate::rng::random_biguint;
+use crate::rng::{random_biguint, Rng};
 use crate::sha256::Sha256;
 use crate::CryptoError;
 
@@ -105,11 +104,7 @@ impl RsaPublicKey {
     ///
     /// Returns [`CryptoError::MessageTooLong`] when the message exceeds the
     /// OAEP capacity (`k - 2*hLen - 2` bytes).
-    pub fn encrypt_oaep(
-        &self,
-        rng: &mut impl RngCore,
-        message: &[u8],
-    ) -> Result<Vec<u8>, CryptoError> {
+    pub fn encrypt_oaep(&self, rng: &mut Rng, message: &[u8]) -> Result<Vec<u8>, CryptoError> {
         let k = self.modulus_len();
         let h_len = Sha256::OUTPUT_LEN;
         if message.len() + 2 * h_len + 2 > k {
@@ -235,7 +230,7 @@ impl RsaPrivateKey {
     ///
     /// Panics if `bits < 128` (too small for the prime search to make
     /// sense; real Widevine uses 2048).
-    pub fn generate(rng: &mut impl RngCore, bits: usize) -> Self {
+    pub fn generate(rng: &mut Rng, bits: usize) -> Self {
         assert!(bits >= 128, "RSA modulus must be at least 128 bits");
         let e = BigUint::from_u64(65537);
         loop {
@@ -405,11 +400,7 @@ impl RsaPrivateKey {
     ///
     /// Returns [`CryptoError::MessageTooLong`] when the modulus is too
     /// small for the encoding.
-    pub fn sign_pss_sha256(
-        &self,
-        rng: &mut impl RngCore,
-        message: &[u8],
-    ) -> Result<Vec<u8>, CryptoError> {
+    pub fn sign_pss_sha256(&self, rng: &mut Rng, message: &[u8]) -> Result<Vec<u8>, CryptoError> {
         let k = self.public.modulus_len();
         let em_bits = self.public.n.bit_len() - 1;
         let em_len = em_bits.div_ceil(8);
@@ -488,7 +479,7 @@ pub fn mgf1<D: Digest>(seed: &[u8], len: usize) -> Vec<u8> {
     out
 }
 
-fn gen_prime(rng: &mut impl RngCore, bits: usize) -> BigUint {
+fn gen_prime(rng: &mut Rng, bits: usize) -> BigUint {
     let mut candidate = random_biguint(rng, bits);
     if candidate.is_even() {
         candidate = &candidate + &BigUint::one();

@@ -4,8 +4,6 @@
 //! panic, returning only the typed [`WireError`] taxonomy.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 use wideleak::android_drm::binder::{DrmCall, DrmReply};
 use wideleak::android_drm::wire::{
     decode_frame, decode_frame_full, encode_frame, encode_frame_full, FrameBody, WireError,
@@ -15,6 +13,7 @@ use wideleak::android_drm::DrmError;
 use wideleak::bmff::types::{KeyId, Subsample};
 use wideleak::cdm::oemcrypto::SampleCrypto;
 use wideleak::cdm::CdmError;
+use wideleak::crypto::rng::seeded_rng;
 use wideleak::crypto::CryptoError;
 use wideleak::tee::TeeError;
 
@@ -187,12 +186,12 @@ fn mutated_corpus_never_panics_and_never_false_decodes() {
         subsamples: vec![Subsample { clear_bytes: 16, encrypted_bytes: 80 }],
     })));
 
-    let mut rng = StdRng::seed_from_u64(0x57_49_44_45);
+    let mut rng = seeded_rng(0x57_49_44_45);
     for frame in &corpus {
         // Single-byte XOR at every position: always a typed error.
         for pos in 0..frame.len() {
             let mut bad = frame.clone();
-            let delta = (rng.next_u32() % 255) as u8 + 1;
+            let delta = (rng.next_u64() % 255) as u8 + 1;
             bad[pos] ^= delta;
             assert!(
                 decode_frame(&bad).is_err(),
@@ -204,17 +203,17 @@ fn mutated_corpus_never_panics_and_never_false_decodes() {
         // guaranteed (a splice may reassemble a valid frame prefix).
         for _ in 0..64 {
             let mut bad = frame.clone();
-            match rng.next_u32() % 3 {
+            match rng.next_u64() % 3 {
                 0 => {
-                    let cut = (rng.next_u32() as usize) % (bad.len() + 1);
+                    let cut = (rng.next_u64() as usize) % (bad.len() + 1);
                     bad.truncate(cut);
                 }
                 1 => {
-                    let extra = (rng.next_u32() as usize) % 32;
+                    let extra = (rng.next_u64() as usize) % 32;
                     bad.extend(std::iter::repeat_n(0xAAu8, extra));
                 }
                 _ => {
-                    let len = (rng.next_u32() as usize) % (MAX_PAYLOAD * 2);
+                    let len = (rng.next_u64() as usize) % (MAX_PAYLOAD * 2);
                     bad[8..12].copy_from_slice(&(len as u32).to_le_bytes());
                 }
             }
