@@ -35,6 +35,7 @@ use wideleak::android_drm::reactor::ReactorConfig;
 use wideleak::attack::recover::{attack_all, attack_app};
 use wideleak::bmff::types::WIDEVINE_SYSTEM_ID;
 use wideleak::device::catalog::DeviceModel;
+use wideleak::faults;
 use wideleak::load::{run_fleet, run_load, Congestion, FleetConfig, LoadConfig};
 use wideleak::monitor::adapt::{render_adapt, run_adapt_study};
 use wideleak::monitor::campaign::{run_campaign, CampaignConfig, ShardRunner, WorkerCommand};
@@ -230,7 +231,6 @@ fn main() -> ExitCode {
 
     if telemetry_path.is_some() {
         telemetry::enable();
-        telemetry::event("info", format!("run start: {command} {}", slug.unwrap_or("")));
     }
     // The sink handle lives for the rest of main: dropping it (normal
     // exit or the SIGINT unwind below) flushes buffered spans.
@@ -449,7 +449,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                telemetry::event("error", format!("study failed: {e} [{}]", e.class()));
+                faults::record_error("study.error", &e);
                 eprintln!("study failed: {e}");
                 ExitCode::FAILURE
             }
@@ -460,7 +460,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                telemetry::event("error", format!("study failed: {e} [{}]", e.class()));
+                faults::record_error("study.error", &e);
                 eprintln!("study failed: {e}");
                 ExitCode::FAILURE
             }

@@ -56,20 +56,18 @@ fn push_field_value(v: &FieldValue, out: &mut String) {
 }
 
 /// Renders a snapshot as JSONL: a `meta` line, then one line per span,
-/// counter, histogram and event. Every line parses as a standalone
+/// counter, gauge and histogram. Every line parses as a standalone
 /// JSON object with a `"type"` discriminator.
 #[must_use]
 pub fn to_jsonl(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{{\"type\":\"meta\",\"spans\":{},\"counters\":{},\"gauges\":{},\"histograms\":{},\"events\":{},\"events_total\":{}}}",
+        "{{\"type\":\"meta\",\"spans\":{},\"counters\":{},\"gauges\":{},\"histograms\":{}}}",
         snapshot.spans.len(),
         snapshot.counters.len(),
         snapshot.gauges.len(),
         snapshot.histograms.len(),
-        snapshot.events.len(),
-        snapshot.events_total,
     );
     for s in &snapshot.spans {
         out.push_str("{\"type\":\"span\",\"id\":");
@@ -117,13 +115,6 @@ pub fn to_jsonl(snapshot: &Snapshot) -> String {
             h.count, h.sum_ns, h.min_ns, h.p50_ns, h.p90_ns, h.p95_ns, h.p99_ns, h.max_ns,
         );
     }
-    for e in &snapshot.events {
-        let _ = write!(out, "{{\"type\":\"event\",\"ts_ns\":{},\"level\":", e.ts_ns);
-        push_str_value(e.level, &mut out);
-        out.push_str(",\"message\":");
-        push_str_value(&e.message, &mut out);
-        out.push_str("}\n");
-    }
     out
 }
 
@@ -155,8 +146,8 @@ fn histogram_row(name: &str, h: &HistogramSummary, out: &mut String) {
     );
 }
 
-/// Renders a human-readable run summary: counters, latency
-/// percentiles, a per-name span rollup and recent events.
+/// Renders a human-readable run summary: counters, gauges, latency
+/// percentiles and a per-name span rollup.
 #[must_use]
 pub fn summary_table(snapshot: &Snapshot) -> String {
     let mut out = String::new();
@@ -200,14 +191,6 @@ pub fn summary_table(snapshot: &Snapshot) -> String {
             let _ = writeln!(out, "  {:<44} {:>8} {:>10}", name, count, humanize_ns(total_ns));
         }
     }
-
-    if !snapshot.events.is_empty() {
-        let _ =
-            writeln!(out, "events (last {} of {}):", snapshot.events.len(), snapshot.events_total);
-        for e in &snapshot.events {
-            let _ = writeln!(out, "  [{:>10}] {:<5} {}", humanize_ns(e.ts_ns), e.level, e.message);
-        }
-    }
     out
 }
 
@@ -224,8 +207,6 @@ pub struct ParsedRun {
     pub histograms: Vec<(String, HistogramSummary)>,
     /// Per-span-name `(count, total duration ns)` rollup, sorted by name.
     pub span_rollup: Vec<(String, u64, u64)>,
-    /// Number of event lines.
-    pub events: u64,
     /// Lines that did not match any known shape.
     pub skipped: u64,
 }
@@ -322,7 +303,6 @@ pub fn parse_jsonl(text: &str) -> ParsedRun {
                     },
                 ));
             }
-            Some("event") => run.events += 1,
             _ => run.skipped += 1,
         }
     }
@@ -364,9 +344,6 @@ pub fn parsed_summary_table(run: &ParsedRun) -> String {
             let _ = writeln!(out, "  {:<44} {:>8} {:>10}", name, count, humanize_ns(*total_ns));
         }
     }
-    if run.events > 0 {
-        let _ = writeln!(out, "events: {}", run.events);
-    }
     if run.skipped > 0 {
         let _ = writeln!(out, "unparsed lines: {}", run.skipped);
     }
@@ -383,12 +360,11 @@ mod tests {
         let c = Collector::new();
         {
             let _g = c.span("outer").field("app", "netflix").field("ok", true).field("n", 3u64);
-            drop(c.span("inner"));
+            drop(c.span("inner").field("note", "quote\" backslash\\ and\nnewline"));
         }
         c.incr("requests");
         c.set_gauge("queue_depth", 3);
         c.observe("latency", Duration::from_micros(120));
-        c.event("info", "quote\" backslash\\ and\nnewline");
         c.snapshot()
     }
 
@@ -401,7 +377,6 @@ mod tests {
         assert!(lines.iter().any(|l| l.starts_with("{\"type\":\"counter\"")));
         assert!(lines.iter().any(|l| l.starts_with("{\"type\":\"gauge\"")));
         assert!(lines.iter().any(|l| l.starts_with("{\"type\":\"histogram\"")));
-        assert!(lines.iter().any(|l| l.starts_with("{\"type\":\"event\"")));
         // Every line is brace-balanced and ends cleanly.
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'), "bad line: {l}");
@@ -411,9 +386,8 @@ mod tests {
     #[test]
     fn json_strings_are_escaped() {
         let text = to_jsonl(&sample_snapshot());
-        let event_line = text.lines().find(|l| l.contains("\"type\":\"event\"")).unwrap();
-        assert!(event_line.contains("quote\\\" backslash\\\\ and\\nnewline"));
-        assert!(!event_line.contains('\n'));
+        let span_line = text.lines().find(|l| l.contains("\"name\":\"inner\"")).unwrap();
+        assert!(span_line.contains("\"note\":\"quote\\\" backslash\\\\ and\\nnewline\""));
     }
 
     #[test]
@@ -428,9 +402,7 @@ mod tests {
     #[test]
     fn summary_table_mentions_every_section() {
         let table = summary_table(&sample_snapshot());
-        for needle in
-            ["counters:", "gauges:", "latency:", "spans:", "events", "requests", "queue_depth"]
-        {
+        for needle in ["counters:", "gauges:", "latency:", "spans:", "requests", "queue_depth"] {
             assert!(table.contains(needle), "missing {needle} in:\n{table}");
         }
     }
@@ -442,7 +414,6 @@ mod tests {
         assert_eq!(run.skipped, 0);
         assert_eq!(run.counters, snap.counters);
         assert_eq!(run.gauges, snap.gauges);
-        assert_eq!(run.events, snap.events.len() as u64);
         assert_eq!(run.histograms.len(), snap.histograms.len());
         // Two spans with distinct names → two rollup rows of count 1.
         assert_eq!(run.span_rollup.len(), 2);

@@ -11,8 +11,6 @@
 //!   each span also feeds a latency histogram of the same name;
 //! - [`incr`] / [`add`] — named monotonic counters;
 //! - [`observe`] — named fixed-bucket histograms with p50/p90/p99;
-//! - [`event`] — a bounded last-N ring of discrete events
-//!   ("flight recorder");
 //! - [`export`] — a run [`Snapshot`] rendered as JSONL (one object per
 //!   line) or a human-readable summary table.
 //!
@@ -28,7 +26,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod events;
 pub mod export;
 pub mod expose;
 pub mod metrics;
@@ -42,7 +39,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-pub use events::{Event, EventRing};
 pub use export::{summary_table, to_jsonl};
 pub use expose::ExpositionServer;
 pub use metrics::{CounterHandle, Histogram, HistogramSummary, Registry};
@@ -53,7 +49,7 @@ pub use trace::{TraceContext, TraceGuard, TraceSpan};
 /// `shards[id % SHARDS]`, so concurrent threads rarely contend.
 pub const SHARDS: usize = 8;
 
-/// The telemetry sink: spans, counters, histograms and events.
+/// The telemetry sink: spans, counters, gauges and histograms.
 ///
 /// Instantiable for unit tests; production code uses the process-wide
 /// instance behind [`global`] via the crate-level helpers.
@@ -63,7 +59,6 @@ pub struct Collector {
     next_span_id: AtomicU64,
     span_shards: [Mutex<Vec<SpanRecord>>; SHARDS],
     registry: Registry,
-    events: EventRing,
 }
 
 impl Collector {
@@ -86,7 +81,6 @@ impl Collector {
             next_span_id: AtomicU64::new(1),
             span_shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
             registry: Registry::default(),
-            events: EventRing::default(),
         }
     }
 
@@ -160,13 +154,6 @@ impl Collector {
         }
     }
 
-    /// Appends an event to the flight-recorder ring.
-    pub fn event(&self, level: &'static str, message: impl Into<String>) {
-        if self.is_enabled() {
-            self.events.push(Event { ts_ns: self.now_ns(), level, message: message.into() });
-        }
-    }
-
     /// The metric registry (for direct handle access in hot loops).
     #[must_use]
     pub fn registry(&self) -> &Registry {
@@ -186,8 +173,6 @@ impl Collector {
             counters: self.registry.counter_values(),
             gauges: self.registry.gauge_values(),
             histograms: self.registry.histogram_summaries(),
-            events: self.events.drain_ordered(),
-            events_total: self.events.total_pushed(),
         }
     }
 
@@ -197,7 +182,6 @@ impl Collector {
             shard.lock().clear();
         }
         self.registry.clear();
-        self.events.clear();
         self.next_span_id.store(1, Ordering::Relaxed);
     }
 }
@@ -219,10 +203,6 @@ pub struct Snapshot {
     pub gauges: Vec<(String, u64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<(String, HistogramSummary)>,
-    /// Retained flight-recorder events, oldest first.
-    pub events: Vec<Event>,
-    /// Total events ever pushed (retained + evicted).
-    pub events_total: u64,
 }
 
 static GLOBAL: OnceLock<Collector> = OnceLock::new();
@@ -279,11 +259,6 @@ pub fn observe(name: &str, d: Duration) {
     global().observe(name, d);
 }
 
-/// Appends an event to the global flight recorder.
-pub fn event(level: &'static str, message: impl Into<String>) {
-    global().event(level, message);
-}
-
 /// Snapshots the global collector.
 #[must_use]
 pub fn snapshot() -> Snapshot {
@@ -307,12 +282,10 @@ mod tests {
         }
         c.incr("n");
         c.observe("h", Duration::from_micros(5));
-        c.event("info", "dropped");
         let s = c.snapshot();
         assert!(s.spans.is_empty());
         assert!(s.counters.is_empty());
         assert!(s.histograms.is_empty());
-        assert!(s.events.is_empty());
     }
 
     #[test]
@@ -374,16 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_events_accumulate() {
+    fn counters_accumulate() {
         let c = Collector::new();
         c.incr("x");
         c.add("x", 4);
-        c.event("error", "boom");
         let s = c.snapshot();
         assert_eq!(s.counters, vec![("x".to_owned(), 5)]);
-        assert_eq!(s.events.len(), 1);
-        assert_eq!(s.events[0].level, "error");
-        assert_eq!(s.events_total, 1);
     }
 
     #[test]
@@ -402,9 +371,8 @@ mod tests {
         let c = Collector::new();
         drop(c.span("s"));
         c.incr("n");
-        c.event("info", "e");
         c.reset();
         let s = c.snapshot();
-        assert!(s.spans.is_empty() && s.counters.is_empty() && s.events.is_empty());
+        assert!(s.spans.is_empty() && s.counters.is_empty());
     }
 }
