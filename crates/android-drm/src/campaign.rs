@@ -7,31 +7,25 @@
 //! device-ID range across worker processes. This module holds the
 //! protocol layer only — the message types ([`CampaignCall`],
 //! [`CampaignReply`]), the typed failure taxonomy ([`CampaignError`]),
-//! the per-shard result carrier ([`ShardReport`]) and its exact-merge
-//! primitives ([`LatencyHistogram`], [`AppCells`]) — plus their wire
-//! encodings, which ride in dedicated frame types alongside the DRM
-//! call/reply frames. The semantics (how a shard is run, how cells are
-//! classified, how reports render) live in `wideleak-monitor`.
+//! the per-shard result carrier ([`ShardReport`]) and its cell merge
+//! ([`AppCells`]) — plus their wire encodings, which ride in dedicated
+//! frame types alongside the DRM call/reply frames. The semantics (how
+//! a shard is run, how cells are classified, how reports render) live
+//! in `wideleak-monitor`.
 //!
 //! **Exactness is the design invariant.** A merged campaign report must
 //! be a pure function of (spec, seed, catalog) — independent of shard
 //! count, worker scheduling, and reply arrival order. Everything in a
 //! [`ShardReport`] is therefore mergeable without approximation:
-//! latency travels as fixed-width-bucket histograms whose bucket-wise
-//! sum yields the same nearest-rank percentiles as the concatenation of
-//! every shard's raw samples, and compliance cells merge by count-sum
-//! plus minimum-device-id exemplars, both order-independent.
+//! latency travels as an exact [`LatencyHistogram`] (every distinct
+//! sample with its count), whose merge yields the same nearest-rank
+//! percentiles as the concatenation of every shard's raw samples, and
+//! compliance cells merge by count-sum plus minimum-device-id
+//! exemplars, both order-independent.
+
+use wideleak_telemetry::LatencyHistogram;
 
 use crate::wire::{Reader, WireError, Writer};
-
-/// Buckets in a [`LatencyHistogram`]. Each bucket is exactly one
-/// millisecond wide (bucket `i` holds samples of `i` ms), which is what
-/// makes histogram merge *exact*: a sample is its bucket index, so
-/// percentiles over summed buckets equal percentiles over concatenated
-/// samples. Samples at or above the cap land in the last bucket and are
-/// reported as `HISTOGRAM_BUCKETS - 1` ms (campaign latency models stay
-/// far below the cap, so the clamp never engages in practice).
-pub const HISTOGRAM_BUCKETS: usize = 512;
 
 /// Compliance cell kinds per (device, app) pair — the Table-I vocabulary
 /// widened to the generated catalog. The protocol layer only fixes the
@@ -41,154 +35,39 @@ pub const HISTOGRAM_BUCKETS: usize = 512;
 /// provisioning-refused, custom-DRM-always.
 pub const CELL_KINDS: usize = 5;
 
-/// A fixed-bucket latency histogram with exact merge semantics.
-///
-/// `record` clamps to the last bucket; `merge` is a bucket-wise sum plus
-/// min/max/sum/count folds; `percentile` walks the cumulative counts
-/// with the same nearest-rank formula the load generator uses over raw
-/// samples (`rank = (count - 1) * num / den`, zero-based), so merged
-/// percentiles are byte-for-byte those of the concatenated samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
+/// Writes a histogram as its entry count (u32) and its `(value u64,
+/// count u64)` entries in ascending value order.
+fn encode_histogram(h: &LatencyHistogram, w: &mut Writer) {
+    w.u32(u32::try_from(h.entries().len()).expect("entry count fits u32"));
+    for (value, n) in h.entries() {
+        w.u64(value).u64(n);
     }
 }
 
-impl LatencyHistogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
+/// Reads a histogram written by [`encode_histogram`]. Values must be
+/// strictly ascending, counts nonzero and their total must fit in u64;
+/// anything else is [`WireError::Malformed`].
+fn decode_histogram(r: &mut Reader<'_>) -> Result<LatencyHistogram, WireError> {
+    let entries = r.u32("histogram entry count")?;
+    let mut h = LatencyHistogram::new();
+    let mut total = 0u64;
+    let mut last: Option<u64> = None;
+    for _ in 0..entries {
+        let value = r.u64("histogram value")?;
+        let n = r.u64("histogram value count")?;
+        if n == 0 {
+            return Err(WireError::Malformed { what: "histogram value with zero count" });
         }
-    }
-
-    /// Records one sample, clamping at the last bucket.
-    pub fn record(&mut self, ms: u64) {
-        let clamped = ms.min(HISTOGRAM_BUCKETS as u64 - 1);
-        self.buckets[usize::try_from(clamped).expect("bucket index fits usize")] += 1;
-        self.count += 1;
-        self.sum += clamped;
-        self.min = self.min.min(clamped);
-        self.max = self.max.max(clamped);
-    }
-
-    /// Folds another histogram in. Commutative and associative, so the
-    /// merged result is independent of shard arrival order.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
+        if last.is_some_and(|prev| value <= prev) {
+            return Err(WireError::Malformed { what: "histogram values not strictly ascending" });
         }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        last = Some(value);
+        total = total
+            .checked_add(n)
+            .ok_or(WireError::Malformed { what: "histogram count overflow" })?;
+        h.record_n(value, n);
     }
-
-    /// Total samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all recorded (clamped) samples, for exact integer means.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest recorded sample, `None` when empty.
-    #[must_use]
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded sample, `None` when empty.
-    #[must_use]
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Integer mean (floor), `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<u64> {
-        (self.count > 0).then(|| self.sum / self.count)
-    }
-
-    /// The nearest-rank `num/den` percentile, `None` when empty. Uses
-    /// the zero-based rank `(count - 1) * num / den` — the same formula
-    /// `wideleak-load` applies to sorted raw samples, which is what the
-    /// merge-oracle property test pins.
-    #[must_use]
-    pub fn percentile(&self, num: u64, den: u64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (self.count - 1) * num / den;
-        let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen > rank {
-                return Some(idx as u64);
-            }
-        }
-        // Unreachable while count equals the bucket sum; be total anyway.
-        self.max()
-    }
-
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.count).u64(self.sum).u64(self.min).u64(self.max);
-        let nonzero = self.buckets.iter().filter(|&&n| n > 0).count();
-        w.u32(u32::try_from(nonzero).expect("bucket count fits u32"));
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                w.u32(u32::try_from(idx).expect("bucket index fits u32")).u64(n);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut h = LatencyHistogram::new();
-        h.count = r.u64("histogram count")?;
-        h.sum = r.u64("histogram sum")?;
-        h.min = r.u64("histogram min")?;
-        h.max = r.u64("histogram max")?;
-        let nonzero = r.u32("histogram nonzero buckets")?;
-        let mut total = 0u64;
-        let mut last: Option<u32> = None;
-        for _ in 0..nonzero {
-            let idx = r.u32("histogram bucket index")?;
-            let n = r.u64("histogram bucket count")?;
-            if idx as usize >= HISTOGRAM_BUCKETS || n == 0 {
-                return Err(WireError::Malformed { what: "histogram bucket out of range" });
-            }
-            if last.is_some_and(|prev| idx <= prev) {
-                return Err(WireError::Malformed { what: "histogram buckets out of order" });
-            }
-            last = Some(idx);
-            h.buckets[idx as usize] = n;
-            total = total
-                .checked_add(n)
-                .ok_or(WireError::Malformed { what: "histogram bucket count overflow" })?;
-        }
-        if total != h.count {
-            return Err(WireError::Malformed { what: "histogram count does not match buckets" });
-        }
-        Ok(h)
-    }
+    Ok(h)
 }
 
 /// One app's compliance cells over the devices of a shard (or, after
@@ -373,7 +252,7 @@ impl ShardReport {
         for cells in &self.cells {
             cells.encode(w);
         }
-        self.latency.encode(w);
+        encode_histogram(&self.latency, w);
         w.u64(self.sampled_plays).u64(self.sample_mismatches);
         w.u32(u32::try_from(self.counters.len()).expect("counter count fits u32"));
         for (name, value) in &self.counters {
@@ -390,7 +269,7 @@ impl ShardReport {
         for _ in 0..ncells {
             cells.push(AppCells::decode(r)?);
         }
-        let latency = LatencyHistogram::decode(r)?;
+        let latency = decode_histogram(r)?;
         let sampled_plays = r.u64("report sampled plays")?;
         let sample_mismatches = r.u64("report sample mismatches")?;
         let ncounters = r.u32("report counter count")?;
@@ -793,62 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_match_sorted_samples() {
-        let samples = [3u64, 9, 9, 14, 14, 14, 27, 101, 205, 301];
-        let mut h = LatencyHistogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        let q = |num: u64, den: u64| samples[((samples.len() as u64 - 1) * num / den) as usize];
-        assert_eq!(h.percentile(50, 100), Some(q(50, 100)));
-        assert_eq!(h.percentile(95, 100), Some(q(95, 100)));
-        assert_eq!(h.percentile(99, 100), Some(q(99, 100)));
-        assert_eq!(h.min(), Some(3));
-        assert_eq!(h.max(), Some(301));
-        assert_eq!(h.mean(), Some(samples.iter().sum::<u64>() / samples.len() as u64));
-    }
-
-    #[test]
-    fn histogram_merge_equals_concatenation() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut all = LatencyHistogram::new();
-        for &s in &[5u64, 8, 8, 60] {
-            a.record(s);
-            all.record(s);
-        }
-        for &s in &[1u64, 8, 200] {
-            b.record(s);
-            all.record(s);
-        }
-        let mut merged = LatencyHistogram::new();
-        merged.merge(&a);
-        merged.merge(&b);
-        assert_eq!(merged, all);
-        // Merging an empty histogram is the identity.
-        merged.merge(&LatencyHistogram::new());
-        assert_eq!(merged, all);
-    }
-
-    #[test]
-    fn empty_histogram_has_no_stats() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.percentile(50, 100), None);
-    }
-
-    #[test]
-    fn record_clamps_to_last_bucket() {
-        let mut h = LatencyHistogram::new();
-        h.record(u64::MAX);
-        assert_eq!(h.max(), Some(HISTOGRAM_BUCKETS as u64 - 1));
-        assert_eq!(h.percentile(50, 100), Some(HISTOGRAM_BUCKETS as u64 - 1));
-    }
-
-    #[test]
     fn cell_merge_sums_counts_and_takes_min_exemplars() {
         let mut a = AppCells::new("netflix");
         a.record(0, 10);
@@ -866,13 +689,25 @@ mod tests {
 
     #[test]
     fn tampered_histogram_is_malformed() {
-        let mut report = sample_report();
-        report.latency = LatencyHistogram::new();
-        report.latency.count = 5; // lies about the bucket sum
-        let frame = encode_frame(&FrameBody::CampaignReply(Ok(CampaignReply::ShardDone(report))));
-        assert_eq!(
-            decode_frame(&frame),
-            Err(WireError::Malformed { what: "histogram count does not match buckets" })
-        );
+        let decode = |entries: &[(u64, u64)]| {
+            let mut w = Writer::new();
+            w.u32(entries.len() as u32);
+            for &(value, n) in entries {
+                w.u64(value).u64(n);
+            }
+            decode_histogram(&mut Reader::new(&w.into_inner()))
+        };
+        let mut h = LatencyHistogram::new();
+        h.record_n(3, 2);
+        h.record(700);
+        assert_eq!(decode(&[(3, 2), (700, 1)]), Ok(h));
+        for (entries, what) in [
+            (&[(700, 1), (3, 2)][..], "histogram values not strictly ascending"),
+            (&[(3, 1), (3, 1)][..], "histogram values not strictly ascending"),
+            (&[(3, 0)][..], "histogram value with zero count"),
+            (&[(3, u64::MAX), (4, 1)][..], "histogram count overflow"),
+        ] {
+            assert_eq!(decode(entries), Err(WireError::Malformed { what }), "{entries:?}");
+        }
     }
 }

@@ -18,6 +18,7 @@ use wideleak::android_drm::netserver::TcpBinder;
 use wideleak::bmff::types::KeyId;
 use wideleak::cdm::oemcrypto::SampleCrypto;
 use wideleak::ott::ecosystem::Ecosystem;
+use wideleak::telemetry::LatencyHistogram;
 use wideleak_bench::{
     bench_ecosystem, l3_drm_server, license_session, micros, provision, quick_mode, BenchReport,
 };
@@ -35,16 +36,10 @@ fn boot_binder(eco: &Ecosystem, transport: TransportKind) -> Arc<dyn Transport> 
     }
 }
 
-/// Nearest-rank percentile over a sorted sample set.
-fn percentile(sorted: &[Duration], p: usize) -> Duration {
-    let n = sorted.len();
-    sorted[((n * p).div_ceil(100)).max(1) - 1]
-}
-
-/// Times `iters` sequential decrypt round trips and returns the sorted
-/// per-call latencies.
-fn measure(binder: &dyn Transport, sid: u32, kid: KeyId, iters: usize) -> Vec<Duration> {
-    let mut samples = Vec::with_capacity(iters);
+/// Times `iters` sequential decrypt round trips and returns the
+/// per-call latencies in nanoseconds.
+fn measure(binder: &dyn Transport, sid: u32, kid: KeyId, iters: usize) -> LatencyHistogram {
+    let mut samples = LatencyHistogram::new();
     for i in 0..iters {
         let data = vec![i as u8; SAMPLE_BYTES];
         let start = Instant::now();
@@ -59,10 +54,9 @@ fn measure(binder: &dyn Transport, sid: u32, kid: KeyId, iters: usize) -> Vec<Du
             .unwrap()
             .into_bytes()
             .unwrap();
-        samples.push(start.elapsed());
+        samples.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         assert_eq!(out.len(), SAMPLE_BYTES);
     }
-    samples.sort();
     samples
 }
 
@@ -91,23 +85,21 @@ fn main() {
         // Warm-up: connections dialed, threads faulted in, caches hot.
         measure(binder.as_ref(), sid, kid, 16);
         let samples = measure(binder.as_ref(), sid, kid, iters);
-        let total: Duration = samples.iter().sum();
-        let mean = total / samples.len() as u32;
-        println!(
-            "{:>10} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>12.0}",
-            label,
-            micros(mean),
-            micros(percentile(&samples, 50)),
-            micros(percentile(&samples, 95)),
-            micros(percentile(&samples, 99)),
-            samples.len() as f64 / total.as_secs_f64(),
+        let us = |ns: Option<u64>| micros(Duration::from_nanos(ns.expect("iters > 0")));
+        let (mean, p50, p95, p99) = (
+            us(samples.mean()),
+            us(samples.percentile(50, 100)),
+            us(samples.percentile(95, 100)),
+            us(samples.percentile(99, 100)),
         );
+        let per_s = samples.count() as f64 / Duration::from_nanos(samples.sum()).as_secs_f64();
+        println!("{label:>10} {mean:>10.1} {p50:>10.1} {p95:>10.1} {p99:>10.1} {per_s:>12.0}");
         report
-            .metric(format!("{label}.mean_us"), micros(mean))
-            .metric(format!("{label}.p50_us"), micros(percentile(&samples, 50)))
-            .metric(format!("{label}.p95_us"), micros(percentile(&samples, 95)))
-            .metric(format!("{label}.p99_us"), micros(percentile(&samples, 99)))
-            .metric(format!("{label}.decrypts_per_s"), samples.len() as f64 / total.as_secs_f64());
+            .metric(format!("{label}.mean_us"), mean)
+            .metric(format!("{label}.p50_us"), p50)
+            .metric(format!("{label}.p95_us"), p95)
+            .metric(format!("{label}.p99_us"), p99)
+            .metric(format!("{label}.decrypts_per_s"), per_s);
         binder.transact(DrmCall::CloseSession { session_id: sid }).unwrap();
     }
     report.write();

@@ -102,15 +102,15 @@ fn install_sigint_handler() {
 /// Writes the collected telemetry to `path` and prints the stats
 /// summary when `print_summary` is set (after `study`/`attack` runs).
 fn export_telemetry(path: &str, print_summary: bool) {
-    let snapshot = telemetry::snapshot();
-    let jsonl = telemetry::to_jsonl(&snapshot);
+    let jsonl = telemetry::to_jsonl(&telemetry::snapshot());
     if let Err(e) = std::fs::write(path, &jsonl) {
         eprintln!("telemetry: failed to write {path}: {e}");
     } else {
         eprintln!("telemetry: wrote {} lines to {path}", jsonl.lines().count());
     }
     if print_summary {
-        println!("{}", telemetry::summary_table(&snapshot));
+        let run = telemetry::export::parse_jsonl(&jsonl);
+        println!("{}", telemetry::export::parsed_summary_table(&run));
     }
 }
 

@@ -14,9 +14,10 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use wideleak::android_drm::campaign::{CampaignError, LatencyHistogram, HISTOGRAM_BUCKETS};
+use wideleak::android_drm::campaign::CampaignError;
 use wideleak::load::LatencySummary;
 use wideleak::monitor::campaign::{run_campaign, CampaignConfig, WorkerCommand, WorkerProcess};
+use wideleak::telemetry::LatencyHistogram;
 
 /// The package's own `wideleak` binary, which Cargo always builds
 /// before running this package's integration tests.
@@ -122,12 +123,10 @@ fn worker_exits_when_the_coordinator_pipe_closes() {
     }
 }
 
-/// The raw-sample oracle: nearest-rank statistics over the clamped
-/// concatenation of every shard's samples, computed the way
-/// `wideleak-load` sorts raw latencies.
+/// The raw-sample oracle: nearest-rank statistics over the sorted
+/// concatenation of every shard's samples.
 fn oracle(shards: &[Vec<u64>]) -> LatencySummary {
-    let clamp = HISTOGRAM_BUCKETS as u64 - 1;
-    let mut all: Vec<u64> = shards.iter().flatten().map(|&ms| ms.min(clamp)).collect();
+    let mut all: Vec<u64> = shards.iter().flatten().copied().collect();
     if all.is_empty() {
         return LatencySummary::default();
     }
@@ -166,23 +165,23 @@ fn merge_oracle_edge_cases() {
     // A single sample in one shard, the others empty.
     let shards = vec![vec![], vec![42], vec![]];
     assert_eq!(LatencySummary::from_histogram(&merged(&shards)), oracle(&shards));
-    // Clamped outliers collapse onto the last bucket in both views.
+    // Outliers are kept exactly, not clamped.
     let shards = vec![vec![100_000, 3], vec![511, 512]];
     let summary = LatencySummary::from_histogram(&merged(&shards));
     assert_eq!(summary, oracle(&shards));
-    assert_eq!(summary.max_ms, HISTOGRAM_BUCKETS as u64 - 1);
+    assert_eq!(summary.max_ms, 100_000);
 }
 
 proptest::proptest! {
-    /// Satellite 2: for any sharding of any sample set, the percentile
-    /// summary of the merged histogram equals the nearest-rank summary
-    /// of the concatenated raw samples. Width-1ms buckets make the
+    /// For any sharding of any sample set, the percentile summary of
+    /// the merged histogram equals the nearest-rank summary of the
+    /// concatenated raw samples. Keeping every distinct value makes the
     /// merge *exact*, not approximate — this is what lets the campaign
     /// report stay byte-identical across worker counts.
     #[test]
     fn merged_histogram_percentiles_match_concatenated_samples(
         shards in proptest::collection::vec(
-            proptest::collection::vec(0u64..600, 0..40),
+            proptest::collection::vec(0u64..1_000_000, 0..40),
             0..6,
         )
     ) {

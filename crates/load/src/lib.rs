@@ -33,6 +33,7 @@ use wideleak_ott::adapt::AdaptConfig;
 use wideleak_ott::apps::OttApp;
 use wideleak_ott::bandwidth::{BandwidthConfig, BandwidthSchedule, ClientLink};
 use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
+use wideleak_telemetry::LatencyHistogram;
 
 pub use wideleak_android_drm::binder::TransportKind;
 
@@ -168,43 +169,21 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Exact percentiles from a merged campaign histogram. Because the
-    /// histogram's buckets are one millisecond wide and its percentile
-    /// walk uses the same nearest-rank formula as [`Self::from_samples`],
-    /// this summary equals the one computed from the concatenation of
-    /// every shard's raw samples — the merge-oracle property the
-    /// campaign test battery pins.
+    /// Exact statistics of a histogram's samples; all zero when empty.
+    /// A merged histogram gives the summary of the concatenated samples
+    /// of its parts, which is what keeps a merged campaign report
+    /// independent of its sharding.
     #[must_use]
-    pub fn from_histogram(h: &wideleak_android_drm::campaign::LatencyHistogram) -> Self {
-        if h.count() == 0 {
-            return Self::default();
-        }
+    pub fn from_histogram(h: &LatencyHistogram) -> Self {
+        let p = |num| h.percentile(num, 100).unwrap_or(0);
         LatencySummary {
             count: h.count(),
             min_ms: h.min().unwrap_or(0),
             mean_ms: h.mean().unwrap_or(0),
-            p50_ms: h.percentile(50, 100).unwrap_or(0),
-            p95_ms: h.percentile(95, 100).unwrap_or(0),
-            p99_ms: h.percentile(99, 100).unwrap_or(0),
+            p50_ms: p(50),
+            p95_ms: p(95),
+            p99_ms: p(99),
             max_ms: h.max().unwrap_or(0),
-        }
-    }
-
-    fn from_samples(samples: &mut [u64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        samples.sort_unstable();
-        let n = samples.len();
-        let q = |num: usize, den: usize| samples[(n - 1) * num / den];
-        LatencySummary {
-            count: n as u64,
-            min_ms: samples[0],
-            mean_ms: samples.iter().sum::<u64>() / n as u64,
-            p50_ms: q(50, 100),
-            p95_ms: q(95, 100),
-            p99_ms: q(99, 100),
-            max_ms: samples[n - 1],
         }
     }
 }
@@ -384,7 +363,7 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     // each device's first provisioning exchange (RSA keygen) happens
     // here, sequentially and deterministically. These are the fleet's
     // only first plays; every steady-state play below is a repeat.
-    let mut warmup_samples = Vec::new();
+    let mut warmup = LatencyHistogram::new();
     let mut warmup_failed = 0u64;
     for (d, app) in fleet.iter().enumerate() {
         for (i, title) in FLEET_TITLES.iter().enumerate() {
@@ -394,10 +373,9 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
             }
             clock.advance_ms(lat);
             observe_play(lat);
-            warmup_samples.push(lat);
+            warmup.record(lat);
         }
     }
-    let warmup_span_ms: u64 = warmup_samples.iter().sum();
 
     // Steady state: M workers per device share the device's app and
     // replay its titles concurrently.
@@ -410,7 +388,7 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
     let mut links: VecDeque<Option<ClientLink>> = (0..fleet.len() * config.workers_per_device)
         .map(|_| adaptive.then(|| eco.adaptive_link()))
         .collect();
-    let mut worker_results: Vec<(Vec<u64>, u64, AdaptiveLoadStats)> = Vec::new();
+    let mut worker_results: Vec<(LatencyHistogram, AdaptiveLoadStats)> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (d, app) in fleet.iter().enumerate() {
@@ -431,35 +409,33 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
         }
     });
 
-    let mut steady_samples: Vec<u64> =
-        worker_results.iter().flat_map(|(samples, _, _)| samples.iter().copied()).collect();
-    let longest_chain_ms = worker_results.iter().map(|&(_, span, _)| span).max().unwrap_or(0);
-    let adaptive_stats = adaptive.then(|| {
-        let mut total = AdaptiveLoadStats::default();
-        for &(_, _, stats) in &worker_results {
-            total.absorb(stats);
-        }
-        total
-    });
-    let makespan_ms = (warmup_span_ms + longest_chain_ms).max(1);
-    let total_plays = warmup_samples.len() as u64 + steady_samples.len() as u64;
+    // A worker's chain is sequential, so its virtual span is the sum of
+    // its latencies.
+    let longest_chain_ms = worker_results.iter().map(|(h, _)| h.sum()).max().unwrap_or(0);
+    let mut steady = LatencyHistogram::new();
+    let mut adaptive_stats = AdaptiveLoadStats::default();
+    for (h, stats) in &worker_results {
+        steady.merge(h);
+        adaptive_stats.absorb(*stats);
+    }
+    let makespan_ms = (warmup.sum() + longest_chain_ms).max(1);
+    let total_plays = warmup.count() + steady.count();
     LoadReport {
         config: *config,
-        warmup_plays: warmup_samples.len() as u64,
-        steady_plays: steady_samples.len() as u64,
+        warmup_plays: warmup.count(),
+        steady_plays: steady.count(),
         failed_plays: failed.load(Ordering::Relaxed),
         checkins: checkins.load(Ordering::Relaxed),
-        warmup_latency: LatencySummary::from_samples(&mut warmup_samples),
-        steady_latency: LatencySummary::from_samples(&mut steady_samples),
+        warmup_latency: LatencySummary::from_histogram(&warmup),
+        steady_latency: LatencySummary::from_histogram(&steady),
         makespan_ms,
         throughput_centi_per_sec: total_plays * 100_000 / makespan_ms,
-        adaptive: adaptive_stats,
+        adaptive: adaptive.then_some(adaptive_stats),
     }
 }
 
-/// One worker's closed loop: returns its latency samples, the virtual
-/// span of its sequential chain and its adaptive counters (zeroed on
-/// the classic path).
+/// One worker's closed loop: returns its latency samples and its
+/// adaptive counters (zeroed on the classic path).
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     config: &LoadConfig,
@@ -470,9 +446,8 @@ fn run_worker(
     device: usize,
     worker: usize,
     mut link: Option<ClientLink>,
-) -> (Vec<u64>, u64, AdaptiveLoadStats) {
-    let mut samples = Vec::with_capacity(config.plays_per_worker);
-    let mut span_ms = 0u64;
+) -> (LatencyHistogram, AdaptiveLoadStats) {
+    let mut samples = LatencyHistogram::new();
     let mut adaptive = AdaptiveLoadStats::default();
     for iter in 0..config.plays_per_worker {
         let title = FLEET_TITLES[iter % FLEET_TITLES.len()];
@@ -503,8 +478,7 @@ fn run_worker(
         }
         clock.advance_ms(lat);
         observe_play(lat);
-        samples.push(lat);
-        span_ms += lat;
+        samples.record(lat);
         // Periodic device check-in: re-runs the full provisioning
         // exchange. The device's RSA key is already memoized by the
         // provisioning server, so no check-in pays keygen.
@@ -516,7 +490,7 @@ fn run_worker(
             }
         }
     }
-    (samples, span_ms, adaptive)
+    (samples, adaptive)
 }
 
 fn observe_play(lat_ms: u64) {
@@ -1089,8 +1063,11 @@ mod tests {
 
     #[test]
     fn percentiles_are_exact_nearest_rank() {
-        let mut samples: Vec<u64> = (1..=100).collect();
-        let s = LatencySummary::from_samples(&mut samples);
+        let mut samples = LatencyHistogram::new();
+        for ms in (1..=100).rev() {
+            samples.record(ms);
+        }
+        let s = LatencySummary::from_histogram(&samples);
         assert_eq!((s.min_ms, s.p50_ms, s.p95_ms, s.p99_ms, s.max_ms), (1, 50, 95, 99, 100));
         assert_eq!(s.mean_ms, 50);
     }

@@ -24,7 +24,7 @@
 //! - which devices get a *real* end-to-end playback (validating the
 //!   derived cells against actual ecosystem behaviour) is a seed-hash
 //!   over the device id, not a per-shard counter;
-//! - merges are exact: histogram bucket-sums for percentiles, count
+//! - merges are exact: per-value histogram sums for percentiles, count
 //!   sums plus min-device-id exemplars for cells, name-wise sums for
 //!   counters — all commutative, so arrival order cannot show through.
 //!
@@ -47,7 +47,7 @@ use std::time::Duration;
 
 use wideleak_android_drm::campaign::{
     AppCells, CampaignCall, CampaignError, CampaignHandler, CampaignReply, CampaignSpec,
-    LatencyHistogram, ShardAssignment, ShardReport, CELL_KINDS,
+    ShardAssignment, ShardReport, CELL_KINDS,
 };
 use wideleak_android_drm::wire::{
     decode_frame, encode_frame, frame_len, FrameBody, HEADER_LEN, VERSION,
@@ -60,6 +60,7 @@ use wideleak_ott::content::L3_MAX_HEIGHT;
 use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
 use wideleak_ott::provisioning::REVOCATION_FLOOR;
 use wideleak_ott::OttError;
+use wideleak_telemetry::LatencyHistogram;
 
 /// Salt mixed into the campaign seed when electing devices for real
 /// playback validation, so the election is independent of the latency
@@ -148,9 +149,8 @@ pub fn derive_cell(model: &DeviceModel, profile: &AppProfile) -> CellKind {
 
 /// The modeled license-path latency of one (device, app) playback, in
 /// milliseconds: a per-cell base plus seeded jitter. A pure function of
-/// (campaign seed, device id, app index) — the sharding can never show
-/// through — and bounded far below the histogram's bucket cap, so the
-/// exact-merge property holds with no clamping.
+/// (campaign seed, device id, app index), so the sharding can never
+/// show through.
 #[must_use]
 pub fn modeled_latency_ms(seed: u64, device_id: u64, app_idx: usize, cell: CellKind) -> u64 {
     let base = match cell {
@@ -230,7 +230,7 @@ pub fn run_shard(
     });
 
     let mut cells: Vec<AppCells> = apps.iter().map(|p| AppCells::new(p.slug)).collect();
-    let mut latency = LatencyHistogram::new();
+    let mut latencies = Vec::new();
     let mut sampled_plays = 0u64;
     let mut sample_mismatches = 0u64;
 
@@ -245,7 +245,7 @@ pub fn run_shard(
         for (app_idx, profile) in apps.iter().enumerate() {
             let kind = derive_cell(&model, profile);
             cells[app_idx].record(kind.index(), device_id);
-            latency.record(modeled_latency_ms(spec.seed, device_id, app_idx, kind));
+            latencies.push(modeled_latency_ms(spec.seed, device_id, app_idx, kind));
             if let (true, Some(eco)) = (sampled, &eco) {
                 // A fresh stack per (device, app): platform provisioning
                 // state is per-install here, so an enforcing app always
@@ -270,7 +270,7 @@ pub fn run_shard(
         start: shard.start,
         end: shard.end,
         cells,
-        latency,
+        latency: latencies.into_iter().collect(),
         sampled_plays,
         sample_mismatches,
         counters: vec![
@@ -476,7 +476,7 @@ pub struct CampaignReport {
     pub spec: CampaignSpec,
     /// Merged per-app compliance cells over the whole catalog range.
     pub cells: Vec<AppCells>,
-    /// Merged latency histogram (exact bucket sums).
+    /// Merged latency histogram (exact per-value count sums).
     pub latency: LatencyHistogram,
     /// Real playbacks run across all shards.
     pub sampled_plays: u64,

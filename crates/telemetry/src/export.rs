@@ -1,6 +1,7 @@
 //! Exporters: render a [`Snapshot`](crate::Snapshot) as JSONL (one
-//! JSON object per line, machine-consumable) or as a human-readable
-//! summary table for the CLI's `stats` output.
+//! JSON object per line, machine-consumable), and read an export back
+//! into the human-readable summary table the CLI prints after a
+//! `--telemetry` run and for `wideleak stats`.
 //!
 //! The JSON encoder is hand-rolled — the workspace has no serde — and
 //! emits only the small, flat shapes below, with full string escaping.
@@ -132,71 +133,9 @@ pub fn humanize_ns(ns: u64) -> String {
     }
 }
 
-fn histogram_row(name: &str, h: &HistogramSummary, out: &mut String) {
-    let _ = writeln!(
-        out,
-        "  {:<44} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        name,
-        h.count,
-        humanize_ns(h.p50_ns),
-        humanize_ns(h.p90_ns),
-        humanize_ns(h.p95_ns),
-        humanize_ns(h.p99_ns),
-        humanize_ns(h.max_ns),
-    );
-}
-
-/// Renders a human-readable run summary: counters, gauges, latency
-/// percentiles and a per-name span rollup.
-#[must_use]
-pub fn summary_table(snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    out.push_str("== telemetry summary ==\n");
-
-    if !snapshot.counters.is_empty() {
-        out.push_str("counters:\n");
-        for (name, value) in &snapshot.counters {
-            let _ = writeln!(out, "  {name:<52} {value:>10}");
-        }
-    }
-
-    if !snapshot.gauges.is_empty() {
-        out.push_str("gauges:\n");
-        for (name, value) in &snapshot.gauges {
-            let _ = writeln!(out, "  {name:<52} {value:>10}");
-        }
-    }
-
-    if !snapshot.histograms.is_empty() {
-        let _ = writeln!(
-            out,
-            "latency:\n  {:<44} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "histogram", "count", "p50", "p90", "p95", "p99", "max"
-        );
-        for (name, h) in &snapshot.histograms {
-            histogram_row(name, h, &mut out);
-        }
-    }
-
-    if !snapshot.spans.is_empty() {
-        // Roll spans up by name: count and total self time.
-        let mut rollup: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-        for s in &snapshot.spans {
-            let e = rollup.entry(s.name).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s.duration_ns;
-        }
-        let _ = writeln!(out, "spans:\n  {:<44} {:>8} {:>10}", "name", "count", "total");
-        for (name, (count, total_ns)) in rollup {
-            let _ = writeln!(out, "  {:<44} {:>8} {:>10}", name, count, humanize_ns(total_ns));
-        }
-    }
-    out
-}
-
 /// A run re-read from a JSONL export — what `wideleak stats <file>`
-/// renders. Span records collapse into a per-name rollup; histogram
-/// lines already carry their summaries.
+/// and a `--telemetry` run render. Span records collapse into a
+/// per-name rollup; histogram lines already carry their summaries.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedRun {
     /// Counter values, in file order.
@@ -311,7 +250,8 @@ pub fn parse_jsonl(text: &str) -> ParsedRun {
     run
 }
 
-/// Renders a [`ParsedRun`] in the same style as [`summary_table`].
+/// Renders a human-readable run summary: counters, gauges, latency
+/// percentiles and a per-name span rollup.
 #[must_use]
 pub fn parsed_summary_table(run: &ParsedRun) -> String {
     let mut out = String::new();
@@ -335,7 +275,17 @@ pub fn parsed_summary_table(run: &ParsedRun) -> String {
             "histogram", "count", "p50", "p90", "p95", "p99", "max"
         );
         for (name, h) in &run.histograms {
-            histogram_row(name, h, &mut out);
+            let _ = writeln!(
+                out,
+                "  {:<44} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
+                name,
+                h.count,
+                humanize_ns(h.p50_ns),
+                humanize_ns(h.p90_ns),
+                humanize_ns(h.p95_ns),
+                humanize_ns(h.p99_ns),
+                humanize_ns(h.max_ns),
+            );
         }
     }
     if !run.span_rollup.is_empty() {
@@ -401,7 +351,7 @@ mod tests {
 
     #[test]
     fn summary_table_mentions_every_section() {
-        let table = summary_table(&sample_snapshot());
+        let table = parsed_summary_table(&parse_jsonl(&to_jsonl(&sample_snapshot())));
         for needle in ["counters:", "gauges:", "latency:", "spans:", "requests", "queue_depth"] {
             assert!(table.contains(needle), "missing {needle} in:\n{table}");
         }

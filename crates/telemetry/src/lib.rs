@@ -11,8 +11,11 @@
 //!   each span also feeds a latency histogram of the same name;
 //! - [`incr`] / [`add`] — named monotonic counters;
 //! - [`observe`] — named fixed-bucket histograms with p50/p90/p99;
+//! - [`LatencyHistogram`] — the exact, mergeable histogram every
+//!   percentile in the workspace is read from;
 //! - [`export`] — a run [`Snapshot`] rendered as JSONL (one object per
-//!   line) or a human-readable summary table.
+//!   line), and a JSONL export read back and rendered as a
+//!   human-readable summary table.
 //!
 //! The global collector starts **disabled**: every entry point checks
 //! one relaxed atomic load and returns inert guards, so uninstrumented
@@ -39,9 +42,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-pub use export::{summary_table, to_jsonl};
+pub use export::to_jsonl;
 pub use expose::ExpositionServer;
-pub use metrics::{CounterHandle, Histogram, HistogramSummary, Registry};
+pub use metrics::{CounterHandle, Histogram, HistogramSummary, LatencyHistogram, Registry};
 pub use span::{FieldValue, SpanGuard, SpanRecord};
 pub use trace::{TraceContext, TraceGuard, TraceSpan};
 

@@ -1,13 +1,16 @@
-//! Counters and fixed-bucket latency histograms.
+//! Counters, fixed-bucket latency histograms and the exact histogram
+//! every percentile in the workspace is read from.
 //!
-//! Both are lock-free on the hot path: a counter is an `AtomicU64`
-//! handed out as an `Arc`, and a histogram is a fixed array of atomic
-//! bucket counts indexed by the position of the highest set bit of the
-//! observed nanosecond value. Registration (first use of a name) takes
-//! a short-lived write lock; every subsequent observation is a relaxed
-//! atomic increment.
+//! Counters and [`Histogram`]s are lock-free on the hot path: a counter
+//! is an `AtomicU64` handed out as an `Arc`, and a histogram is a fixed
+//! array of atomic bucket counts indexed by the position of the highest
+//! set bit of the observed nanosecond value. Registration (first use of
+//! a name) takes a short-lived write lock; every subsequent observation
+//! is a relaxed atomic increment. [`LatencyHistogram`] is the exact,
+//! single-owner one: it keeps every distinct value with its count, so
+//! merging two of them equals recording the concatenated samples.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,14 +42,131 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
+/// An exact latency histogram: every distinct recorded value with the
+/// number of times it was recorded.
+///
+/// Count, sum, min and max are read off the entries, so they cannot
+/// disagree with them. `merge` adds entries value by value, which is
+/// commutative and associative and equals recording the concatenated
+/// samples, so merged percentiles are those of the raw samples.
+/// [`LatencyHistogram::percentile`] is the workspace's one percentile
+/// rule.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LatencyHistogram {
+    entries: BTreeMap<u64, u64>,
+}
+
+impl LatencyHistogram {
+    /// An empty histogram.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of `value`; `n == 0` records nothing.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n > 0 {
+            *self.entries.entry(value).or_insert(0) += n;
+        }
+    }
+
+    /// Folds another histogram in. Commutative and associative, so a
+    /// merged result is independent of the order shards arrive in.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        for (value, n) in other.entries() {
+            self.record_n(value, n);
+        }
+    }
+
+    /// The `(value, count)` entries in ascending value order, every
+    /// count nonzero.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        self.entries.iter().map(|(&value, &n)| (value, n))
+    }
+
+    /// Total samples recorded.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.entries.values().sum()
+    }
+
+    fn wide_sum(&self) -> u128 {
+        self.entries().map(|(value, n)| u128::from(value) * u128::from(n)).sum()
+    }
+
+    /// Sum of all recorded samples, saturating at `u64::MAX`.
+    #[must_use]
+    pub fn sum(&self) -> u64 {
+        u64::try_from(self.wide_sum()).unwrap_or(u64::MAX)
+    }
+
+    /// Smallest recorded sample, `None` when empty.
+    #[must_use]
+    pub fn min(&self) -> Option<u64> {
+        self.entries.keys().next().copied()
+    }
+
+    /// Largest recorded sample, `None` when empty.
+    #[must_use]
+    pub fn max(&self) -> Option<u64> {
+        self.entries.keys().next_back().copied()
+    }
+
+    /// Integer mean (floor), `None` when empty.
+    #[must_use]
+    pub fn mean(&self) -> Option<u64> {
+        let count = u128::from(self.count());
+        (count > 0).then(|| {
+            u64::try_from(self.wide_sum() / count).expect("the mean lies between min and max")
+        })
+    }
+
+    /// The nearest-rank `num/den` percentile (`num <= den`), `None` when
+    /// empty: the sample at zero-based rank `(count - 1) * num / den` of
+    /// the sorted samples.
+    #[must_use]
+    pub fn percentile(&self, num: u64, den: u64) -> Option<u64> {
+        let last = self.count().checked_sub(1)?;
+        let rank = u128::from(last) * u128::from(num) / u128::from(den);
+        let mut seen = 0u128;
+        for (value, n) in self.entries() {
+            seen += u128::from(n);
+            if seen > rank {
+                return Some(value);
+            }
+        }
+        self.max()
+    }
+}
+
+/// Collects a batch of samples. Sorting the batch and recording each
+/// run of equal values once is several times cheaper than recording
+/// the samples one by one when values repeat.
+impl FromIterator<u64> for LatencyHistogram {
+    fn from_iter<I: IntoIterator<Item = u64>>(samples: I) -> Self {
+        let mut sorted: Vec<u64> = samples.into_iter().collect();
+        sorted.sort_unstable();
+        let mut h = LatencyHistogram::new();
+        for run in sorted.chunk_by(|a, b| a == b) {
+            h.record_n(run[0], run.len() as u64);
+        }
+        h
+    }
+}
+
 /// A fixed-bucket latency histogram with power-of-two bucket bounds.
 ///
-/// Observations are recorded lock-free; quantile queries walk the
-/// bucket array and report the bucket upper bound (clamped to the
-/// observed maximum), so `p50 <= p90 <= p99 <= max` always holds.
+/// Observations are recorded lock-free. A summary reads its
+/// percentiles from a [`LatencyHistogram`] that holds each non-empty
+/// bucket at its upper bound, clamped to the observed maximum, so
+/// `min <= p50 <= p90 <= p95 <= p99 <= max` always holds.
 pub struct Histogram {
     counts: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_ns: AtomicU64,
     min_ns: AtomicU64,
     max_ns: AtomicU64,
@@ -56,7 +176,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             min_ns: AtomicU64::new(u64::MAX),
             max_ns: AtomicU64::new(0),
@@ -69,53 +188,30 @@ impl Histogram {
     pub fn observe(&self, d: Duration) {
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         self.counts[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.min_ns.fetch_min(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Total number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Estimates the `q`-quantile (`0.0..=1.0`) in nanoseconds.
-    ///
-    /// Returns the upper bound of the bucket containing the quantile,
-    /// clamped to the observed maximum; `0` when empty.
-    #[must_use]
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let total = self.count.load(Ordering::Relaxed);
-        if total == 0 {
-            return 0;
-        }
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= target {
-                return bucket_upper_bound(i).min(self.max_ns.load(Ordering::Relaxed));
-            }
-        }
-        self.max_ns.load(Ordering::Relaxed)
-    }
-
     /// An immutable summary of the current state.
     #[must_use]
     pub fn summary(&self) -> HistogramSummary {
-        let count = self.count.load(Ordering::Relaxed);
+        let max_ns = self.max_ns.load(Ordering::Relaxed);
+        let mut view = LatencyHistogram::new();
+        for (i, n) in self.counts.iter().enumerate() {
+            view.record_n(bucket_upper_bound(i).min(max_ns), n.load(Ordering::Relaxed));
+        }
+        let count = view.count();
+        let p = |num| view.percentile(num, 100).unwrap_or(0);
         HistogramSummary {
             count,
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
             min_ns: if count == 0 { 0 } else { self.min_ns.load(Ordering::Relaxed) },
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-            p50_ns: self.quantile_ns(0.50),
-            p90_ns: self.quantile_ns(0.90),
-            p95_ns: self.quantile_ns(0.95),
-            p99_ns: self.quantile_ns(0.99),
+            max_ns,
+            p50_ns: p(50),
+            p90_ns: p(90),
+            p95_ns: p(95),
+            p99_ns: p(99),
         }
     }
 }
@@ -364,6 +460,58 @@ mod tests {
         assert_eq!(s.p95_ns, 1_000_000);
         assert_eq!(s.p99_ns, 1_000_000);
         assert!(s.p50_ns <= s.p90_ns && s.p90_ns <= s.p95_ns && s.p95_ns <= s.p99_ns);
+    }
+
+    #[test]
+    fn histogram_percentiles_match_sorted_samples() {
+        let samples = [3u64, 9, 9, 14, 14, 14, 27, 101, 205, 301];
+        let mut h = LatencyHistogram::new();
+        for &s in &samples {
+            h.record(s);
+        }
+        let q = |num: u64, den: u64| samples[((samples.len() as u64 - 1) * num / den) as usize];
+        assert_eq!(h.percentile(50, 100), Some(q(50, 100)));
+        assert_eq!(h.percentile(95, 100), Some(q(95, 100)));
+        assert_eq!(h.percentile(99, 100), Some(q(99, 100)));
+        assert_eq!(h.min(), Some(3));
+        assert_eq!(h.max(), Some(301));
+        assert_eq!(h.sum(), samples.iter().sum::<u64>());
+        assert_eq!(h.mean(), Some(samples.iter().sum::<u64>() / samples.len() as u64));
+    }
+
+    #[test]
+    fn histogram_merge_equals_concatenation() {
+        let mut a = LatencyHistogram::new();
+        let mut b = LatencyHistogram::new();
+        let mut all = LatencyHistogram::new();
+        for &s in &[5u64, 8, 8, 60] {
+            a.record(s);
+            all.record(s);
+        }
+        for &s in &[1u64, 8, 200] {
+            b.record(s);
+            all.record(s);
+        }
+        let mut merged = LatencyHistogram::new();
+        merged.merge(&a);
+        merged.merge(&b);
+        assert_eq!(merged, all);
+        // Merging an empty histogram is the identity.
+        merged.merge(&LatencyHistogram::new());
+        assert_eq!(merged, all);
+        // Collecting a batch records the same entries.
+        assert_eq!([5u64, 8, 8, 60, 1, 8, 200].into_iter().collect::<LatencyHistogram>(), all);
+    }
+
+    #[test]
+    fn empty_histogram_has_no_stats() {
+        let h = LatencyHistogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.sum(), 0);
+        assert_eq!(h.min(), None);
+        assert_eq!(h.max(), None);
+        assert_eq!(h.mean(), None);
+        assert_eq!(h.percentile(50, 100), None);
     }
 
     #[test]

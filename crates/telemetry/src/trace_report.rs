@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 
 use crate::export::humanize_ns;
 use crate::trace::ParsedTraceSpan;
+use crate::LatencyHistogram;
 
 /// How many slowest traces the exemplar section renders.
 const EXEMPLAR_COUNT: usize = 3;
@@ -96,37 +97,31 @@ pub fn assemble(spans: &[ParsedTraceSpan]) -> Vec<AssembledTrace> {
         .collect()
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-    #[allow(clippy::cast_sign_loss)]
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+/// A percentile of `h` for display; `0ns` when `h` is empty.
+fn humanize_percentile(h: &LatencyHistogram, num: u64) -> String {
+    humanize_ns(h.percentile(num, 100).unwrap_or(0))
 }
 
 /// Renders the per-phase latency table: one row per span name with
 /// count, p50, p90 and max durations.
 #[must_use]
 pub fn render_phase_table(spans: &[ParsedTraceSpan]) -> String {
-    let mut by_phase: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+    let mut by_phase: BTreeMap<&str, LatencyHistogram> = BTreeMap::new();
     for span in spans {
-        by_phase.entry(&span.name).or_default().push(span.duration_ns);
+        by_phase.entry(&span.name).or_default().record(span.duration_ns);
     }
     let mut out = String::from("per-phase latency\n");
     let _ =
         writeln!(out, "  {:<28} {:>7} {:>10} {:>10} {:>10}", "phase", "count", "p50", "p90", "max");
-    for (phase, mut durations) in by_phase {
-        durations.sort_unstable();
+    for (phase, durations) in by_phase {
         let _ = writeln!(
             out,
             "  {:<28} {:>7} {:>10} {:>10} {:>10}",
             phase,
-            durations.len(),
-            humanize_ns(percentile(&durations, 0.50)),
-            humanize_ns(percentile(&durations, 0.90)),
-            humanize_ns(*durations.last().unwrap_or(&0)),
+            durations.count(),
+            humanize_percentile(&durations, 50),
+            humanize_percentile(&durations, 90),
+            humanize_ns(durations.max().unwrap_or(0)),
         );
     }
     out
@@ -201,8 +196,8 @@ pub fn render_trace_tree(trace: &AssembledTrace) -> String {
 pub fn render_fault_correlation(traces: &[AssembledTrace]) -> String {
     let mut fault_counts: BTreeMap<&str, u64> = BTreeMap::new();
     let mut error_counts: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut faulted: Vec<u64> = Vec::new();
-    let mut clean: Vec<u64> = Vec::new();
+    let mut faulted = LatencyHistogram::new();
+    let mut clean = LatencyHistogram::new();
     for trace in traces {
         let faults = trace.faults();
         for f in &faults {
@@ -212,21 +207,19 @@ pub fn render_fault_correlation(traces: &[AssembledTrace]) -> String {
             *error_counts.entry(e).or_default() += 1;
         }
         if faults.is_empty() {
-            clean.push(trace.duration_ns());
+            clean.record(trace.duration_ns());
         } else {
-            faulted.push(trace.duration_ns());
+            faulted.record(trace.duration_ns());
         }
     }
-    clean.sort_unstable();
-    faulted.sort_unstable();
     let mut out = String::from("fault correlation\n");
     let _ = writeln!(
         out,
         "  traces: {} clean (p50 {}), {} faulted (p50 {})",
-        clean.len(),
-        humanize_ns(percentile(&clean, 0.50)),
-        faulted.len(),
-        humanize_ns(percentile(&faulted, 0.50)),
+        clean.count(),
+        humanize_percentile(&clean, 50),
+        faulted.count(),
+        humanize_percentile(&faulted, 50),
     );
     if fault_counts.is_empty() {
         out.push_str("  no fault annotations recorded\n");
@@ -320,9 +313,13 @@ mod tests {
         assert!(table.contains("drm.call"));
         assert!(table.contains("tcp.roundtrip"));
         assert!(table.contains("server.handle"));
-        // Two drm.call spans aggregate into one row with count 2.
+        // Two drm.call spans (5us and 9us) aggregate into one row with
+        // count 2; p50 and p90 sit at zero-based rank 0.
         let row = table.lines().find(|l| l.contains("drm.call")).unwrap();
-        assert!(row.contains(" 2 "), "{row}");
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            ["drm.call", "2", "5.0us", "5.0us", "9.0us"]
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests for the histogram: quantile ordering, bucket
+//! Property tests for the histogram: percentile ordering, bucket
 //! boundary arithmetic and summary consistency on arbitrary inputs.
 
 use std::time::Duration;
@@ -16,10 +16,8 @@ proptest! {
             h.observe(Duration::from_nanos(*v));
         }
         let s = h.summary();
-        prop_assert!(s.p50_ns <= s.p90_ns);
-        prop_assert!(s.p90_ns <= s.p99_ns);
-        prop_assert!(s.p99_ns <= s.max_ns);
-        prop_assert!(s.min_ns <= s.p50_ns.max(s.min_ns));
+        let chain = [s.min_ns, s.p50_ns, s.p90_ns, s.p95_ns, s.p99_ns, s.max_ns];
+        prop_assert!(chain.windows(2).all(|w| w[0] <= w[1]), "{:?}", chain);
     }
 
     #[test]
@@ -51,8 +49,9 @@ proptest! {
             h.observe(Duration::from_nanos(*v));
         }
         let max = *values.iter().max().unwrap();
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            prop_assert!(h.quantile_ns(q) <= max);
+        let s = h.summary();
+        for p in [s.p50_ns, s.p90_ns, s.p95_ns, s.p99_ns] {
+            prop_assert!(p <= max);
         }
     }
 }
