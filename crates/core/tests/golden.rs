@@ -48,12 +48,37 @@ macro_rules! goldens {
 
 goldens! {
     study: ["--fast", "study"],
-    study_tcp: ["--fast", "--transport", "tcp", "study"],
     attack: ["--fast", "attack"],
     resilience: ["--quick", "resilience"],
     adapt: ["--quick", "adapt"],
     load: ["--quick", "load"],
-    load_tcp: ["--quick", "--transport", "tcp", "load"],
+    load_inprocess: ["--quick", "--transport", "inprocess", "load"],
     load_constricted: ["--quick", "--congestion", "constricted", "load"],
     campaign: ["campaign", "--quick", "--workers", "2"],
+}
+
+/// The study report does not depend on the transport, so over TCP it
+/// must print the in-process golden.
+#[test]
+fn study_tcp() {
+    golden("study.txt", &["--fast", "--transport", "tcp", "study"]);
+}
+
+/// Each golden pins a report no other golden already pins.
+#[test]
+fn goldens_are_distinct() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let goldens: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("golden directory is readable")
+        .map(|entry| {
+            let path = entry.expect("golden entry is readable").path();
+            let bytes = std::fs::read(&path).expect("golden is readable");
+            (path.display().to_string(), bytes)
+        })
+        .collect();
+    for (i, (a, a_bytes)) in goldens.iter().enumerate() {
+        for (b, b_bytes) in &goldens[i + 1..] {
+            assert_ne!(a_bytes, b_bytes, "{a} and {b} are byte-identical");
+        }
+    }
 }
