@@ -51,6 +51,8 @@
 //! Every peer is this build, so that is an equality check against
 //! [`VERSION`].
 
+use std::collections::BTreeSet;
+
 use wideleak_bmff::types::{KeyId, Subsample};
 use wideleak_cdm::oemcrypto::SampleCrypto;
 use wideleak_cdm::CdmError;
@@ -456,11 +458,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Like [`Self::string`], but interning the result so variants whose
-    /// reason fields are `&'static str` round-trip. The intern table only
-    /// ever holds distinct reason strings, so its growth is bounded by
-    /// the error vocabulary, not by traffic.
+    /// reason fields are `&'static str` round-trip. The bytes come from a
+    /// peer, so the leaked intern table is bounded by `intern_into`'s two
+    /// caps, not by the error vocabulary: a reason longer than
+    /// `MAX_REASON_LEN` bytes, or a new one once the table holds
+    /// `MAX_INTERNED` entries, is `Malformed`.
     pub(crate) fn static_str(&mut self, what: &'static str) -> Result<&'static str, WireError> {
-        Ok(intern(&self.string(what)?))
+        intern(&self.string(what)?).ok_or(WireError::Malformed { what })
     }
 
     /// Rejects trailing garbage after a fully decoded payload.
@@ -522,21 +526,40 @@ impl Writer {
     }
 }
 
-/// Interns a string, returning a `&'static str` with the same contents.
-/// Needed because several error variants carry `&'static str` reasons
-/// that must survive a trip over the wire. Entries are deduplicated, so
-/// the leaked set is bounded by the distinct reasons ever decoded.
-fn intern(s: &str) -> &'static str {
-    use std::collections::BTreeSet;
+/// The longest reason string `Reader::static_str` accepts. Every reason
+/// this build sends is a string literal of at most 43 bytes.
+const MAX_REASON_LEN: usize = 128;
+
+/// The most distinct reasons the process-wide intern table holds. This
+/// build sends about 100.
+const MAX_INTERNED: usize = 1024;
+
+/// Interns a string in the process-wide table, returning a `&'static str`
+/// with the same contents. Needed because several error variants carry
+/// `&'static str` reasons that must survive a trip over the wire.
+fn intern(s: &str) -> Option<&'static str> {
     use std::sync::Mutex;
     static TABLE: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut table = TABLE.lock().expect("intern table lock");
+    intern_into(&mut TABLE.lock().expect("intern table lock"), s)
+}
+
+/// Returns `table`'s entry equal to `s`, leaking and inserting a copy if
+/// there is none. Leaked entries are never freed, so the table is capped
+/// at `MAX_INTERNED` entries of at most `MAX_REASON_LEN` bytes:
+/// `None` for a longer `s`, or for a new `s` once the table is full.
+fn intern_into(table: &mut BTreeSet<&'static str>, s: &str) -> Option<&'static str> {
+    if s.len() > MAX_REASON_LEN {
+        return None;
+    }
     if let Some(existing) = table.get(s) {
-        return existing;
+        return Some(existing);
+    }
+    if table.len() >= MAX_INTERNED {
+        return None;
     }
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
     table.insert(leaked);
-    leaked
+    Some(leaked)
 }
 
 // ---------------------------------------------------------------------
@@ -1289,9 +1312,36 @@ mod tests {
 
     #[test]
     fn interned_reasons_are_pointer_stable() {
-        let a = intern("some reason");
-        let b = intern("some reason");
+        let a = intern("some reason").unwrap();
+        let b = intern("some reason").unwrap();
         assert!(std::ptr::eq(a, b), "same contents intern to the same allocation");
+    }
+
+    #[test]
+    fn oversized_reason_is_malformed() {
+        let reason: &'static str = Box::leak("x".repeat(1 << 20).into_boxed_str());
+        let body = FrameBody::Reply(Err(DrmError::Cdm(CdmError::BadMessage { reason })));
+        assert_eq!(
+            decode_frame(&encode_frame(&body)),
+            Err(WireError::Malformed { what: "message reason" })
+        );
+        // At the cap itself the reason still round-trips.
+        let reason: &'static str = Box::leak("y".repeat(MAX_REASON_LEN).into_boxed_str());
+        let body = FrameBody::Reply(Err(DrmError::Cdm(CdmError::BadMessage { reason })));
+        assert_eq!(decode_frame(&encode_frame(&body)).unwrap().0, body);
+    }
+
+    #[test]
+    fn full_intern_table_takes_only_known_reasons() {
+        let mut table = BTreeSet::new();
+        for i in 0..MAX_INTERNED {
+            assert!(intern_into(&mut table, &format!("reason {i}")).is_some());
+        }
+        assert_eq!(intern_into(&mut table, "one reason too many"), None);
+        let known = intern_into(&mut table, "reason 7").expect("known reasons still intern");
+        assert!(std::ptr::eq(known, *table.get("reason 7").unwrap()));
+        assert_eq!(table.len(), MAX_INTERNED);
+        assert_eq!(intern_into(&mut BTreeSet::new(), &"z".repeat(MAX_REASON_LEN + 1)), None);
     }
 
     #[test]
