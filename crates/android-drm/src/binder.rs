@@ -724,18 +724,14 @@ mod tests {
     /// serving: the reactor neither closes it nor desyncs its framing.
     #[test]
     fn server_panic_crosses_the_wire_and_the_connection_keeps_serving() {
-        use crate::wire::{decode_frame, encode_frame, frame_len, FrameBody, HEADER_LEN};
-        use std::io::{Read, Write};
+        use crate::wire::{decode_frame, encode_frame, read_frame, FrameBody};
+        use std::io::Write;
 
         let srv = TcpDrmServer::bind("127.0.0.1:0", panicking_server()).unwrap();
         let mut stream = std::net::TcpStream::connect(srv.local_addr()).unwrap();
         let mut round_trip = |call: DrmCall| {
             stream.write_all(&encode_frame(&FrameBody::Call(call))).unwrap();
-            let mut header = [0u8; HEADER_LEN];
-            stream.read_exact(&mut header).unwrap();
-            let mut frame = vec![0u8; frame_len(&header).unwrap()];
-            frame[..HEADER_LEN].copy_from_slice(&header);
-            stream.read_exact(&mut frame[HEADER_LEN..]).unwrap();
+            let frame = read_frame(&mut stream).unwrap().expect("a reply before EOF");
             decode_frame(&frame).unwrap().0
         };
         for _ in 0..3 {

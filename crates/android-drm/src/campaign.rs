@@ -1,6 +1,7 @@
 //! The campaign control channel: the message family a coordinator uses
-//! to drive `wideleak serve --worker` processes over the same wire-v3
-//! codec the DRM plane speaks.
+//! to drive `wideleak serve --worker` processes, framed by the same
+//! wire-v3 codec the DRM plane speaks and carried over each worker's
+//! stdin and stdout. A DRM server refuses these frames.
 //!
 //! A *campaign* re-derives the paper's Table-I compliance matrix across
 //! a generated catalog of thousands of device models, sharded by
@@ -25,7 +26,7 @@
 
 use wideleak_telemetry::LatencyHistogram;
 
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{decode_wire_error, encode_wire_error, Reader, WireError, Writer};
 
 /// Compliance cell kinds per (device, app) pair — the Table-I vocabulary
 /// widened to the generated catalog. The protocol layer only fixes the
@@ -295,7 +296,8 @@ impl ShardReport {
 /// A coordinator-to-worker transaction on the campaign control channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CampaignCall {
-    /// Handshake: is there a campaign-capable worker on this socket?
+    /// Handshake: is there a campaign worker on the other end of the
+    /// pipes? Its answer is the worker's readiness check.
     Hello,
     /// Run one shard of the campaign and reply with its report.
     RunShard {
@@ -304,8 +306,6 @@ pub enum CampaignCall {
         /// This worker's slice of it.
         shard: ShardAssignment,
     },
-    /// Ask the worker process to exit once the reply is flushed.
-    Shutdown,
 }
 
 /// A worker-to-coordinator outcome on the campaign control channel.
@@ -320,8 +320,6 @@ pub enum CampaignReply {
     },
     /// The shard's results.
     ShardDone(ShardReport),
-    /// Shutdown acknowledged; the process exits after flushing this.
-    ShuttingDown,
 }
 
 /// Everything that can go wrong with a campaign, as a typed taxonomy.
@@ -330,7 +328,8 @@ pub enum CampaignReply {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CampaignError {
     /// A worker's control channel died before its shard report arrived
-    /// (process crash, kill, or connection loss).
+    /// (process crash, kill, or a shard outliving the coordinator's
+    /// deadline).
     ShardLost {
         /// The shard whose worker was lost.
         shard_id: u32,
@@ -397,27 +396,15 @@ impl wideleak_faults::ErrorClass for CampaignError {
     }
 }
 
-/// What a server does with campaign calls. `wideleak serve --worker`
-/// registers one; a plain `wideleak serve` has none, and campaign
-/// frames sent at it get a typed [`CampaignError::Protocol`] refusal.
-pub trait CampaignHandler: Send + Sync {
-    /// Handles one campaign transaction. `RunShard` may take seconds —
-    /// it runs on a dispatch worker, so the reactor's IO loop keeps
-    /// breathing underneath it.
-    fn handle(&self, call: CampaignCall) -> Result<CampaignReply, CampaignError>;
-}
-
 // ---------------------------------------------------------------------
 // Wire encoding (frame payloads; framing itself lives in `wire`)
 // ---------------------------------------------------------------------
 
 const CALL_HELLO: u8 = 0;
 const CALL_RUN_SHARD: u8 = 1;
-const CALL_SHUTDOWN: u8 = 2;
 
 const REPLY_HELLO_ACK: u8 = 0;
 const REPLY_SHARD_DONE: u8 = 1;
-const REPLY_SHUTTING_DOWN: u8 = 2;
 
 const ERR_SHARD_LOST: u8 = 0;
 const ERR_SPAWN: u8 = 1;
@@ -436,9 +423,6 @@ pub(crate) fn encode_campaign_call(call: &CampaignCall) -> Vec<u8> {
             spec.encode(&mut w);
             w.u32(shard.shard_id).u64(shard.start).u64(shard.end);
         }
-        CampaignCall::Shutdown => {
-            w.u8(CALL_SHUTDOWN);
-        }
     }
     w.into_inner()
 }
@@ -455,7 +439,6 @@ pub(crate) fn decode_campaign_call(r: &mut Reader<'_>) -> Result<CampaignCall, W
             };
             Ok(CampaignCall::RunShard { spec, shard })
         }
-        CALL_SHUTDOWN => Ok(CampaignCall::Shutdown),
         _ => Err(WireError::Malformed { what: "unknown campaign call tag" }),
     }
 }
@@ -472,9 +455,6 @@ pub(crate) fn encode_campaign_reply(reply: &Result<CampaignReply, CampaignError>
                 CampaignReply::ShardDone(report) => {
                     w.u8(REPLY_SHARD_DONE);
                     report.encode(&mut w);
-                }
-                CampaignReply::ShuttingDown => {
-                    w.u8(REPLY_SHUTTING_DOWN);
                 }
             }
         }
@@ -496,7 +476,6 @@ pub(crate) fn decode_campaign_reply(
                 wire_version: r.u8("hello ack wire version")?,
             })),
             REPLY_SHARD_DONE => Ok(Ok(CampaignReply::ShardDone(ShardReport::decode(r)?))),
-            REPLY_SHUTTING_DOWN => Ok(Ok(CampaignReply::ShuttingDown)),
             _ => Err(WireError::Malformed { what: "unknown campaign reply tag" }),
         },
         0 => Ok(Err(decode_campaign_error(r)?)),
@@ -533,59 +512,6 @@ fn decode_campaign_error(r: &mut Reader<'_>) -> Result<CampaignError, WireError>
         ERR_WORKER => Ok(CampaignError::Worker { what: r.string("worker error")? }),
         ERR_WIRE => Ok(CampaignError::Wire(decode_wire_error(r)?)),
         _ => Err(WireError::Malformed { what: "unknown campaign error tag" }),
-    }
-}
-
-const WERR_TRUNCATED: u8 = 0;
-const WERR_OVERSIZED: u8 = 1;
-const WERR_BAD_MAGIC: u8 = 2;
-const WERR_UNSUPPORTED_VERSION: u8 = 3;
-const WERR_BAD_CRC: u8 = 4;
-const WERR_MALFORMED: u8 = 5;
-
-fn encode_wire_error(w: &mut Writer, e: &WireError) {
-    match e {
-        WireError::Truncated { needed, got } => {
-            w.u8(WERR_TRUNCATED).u64(*needed as u64).u64(*got as u64);
-        }
-        WireError::Oversized { len, max } => {
-            w.u8(WERR_OVERSIZED).u64(*len as u64).u64(*max as u64);
-        }
-        WireError::BadMagic { found } => {
-            w.u8(WERR_BAD_MAGIC).raw(found);
-        }
-        WireError::UnsupportedVersion { version } => {
-            w.u8(WERR_UNSUPPORTED_VERSION).u8(*version);
-        }
-        WireError::BadCrc { expected, found } => {
-            w.u8(WERR_BAD_CRC).u32(*expected).u32(*found);
-        }
-        WireError::Malformed { what } => {
-            w.u8(WERR_MALFORMED).string(what);
-        }
-    }
-}
-
-fn decode_wire_error(r: &mut Reader<'_>) -> Result<WireError, WireError> {
-    match r.u8("nested wire error tag")? {
-        WERR_TRUNCATED => Ok(WireError::Truncated {
-            needed: r.u64("truncated needed")? as usize,
-            got: r.u64("truncated got")? as usize,
-        }),
-        WERR_OVERSIZED => Ok(WireError::Oversized {
-            len: r.u64("oversized len")? as usize,
-            max: r.u64("oversized max")? as usize,
-        }),
-        WERR_BAD_MAGIC => Ok(WireError::BadMagic { found: r.array("bad magic bytes")? }),
-        WERR_UNSUPPORTED_VERSION => {
-            Ok(WireError::UnsupportedVersion { version: r.u8("unsupported version")? })
-        }
-        WERR_BAD_CRC => Ok(WireError::BadCrc {
-            expected: r.u32("bad crc expected")?,
-            found: r.u32("bad crc found")?,
-        }),
-        WERR_MALFORMED => Ok(WireError::Malformed { what: r.static_str("malformed what")? }),
-        _ => Err(WireError::Malformed { what: "unknown nested wire error tag" }),
     }
 }
 
@@ -647,14 +573,12 @@ mod tests {
             spec: sample_spec(),
             shard: ShardAssignment { shard_id: 3, start: 0, end: 1024 },
         });
-        roundtrip_call(CampaignCall::Shutdown);
     }
 
     #[test]
     fn campaign_replies_roundtrip() {
         roundtrip_reply(Ok(CampaignReply::HelloAck { pid: 4242, wire_version: 3 }));
         roundtrip_reply(Ok(CampaignReply::ShardDone(sample_report())));
-        roundtrip_reply(Ok(CampaignReply::ShuttingDown));
     }
 
     #[test]
@@ -664,6 +588,10 @@ mod tests {
             CampaignError::Spawn { what: "no such binary".into() },
             CampaignError::Protocol { what: "reply out of step".into() },
             CampaignError::Worker { what: "unknown app slug".into() },
+            CampaignError::Wire(WireError::Truncated { needed: 4108, got: 12 }),
+            CampaignError::Wire(WireError::Oversized { len: 1 << 30, max: 16 << 20 }),
+            CampaignError::Wire(WireError::BadMagic { found: *b"HTTP" }),
+            CampaignError::Wire(WireError::UnsupportedVersion { version: 2 }),
             CampaignError::Wire(WireError::BadCrc { expected: 1, found: 2 }),
             CampaignError::Wire(WireError::Malformed { what: "spec kill flag" }),
         ] {

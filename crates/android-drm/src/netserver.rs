@@ -136,10 +136,18 @@ fn read_frame_deadline(stream: &mut TcpStream, deadline: Duration) -> std::io::R
     }
 }
 
-/// A pooled connection slot: `Some` holds a live socket, `None` marks a
-/// slot whose connection died (or was never opened) — checking out a
-/// `None` slot triggers a reconnect, which is the health check.
-type ConnSlot = Option<TcpStream>;
+/// A pooled connection slot. Checking out a slot without a live socket
+/// dials one; only re-dialling a [`Dead`](ConnSlot::Dead) slot is a
+/// reconnect, which is the health check.
+enum ConnSlot {
+    /// Never dialled: the pool opens its sockets lazily.
+    Unopened,
+    /// A live socket.
+    Live(TcpStream),
+    /// The slot's connection died (an IO or frame error, or a drop
+    /// fault severed it).
+    Dead,
+}
 
 /// Builds a [`TcpBinder`] — pool size, read deadline, fault plane and
 /// target are configured here.
@@ -198,7 +206,7 @@ impl TcpBinderBuilder {
         };
         let (slot_tx, slot_rx) = mpsc::sync_channel::<ConnSlot>(self.pool_size);
         for _ in 0..self.pool_size {
-            slot_tx.send(None).expect("pre-filling the connection pool");
+            slot_tx.send(ConnSlot::Unopened).expect("pre-filling the connection pool");
         }
         Ok(TcpBinder {
             addr,
@@ -219,10 +227,11 @@ impl TcpBinderBuilder {
 /// Pool behaviour: a transaction checks a slot out of a bounded `std`
 /// channel (blocking when all are in flight, which bounds concurrent
 /// sockets; waiting callers queue on the receiver's lock),
-/// reconnects if the slot is dead, and returns the slot — live on
+/// dials if the slot holds no socket, and returns the slot — live on
 /// success, dead after any IO or frame error, because a failed stream
-/// cannot be trusted to be frame-aligned. Reconnects are counted on
-/// `binder.tcp.reconnects`.
+/// cannot be trusted to be frame-aligned. Re-dials of dead slots and
+/// stale-socket retries are counted on `binder.tcp.reconnects`; a
+/// slot's first dial is not.
 pub struct TcpBinder {
     addr: SocketAddr,
     pool_size: usize,
@@ -284,24 +293,20 @@ impl TcpBinder {
         }
     }
 
-    /// Checks a slot out of the pool, reconnecting if it is dead.
+    /// Checks a slot out of the pool, dialling if it holds no socket.
     fn checkout(&self) -> Result<TcpStream, DrmError> {
         let slot = self.slot_rx.lock().recv().map_err(|_| DrmError::BinderDied)?;
-        match slot {
-            Some(stream) => Ok(stream),
-            None => {
-                RECONNECTS.incr();
-                match self.connect_fresh() {
-                    Ok(stream) => Ok(stream),
-                    Err(e) => {
-                        // Return the dead slot so the pool keeps its
-                        // capacity; the next checkout retries.
-                        self.checkin(None);
-                        Err(e)
-                    }
-                }
-            }
+        if let ConnSlot::Live(stream) = slot {
+            return Ok(stream);
         }
+        if matches!(slot, ConnSlot::Dead) {
+            RECONNECTS.incr();
+        }
+        self.connect_fresh().inspect_err(|_| {
+            // Return the slot as it was so the pool keeps its capacity;
+            // the next checkout dials again.
+            self.checkin(slot);
+        })
     }
 
     /// Returns a slot to the pool (dead slots keep the capacity).
@@ -330,7 +335,7 @@ impl TcpBinder {
         if matches!(fault, Some(FaultKind::Drop)) {
             // Sever: the socket closes, the slot is marked dead, and the
             // *next* transaction pays the reconnect.
-            self.checkin(None);
+            self.checkin(ConnSlot::Dead);
             return Err(DrmError::BinderDied);
         }
         let request = {
@@ -350,12 +355,12 @@ impl TcpBinder {
             stream = match self.connect_fresh() {
                 Ok(fresh) => fresh,
                 Err(e) => {
-                    self.checkin(None);
+                    self.checkin(ConnSlot::Dead);
                     return Err(e);
                 }
             };
             if stream.write_all(&request).is_err() {
-                self.checkin(None);
+                self.checkin(ConnSlot::Dead);
                 return Err(DrmError::BinderDied);
             }
         }
@@ -365,7 +370,7 @@ impl TcpBinder {
             match read_frame_deadline(&mut stream, self.read_timeout) {
                 Ok(FrameRead::Frame(frame)) => break frame,
                 Ok(FrameRead::Wire(wire_err)) => {
-                    self.checkin(None);
+                    self.checkin(ConnSlot::Dead);
                     return Err(DrmError::Wire(wire_err));
                 }
                 Ok(FrameRead::TimedOut) => {
@@ -373,7 +378,7 @@ impl TcpBinder {
                     // reply later, so the socket cannot be reused; the
                     // error is transient and the retry policy pays one
                     // reconnect.
-                    self.checkin(None);
+                    self.checkin(ConnSlot::Dead);
                     return Err(DrmError::Timeout {
                         ms: u64::try_from(self.read_timeout.as_millis()).unwrap_or(u64::MAX),
                     });
@@ -388,19 +393,19 @@ impl TcpBinder {
                     stream = match self.connect_fresh() {
                         Ok(fresh) => fresh,
                         Err(e) => {
-                            self.checkin(None);
+                            self.checkin(ConnSlot::Dead);
                             return Err(e);
                         }
                     };
                     if stream.write_all(&request).is_err() {
-                        self.checkin(None);
+                        self.checkin(ConnSlot::Dead);
                         return Err(DrmError::BinderDied);
                     }
                     FRAMES_SENT.incr();
                     BYTES_SENT.add(request.len() as u64);
                 }
                 Ok(FrameRead::CleanEof) | Err(_) => {
-                    self.checkin(None);
+                    self.checkin(ConnSlot::Dead);
                     return Err(DrmError::BinderDied);
                 }
             }
@@ -418,7 +423,7 @@ impl TcpBinder {
         let _decode = trace::span("tcp.decode");
         match decode_frame(&frame) {
             Ok((FrameBody::Reply(reply), _)) => {
-                self.checkin(Some(stream));
+                self.checkin(ConnSlot::Live(stream));
                 reply
             }
             Ok((
@@ -427,13 +432,13 @@ impl TcpBinder {
             )) => {
                 // Anything but a DRM reply on the DRM channel is a
                 // protocol violation.
-                self.checkin(None);
+                self.checkin(ConnSlot::Dead);
                 Err(DrmError::BadReply)
             }
             Err(wire_err) => {
                 // The stream may be desynced; sever and let the retry
                 // policy pay one reconnect.
-                self.checkin(None);
+                self.checkin(ConnSlot::Dead);
                 Err(DrmError::Wire(wire_err))
             }
         }

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use wideleak_telemetry::{trace, CounterHandle, TraceContext};
 
 use crate::binder::{dispatch, DrmCall};
-use crate::campaign::{CampaignCall, CampaignError, CampaignHandler};
+use crate::campaign::CampaignError;
 use crate::server::MediaDrmServer;
 use crate::wire::{decode_frame_full, encode_frame_full, frame_len, FrameBody, HEADER_LEN};
 use crate::DrmError;
@@ -149,34 +149,6 @@ impl TcpDrmServer {
         server: Arc<MediaDrmServer>,
         config: ReactorConfig,
     ) -> std::io::Result<Self> {
-        Self::bind_inner(addr, server, config, None)
-    }
-
-    /// Binds a *campaign worker* endpoint: in addition to DRM calls,
-    /// the server answers campaign control frames by delegating to
-    /// `handler` (on the dispatch pool, so a long-running shard never
-    /// stalls the IO loop). A server bound without a handler refuses
-    /// campaign frames with a typed
-    /// [`CampaignError::Protocol`](crate::campaign::CampaignError) reply.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error if the address is unavailable.
-    pub fn bind_campaign(
-        addr: &str,
-        server: Arc<MediaDrmServer>,
-        config: ReactorConfig,
-        handler: Arc<dyn CampaignHandler>,
-    ) -> std::io::Result<Self> {
-        Self::bind_inner(addr, server, config, Some(handler))
-    }
-
-    fn bind_inner(
-        addr: &str,
-        server: Arc<MediaDrmServer>,
-        config: ReactorConfig,
-        campaign: Option<Arc<dyn CampaignHandler>>,
-    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -200,11 +172,10 @@ impl TcpDrmServer {
             let jobs = Arc::clone(&jobs);
             let events_tx = events_tx.clone();
             let server = Arc::clone(&server);
-            let campaign = campaign.clone();
             worker_handles.push(
                 std::thread::Builder::new()
                     .name(format!("netdrm-dispatch-{i}"))
-                    .spawn(move || worker_loop(&jobs, &events_tx, &server, campaign.as_deref()))
+                    .spawn(move || worker_loop(&jobs, &events_tx, &server))
                     .expect("spawning a dispatch worker"),
             );
         }
@@ -275,15 +246,9 @@ impl Drop for TcpDrmServer {
 struct Job {
     slot: usize,
     generation: u64,
-    work: Work,
+    call: DrmCall,
+    ctx: Option<TraceContext>,
     request_id: Option<u64>,
-}
-
-/// What a dispatch worker runs: a DRM transaction through the server
-/// router, or a campaign transaction through the registered handler.
-enum Work {
-    Drm { call: DrmCall, ctx: Option<TraceContext> },
-    Campaign(CampaignCall),
 }
 
 /// A finished dispatch on its way back to the owning event loop.
@@ -387,36 +352,18 @@ fn accept_loop(listener: &TcpListener, events: &mpsc::Sender<Event>, shutdown: &
     }
 }
 
-fn worker_loop(
-    jobs: &JobQueue,
-    events: &mpsc::Sender<Event>,
-    server: &Arc<MediaDrmServer>,
-    campaign: Option<&dyn CampaignHandler>,
-) {
+fn worker_loop(jobs: &JobQueue, events: &mpsc::Sender<Event>, server: &Arc<MediaDrmServer>) {
     while let Some(job) = jobs.pop() {
-        let frame = match job.work {
-            Work::Drm { call, ctx } => {
-                // When the frame carried the caller's trace context,
-                // adopt it around the dispatch so this process's spans
-                // stitch into the client's trace.
-                let reply = if let Some(ctx) = ctx {
-                    let _g = trace::span_with_parent("server.handle", ctx);
-                    dispatch(server, call)
-                } else {
-                    dispatch(server, call)
-                };
-                encode_frame_full(&FrameBody::Reply(reply), None, job.request_id)
-            }
-            Work::Campaign(call) => {
-                let reply = match campaign {
-                    Some(handler) => handler.handle(call),
-                    None => Err(CampaignError::Protocol {
-                        what: "this endpoint serves no campaigns".into(),
-                    }),
-                };
-                encode_frame_full(&FrameBody::CampaignReply(reply), None, job.request_id)
-            }
+        // When the frame carried the caller's trace context, adopt it
+        // around the dispatch so this process's spans stitch into the
+        // client's trace.
+        let reply = if let Some(ctx) = job.ctx {
+            let _g = trace::span_with_parent("server.handle", ctx);
+            dispatch(server, job.call)
+        } else {
+            dispatch(server, job.call)
         };
+        let frame = encode_frame_full(&FrameBody::Reply(reply), None, job.request_id);
         // A send failure means the owning loop is gone (shutdown); the
         // reply has nowhere to go.
         let done = Completion { slot: job.slot, generation: job.generation, frame };
@@ -598,11 +545,8 @@ fn sweep_conn(
         let frame: Vec<u8> = conn.rbuf.drain(..total).collect();
         SERVER_FRAMES.incr();
         work += 1;
-        let (task, request_id) = match decode_frame_full(&frame) {
-            Ok((FrameBody::Call(call), meta, _)) => {
-                (Work::Drm { call, ctx: meta.ctx }, meta.request_id)
-            }
-            Ok((FrameBody::CampaignCall(call), meta, _)) => (Work::Campaign(call), meta.request_id),
+        let (call, meta) = match decode_frame_full(&frame) {
+            Ok((FrameBody::Call(call), meta, _)) => (call, meta),
             Ok((FrameBody::Reply(_), meta, _)) => {
                 // A reply frame arriving at the server is a protocol
                 // violation; answer with the taxonomy's close cousin
@@ -617,12 +561,14 @@ fn sweep_conn(
                 );
                 continue;
             }
-            Ok((FrameBody::CampaignReply(_), meta, _)) => {
+            Ok((FrameBody::CampaignCall(_) | FrameBody::CampaignReply(_), meta, _)) => {
+                // Campaign frames travel on a worker's pipes, never to a
+                // DRM server: refuse them in kind and keep serving.
                 push_reply(
                     conn,
                     encode_frame_full(
                         &FrameBody::CampaignReply(Err(CampaignError::Protocol {
-                            what: "campaign reply frame at server".into(),
+                            what: "a DRM server serves no campaigns".into(),
                         })),
                         None,
                         meta.request_id,
@@ -641,7 +587,13 @@ fn sweep_conn(
             }
         };
         conn.inflight += 1;
-        jobs.push(Job { slot, generation: conn.generation, work: task, request_id });
+        jobs.push(Job {
+            slot,
+            generation: conn.generation,
+            call,
+            ctx: meta.ctx,
+            request_id: meta.request_id,
+        });
     }
 
     // Flush queued replies until WouldBlock.
@@ -670,7 +622,8 @@ fn sweep_conn(
 mod tests {
     use super::*;
     use crate::binder::DrmReply;
-    use crate::wire::{decode_frame, encode_frame, WireError};
+    use crate::campaign::CampaignCall;
+    use crate::wire::{decode_frame, encode_frame, read_frame, WireError};
     use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
     use wideleak_cdm::cdm::Cdm;
     use wideleak_cdm::keybox::Keybox;
@@ -688,13 +641,7 @@ mod tests {
 
     /// Reads one whole frame from a blocking client socket.
     fn read_reply_frame(stream: &mut TcpStream) -> Vec<u8> {
-        let mut header = [0u8; HEADER_LEN];
-        stream.read_exact(&mut header).unwrap();
-        let total = frame_len(&header).unwrap();
-        let mut frame = vec![0u8; total];
-        frame[..HEADER_LEN].copy_from_slice(&header);
-        stream.read_exact(&mut frame[HEADER_LEN..]).unwrap();
-        frame
+        read_frame(stream).unwrap().expect("a reply frame before EOF")
     }
 
     #[test]
@@ -772,6 +719,32 @@ mod tests {
         let (body, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
         assert_eq!(body, FrameBody::Reply(Err(DrmError::BadReply)));
         // The stream is still frame-aligned, so the server keeps serving.
+        stream
+            .write_all(&encode_frame(&FrameBody::Call(DrmCall::IsSchemeSupported {
+                uuid: WIDEVINE_SYSTEM_ID,
+            })))
+            .unwrap();
+        let (body, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
+        assert_eq!(body, FrameBody::Reply(Ok(DrmReply::Bool(true))));
+    }
+
+    #[test]
+    fn campaign_frames_at_the_server_are_refused_and_it_keeps_serving() {
+        let srv = TcpDrmServer::bind("127.0.0.1:0", server()).unwrap();
+        let mut stream = TcpStream::connect(srv.local_addr()).unwrap();
+        let hello = FrameBody::CampaignCall(CampaignCall::Hello);
+        let ack = FrameBody::CampaignReply(Ok(crate::campaign::CampaignReply::HelloAck {
+            pid: 1,
+            wire_version: crate::wire::VERSION,
+        }));
+        for frame in [hello, ack] {
+            stream.write_all(&encode_frame(&frame)).unwrap();
+            let (body, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
+            assert!(
+                matches!(body, FrameBody::CampaignReply(Err(CampaignError::Protocol { .. }))),
+                "{frame:?} got {body:?}"
+            );
+        }
         stream
             .write_all(&encode_frame(&FrameBody::Call(DrmCall::IsSchemeSupported {
                 uuid: WIDEVINE_SYSTEM_ID,

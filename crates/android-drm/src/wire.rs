@@ -1,4 +1,5 @@
-//! The versioned, length-prefixed wire format the TCP binder speaks.
+//! The versioned, length-prefixed wire format the TCP binder and the
+//! campaign's worker pipes speak.
 //!
 //! A frame is a fixed 12-byte header, a payload, and a trailing CRC-32
 //! over header + payload:
@@ -294,6 +295,34 @@ pub fn frame_len(header: &[u8]) -> Result<usize, WireError> {
         return Err(WireError::Oversized { len, max: MAX_PAYLOAD });
     }
     Ok(HEADER_LEN + len + TRAILER_LEN)
+}
+
+/// Reads one whole frame off a blocking byte stream (a socket, a pipe):
+/// the header, then the rest of the length [`frame_len`] finds in it.
+/// `Ok(None)` is a clean EOF before the frame's first byte.
+///
+/// # Errors
+///
+/// EOF inside a frame is [`std::io::ErrorKind::UnexpectedEof`]; a
+/// header [`frame_len`] rejects is [`std::io::ErrorKind::InvalidData`]
+/// carrying its [`WireError`]; other IO errors pass through.
+pub fn read_frame(stream: &mut impl std::io::Read) -> std::io::Result<Option<Vec<u8>>> {
+    let mut header = [0u8; HEADER_LEN];
+    loop {
+        match stream.read(&mut header[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stream.read_exact(&mut header[1..])?;
+    let total =
+        frame_len(&header).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    let mut frame = vec![0u8; total];
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    stream.read_exact(&mut frame[HEADER_LEN..])?;
+    Ok(Some(frame))
 }
 
 /// Decodes one frame from the front of `buf`, returning the body and
@@ -828,7 +857,7 @@ fn decode_drm_error(r: &mut Reader<'_>) -> Result<DrmError, WireError> {
     })
 }
 
-fn encode_wire_error(w: &mut Writer, e: &WireError) {
+pub(crate) fn encode_wire_error(w: &mut Writer, e: &WireError) {
     match e {
         WireError::Truncated { needed, got } => {
             w.u8(0).u64(*needed as u64).u64(*got as u64);
@@ -851,7 +880,7 @@ fn encode_wire_error(w: &mut Writer, e: &WireError) {
     }
 }
 
-fn decode_wire_error(r: &mut Reader<'_>) -> Result<WireError, WireError> {
+pub(crate) fn decode_wire_error(r: &mut Reader<'_>) -> Result<WireError, WireError> {
     Ok(match r.u8("wire error tag")? {
         0 => {
             WireError::Truncated { needed: r.u64("needed")? as usize, got: r.u64("got")? as usize }

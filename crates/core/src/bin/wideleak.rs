@@ -31,14 +31,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use wideleak::android_drm::binder::{DrmCall, Transport, TransportKind};
 use wideleak::android_drm::netserver::{TcpBinder, TcpDrmServer};
-use wideleak::android_drm::reactor::ReactorConfig;
 use wideleak::attack::recover::{attack_all, attack_app};
 use wideleak::bmff::types::WIDEVINE_SYSTEM_ID;
 use wideleak::device::catalog::DeviceModel;
 use wideleak::faults;
 use wideleak::load::{run_fleet, run_load, Congestion, FleetConfig, LoadConfig};
 use wideleak::monitor::adapt::{render_adapt, run_adapt_study};
-use wideleak::monitor::campaign::{run_campaign, CampaignConfig, ShardRunner, WorkerCommand};
+use wideleak::monitor::campaign::{run_campaign, serve_worker, CampaignConfig, WorkerCommand};
 use wideleak::monitor::report::{render_call_histogram, render_insights, render_table_1};
 use wideleak::monitor::resilience::{render_q5, run_resilience_study_on};
 use wideleak::monitor::study::{run_study, study_app};
@@ -65,7 +64,7 @@ fn usage() -> ExitCode {
                           --devices N / --sample-every N override the catalog sweep\n\
            serve [ADDR]   run a wire-framed TCP media DRM server (default 127.0.0.1:7564)\n\
                           --metrics ADDR adds a live Prometheus /metrics endpoint\n\
-                          --worker runs as a campaign shard worker (prints WORKER_READY)\n\
+                          --worker runs as a campaign shard worker on stdin/stdout\n\
            call ADDR [N]  drive N license-path probes against a remote serve (default 1)\n\
            stats FILE     re-render a telemetry JSONL export as a summary\n\
            trace FILE...  analyse trace JSONL sinks (phases, exemplars, faults)\n\
@@ -335,57 +334,18 @@ fn main() -> ExitCode {
         };
     }
 
-    // `serve --worker` is the campaign shard worker: a campaign-enabled
-    // DRM endpoint on an ephemeral port, announced on stdout for the
-    // coordinator. It exits on coordinator request, on SIGINT, or when
-    // the coordinator's stdin pipe closes — so a killed coordinator
-    // takes its workers down instead of leaking them.
+    // `serve --worker` is a campaign shard worker: it reads call frames
+    // from the coordinator on stdin and answers each on stdout, and it
+    // exits at stdin EOF — so a killed coordinator takes its workers
+    // down instead of leaking them.
     if command == "serve" && worker_mode {
-        let addr = slug.unwrap_or("127.0.0.1:0");
-        let runner = std::sync::Arc::new(ShardRunner::new());
-        // The worker-level server only answers control frames and ad-hoc
-        // DRM probes; shards build their own ecosystems from the spec's
-        // rsa_bits, so small keys here just make spawning cheap.
-        let mut worker_config = config;
-        worker_config.rsa_bits = 768;
-        let eco = Ecosystem::new(worker_config);
-        let drm = std::sync::Arc::new(eco.media_drm_server(DeviceModel::pixel_6()));
-        let server = match TcpDrmServer::bind_campaign(
-            addr,
-            drm,
-            ReactorConfig::default(),
-            runner.clone(),
-        ) {
-            Ok(server) => server,
+        return match serve_worker(std::io::stdin(), std::io::stdout().lock()) {
+            Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
-                eprintln!("serve: cannot bind worker {addr}: {e}");
-                return ExitCode::FAILURE;
+                eprintln!("serve: worker cannot reply: {e}");
+                ExitCode::FAILURE
             }
         };
-        install_sigint_handler();
-        use std::io::Write as _;
-        println!("WORKER_READY {}", server.local_addr());
-        let _ = std::io::stdout().flush();
-        let orphaned = std::sync::Arc::new(AtomicBool::new(false));
-        {
-            // Watchdog: block on stdin until the coordinator's pipe
-            // closes (its WorkerProcess guard holds the write end).
-            let orphaned = orphaned.clone();
-            std::thread::spawn(move || {
-                let mut sink = Vec::new();
-                let _ = std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut sink);
-                orphaned.store(true, Ordering::SeqCst);
-            });
-        }
-        while !runner.shutdown_requested()
-            && !SIGINT_RECEIVED.load(Ordering::SeqCst)
-            && !orphaned.load(Ordering::SeqCst)
-        {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        drop(server);
-        trace::flush();
-        return ExitCode::SUCCESS;
     }
 
     // `serve` exports a standalone media DRM server; it never installs

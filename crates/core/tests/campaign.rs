@@ -6,15 +6,18 @@
 //!
 //! These tests spawn the real `wideleak` binary in `serve --worker`
 //! mode, so they exercise the whole stack: process spawn, the wire-v3
-//! campaign control channel, per-shard measurement, and the exact
-//! merge.
+//! campaign frames on each worker's stdin and stdout, per-shard
+//! measurement, and the exact merge.
 
-use std::io::{BufRead, BufReader};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use wideleak::android_drm::campaign::CampaignError;
+use wideleak::android_drm::campaign::{
+    CampaignCall, CampaignError, CampaignReply, ShardAssignment,
+};
+use wideleak::android_drm::wire::{decode_frame, encode_frame, read_frame, FrameBody};
 use wideleak::load::LatencySummary;
 use wideleak::monitor::campaign::{run_campaign, CampaignConfig, WorkerCommand, WorkerProcess};
 use wideleak::telemetry::LatencyHistogram;
@@ -89,38 +92,78 @@ fn dropped_worker_guard_kills_and_reaps_the_child() {
 }
 
 #[test]
-fn worker_exits_when_the_coordinator_pipe_closes() {
-    // Spawn a worker by hand (not via the guard) and sever only its
-    // stdin, simulating a coordinator killed with SIGKILL: the pipe
-    // closes without any Shutdown call, and the watchdog must exit the
-    // worker on its own.
-    let cmd = wideleak_bin();
-    let mut child = Command::new(&cmd.program)
-        .args(["serve", "--worker", "127.0.0.1:0"])
+fn a_worker_opens_no_socket() {
+    let worker = WorkerProcess::spawn(&wideleak_bin()).expect("worker spawns");
+    let fds = std::fs::read_dir(format!("/proc/{}/fd", worker.pid())).expect("fd table readable");
+    let sockets: Vec<PathBuf> = fds
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|link| link.to_string_lossy().starts_with("socket:"))
+        .collect();
+    assert!(sockets.is_empty(), "worker {} holds {sockets:?}", worker.pid());
+}
+
+/// Spawns a worker by hand (not via the guard), sends it `Hello` and
+/// then `calls`, and about 200 ms later severs only its stdin, as a
+/// coordinator killed with SIGKILL would. The worker must exit 0 within
+/// 10 s on its own, before answering any of `calls`.
+fn assert_worker_exits_when_its_stdin_closes(calls: &[CampaignCall]) {
+    let mut child = Command::new(wideleak_bin().program)
+        .args(["serve", "--worker"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
         .expect("worker spawns");
-    let mut ready = String::new();
-    BufReader::new(child.stdout.take().expect("stdout piped"))
-        .read_line(&mut ready)
-        .expect("ready line");
-    assert!(ready.starts_with("WORKER_READY "), "bad ready line {ready:?}");
-    drop(child.stdin.take());
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let mut stdout = child.stdout.take().expect("stdout piped");
+    stdin.write_all(&encode_frame(&FrameBody::CampaignCall(CampaignCall::Hello))).unwrap();
+    let ack = read_frame(&mut stdout).expect("reply readable").expect("worker answers Hello");
+    assert!(
+        matches!(
+            decode_frame(&ack),
+            Ok((FrameBody::CampaignReply(Ok(CampaignReply::HelloAck { .. })), _))
+        ),
+        "bad Hello answer {ack:?}"
+    );
+    for call in calls {
+        stdin.write_all(&encode_frame(&FrameBody::CampaignCall(call.clone()))).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    drop(stdin);
     let deadline = Instant::now() + Duration::from_secs(10);
-    let exited = loop {
+    let status = loop {
         match child.try_wait().expect("try_wait") {
-            Some(status) => break status.success(),
-            None if Instant::now() > deadline => break false,
+            Some(status) => break Some(status),
+            None if Instant::now() > deadline => break None,
             None => std::thread::sleep(Duration::from_millis(20)),
         }
     };
-    if !exited {
+    if status.is_none() {
         let _ = child.kill();
         let _ = child.wait();
-        panic!("worker did not exit within 10s of its stdin closing");
     }
+    assert!(
+        status.is_some_and(|s| s.success()),
+        "worker did not exit 0 within 10s of its stdin closing ({status:?})"
+    );
+    // The calls were still running: the worker answered none of them.
+    assert_eq!(read_frame(&mut stdout).expect("stdout readable"), None);
+}
+
+#[test]
+fn worker_exits_when_the_coordinator_pipe_closes() {
+    assert_worker_exits_when_its_stdin_closes(&[]);
+}
+
+#[test]
+fn busy_worker_exits_mid_shard_when_the_coordinator_pipe_closes() {
+    // Every one of the 4096 devices plays every app for real: the shard
+    // would run for minutes, so the worker is mid-shard when the pipe
+    // closes.
+    let mut spec = CampaignConfig::full(2022).spec;
+    spec.sample_every = 1;
+    let shard = ShardAssignment { shard_id: 0, start: 0, end: spec.devices };
+    assert_worker_exits_when_its_stdin_closes(&[CampaignCall::RunShard { spec, shard }]);
 }
 
 /// The raw-sample oracle: nearest-rank statistics over the sorted

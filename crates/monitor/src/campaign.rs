@@ -7,9 +7,10 @@
 //! ([`run_campaign`]) splits the catalog id range `0..spec.devices`
 //! into contiguous shards (the same [`partition`] the load generator
 //! uses for its drivers), spawns one worker process per shard, drives
-//! each over a wire-v3 campaign control channel
-//! ([`CampaignCall`]/[`CampaignReply`]), and merges the
-//! [`ShardReport`]s it gets back.
+//! each with wire-v3 campaign frames ([`CampaignCall`]/[`CampaignReply`])
+//! over the worker's stdin and stdout, and merges the [`ShardReport`]s
+//! it gets back. A worker opens no port: its pipes are its whole
+//! control channel, and its answer to `Hello` is its readiness check.
 //!
 //! **Shard-count invariance** is the load-bearing property: the merged
 //! report is a pure function of (spec, seed, catalog). It holds
@@ -33,24 +34,23 @@
 //! ecosystem (RSA keys and the like) and nothing report-visible.
 //!
 //! Worker processes are owned by [`WorkerProcess`] drop guards
-//! (kill-on-drop plus reap), and each worker also watches its stdin —
-//! a pipe the coordinator holds open — so even a SIGKILLed coordinator
-//! leaves no orphans: the pipe closes, the worker exits.
+//! (kill-on-drop plus reap), and a worker exits at EOF on its stdin, so
+//! even a SIGKILLed coordinator leaves no orphans: the pipe closes, the
+//! worker exits.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use wideleak_android_drm::campaign::{
-    AppCells, CampaignCall, CampaignError, CampaignHandler, CampaignReply, CampaignSpec,
-    ShardAssignment, ShardReport, CELL_KINDS,
+    AppCells, CampaignCall, CampaignError, CampaignReply, CampaignSpec, ShardAssignment,
+    ShardReport, CELL_KINDS,
 };
 use wideleak_android_drm::wire::{
-    decode_frame, encode_frame, frame_len, FrameBody, HEADER_LEN, VERSION,
+    decode_frame, encode_frame, read_frame, FrameBody, WireError, VERSION,
 };
 use wideleak_device::catalog::{DeviceModel, SecurityLevel};
 use wideleak_faults::det_hash;
@@ -70,9 +70,10 @@ const SAMPLE_SALT: u64 = 0x5749_4445_4c45_414b; // "WIDELEAK"
 /// Salt for the modeled latency jitter stream.
 const LATENCY_SALT: u64 = 0x4c41_5445_4e43_5953;
 
-/// How long the coordinator waits on a worker's control socket before
-/// declaring the shard hung. Generous — a real shard finishes in
-/// seconds; a killed worker produces an immediate EOF, not a timeout.
+/// How long the coordinator waits for shard results before it kills the
+/// workers still running and declares their shards lost. Generous — a
+/// real shard finishes in seconds; a killed worker closes its pipes, an
+/// immediate EOF, not a timeout.
 const SHARD_DEADLINE: Duration = Duration::from_secs(600);
 
 /// A compliance cell in the widened Table-I vocabulary. The `u8` repr
@@ -296,43 +297,60 @@ fn classify_play(
     }
 }
 
-/// The worker-process side of the control channel: answers `Hello`,
-/// runs `RunShard` via [`run_shard`], and flips a flag on `Shutdown`
-/// that the serve loop polls to exit.
-#[derive(Debug, Default)]
-pub struct ShardRunner {
-    shutdown: AtomicBool,
-}
-
-impl ShardRunner {
-    /// A fresh runner with the shutdown flag clear.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether a coordinator asked this worker to exit.
-    #[must_use]
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-}
-
-impl CampaignHandler for ShardRunner {
-    fn handle(&self, call: CampaignCall) -> Result<CampaignReply, CampaignError> {
-        match call {
-            CampaignCall::Hello => {
-                Ok(CampaignReply::HelloAck { pid: std::process::id(), wire_version: VERSION })
-            }
-            CampaignCall::RunShard { spec, shard } => {
-                run_shard(&spec, shard).map(CampaignReply::ShardDone)
-            }
-            CampaignCall::Shutdown => {
-                self.shutdown.store(true, Ordering::Release);
-                Ok(CampaignReply::ShuttingDown)
-            }
+/// Answers one call frame in a worker process: `Hello` with this
+/// process's id, `RunShard` with [`run_shard`]'s report. Anything but a
+/// campaign call gets a typed refusal.
+fn answer(frame: &[u8]) -> Vec<u8> {
+    let reply = match decode_frame(frame) {
+        Ok((FrameBody::CampaignCall(CampaignCall::Hello), _)) => {
+            Ok(CampaignReply::HelloAck { pid: std::process::id(), wire_version: VERSION })
         }
+        Ok((FrameBody::CampaignCall(CampaignCall::RunShard { spec, shard }), _)) => {
+            run_shard(&spec, shard).map(CampaignReply::ShardDone)
+        }
+        Ok(_) => {
+            Err(CampaignError::Protocol { what: "non-campaign frame on control channel".into() })
+        }
+        Err(e) => Err(CampaignError::Wire(e)),
+    };
+    encode_frame(&FrameBody::CampaignReply(reply))
+}
+
+/// The worker side of the control channel (`wideleak serve --worker`):
+/// answers each call frame read from `calls` with one reply frame on
+/// `replies`, flushed at once.
+///
+/// A reader thread owns `calls`. When they end — the coordinator closed
+/// the pipe or died — it flushes the trace sink and exits the process at
+/// once, even mid-shard: with status 0 at a clean EOF, 1 on a read
+/// error. So this returns only when a reply cannot be written.
+///
+/// # Errors
+///
+/// Writing a reply failed.
+pub fn serve_worker(
+    mut calls: impl Read + Send + 'static,
+    mut replies: impl Write,
+) -> std::io::Result<()> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let status = loop {
+            match read_frame(&mut calls) {
+                Ok(Some(frame)) => {
+                    let _ = tx.send(frame);
+                }
+                Ok(None) => break 0,
+                Err(_) => break 1,
+            }
+        };
+        wideleak_telemetry::trace::flush();
+        std::process::exit(status);
+    });
+    for frame in rx {
+        replies.write_all(&answer(&frame))?;
+        replies.flush()?;
     }
+    Ok(())
 }
 
 /// How to launch a worker process: the program plus any arguments ahead
@@ -362,28 +380,29 @@ impl WorkerCommand {
 /// One spawned worker process, owned as a drop guard: dropping the
 /// guard kills the child and reaps it, so a failed test, a panic, or an
 /// early coordinator return never leaves an orphaned `wideleak serve`
-/// behind. (The worker additionally watches the stdin pipe this guard
-/// holds open, so even an unceremoniously killed coordinator takes its
+/// behind. (The worker also exits at EOF on the stdin pipe this guard
+/// holds, so even an unceremoniously killed coordinator takes its
 /// workers down with it.)
 #[derive(Debug)]
 pub struct WorkerProcess {
     child: Child,
-    addr: String,
+    /// The worker's pipes, until [`run_campaign`] hands them to the
+    /// thread driving its shard.
+    channel: Option<ControlChannel>,
 }
 
 impl WorkerProcess {
-    /// Spawns a worker and waits for its `WORKER_READY <addr>` line.
+    /// Spawns a worker and waits for its answer to `Hello`.
     ///
     /// # Errors
     ///
     /// [`CampaignError::Spawn`] when the process cannot be started or
-    /// never reports ready.
+    /// does not answer `Hello` with `HelloAck`.
     pub fn spawn(cmd: &WorkerCommand) -> Result<Self, CampaignError> {
-        let mut child = Command::new(&cmd.program)
+        let child = Command::new(&cmd.program)
             .args(&cmd.args)
             .arg("serve")
             .arg("--worker")
-            .arg("127.0.0.1:0")
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -391,28 +410,20 @@ impl WorkerProcess {
             .map_err(|e| CampaignError::Spawn {
                 what: format!("{}: {e}", cmd.program.display()),
             })?;
-        let stdout = child
-            .stdout
-            .take()
-            .ok_or(CampaignError::Spawn { what: "worker stdout not captured".into() })?;
-        let mut guard = WorkerProcess { child, addr: String::new() };
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .map_err(|e| CampaignError::Spawn { what: format!("reading ready line: {e}") })?;
-        let addr = line
-            .strip_prefix("WORKER_READY ")
-            .map(str::trim)
-            .filter(|a| !a.is_empty())
-            .ok_or_else(|| CampaignError::Spawn { what: format!("bad ready line {line:?}") })?;
-        guard.addr = addr.to_owned();
-        Ok(guard)
-    }
-
-    /// The worker's control-channel address.
-    #[must_use]
-    pub fn addr(&self) -> &str {
-        &self.addr
+        let mut guard = WorkerProcess { child, channel: None };
+        let mut channel = ControlChannel {
+            stdin: guard.child.stdin.take().expect("worker stdin is piped"),
+            stdout: guard.child.stdout.take().expect("worker stdout is piped"),
+        };
+        let what = match channel.call(CampaignCall::Hello) {
+            Some(Ok(CampaignReply::HelloAck { .. })) => {
+                guard.channel = Some(channel);
+                return Ok(guard);
+            }
+            None => "worker exited before answering Hello".to_owned(),
+            Some(other) => format!("worker answered Hello with {other:?}"),
+        };
+        Err(CampaignError::Spawn { what })
     }
 
     /// The worker's OS process id.
@@ -431,38 +442,35 @@ impl Drop for WorkerProcess {
     }
 }
 
-/// A blocking control-channel client over one worker's TCP socket.
+/// A blocking control-channel client over one worker's pipes: calls go
+/// down its stdin, replies come up its stdout.
+#[derive(Debug)]
 struct ControlChannel {
-    stream: TcpStream,
-    shard_id: u32,
+    stdin: ChildStdin,
+    stdout: ChildStdout,
 }
 
 impl ControlChannel {
-    fn connect(addr: &str, shard_id: u32) -> Result<Self, CampaignError> {
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| CampaignError::Spawn { what: format!("connect {addr}: {e}") })?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(SHARD_DEADLINE));
-        Ok(ControlChannel { stream, shard_id })
-    }
-
-    /// One call, one reply. Any transport failure — EOF from a dead
-    /// worker included — is the typed [`CampaignError::ShardLost`].
-    fn call(&mut self, call: CampaignCall) -> Result<CampaignReply, CampaignError> {
-        let lost = |_| CampaignError::ShardLost { shard_id: self.shard_id };
-        self.stream.write_all(&encode_frame(&FrameBody::CampaignCall(call))).map_err(lost)?;
-        let mut header = [0u8; HEADER_LEN];
-        self.stream.read_exact(&mut header).map_err(lost)?;
-        let total = frame_len(&header)?;
-        let mut frame = vec![0u8; total];
-        frame[..HEADER_LEN].copy_from_slice(&header);
-        self.stream.read_exact(&mut frame[HEADER_LEN..]).map_err(lost)?;
-        match decode_frame(&frame)? {
-            (FrameBody::CampaignReply(reply), _) => reply,
-            _ => Err(CampaignError::Protocol {
+    /// One call, one reply; `None` when the pipes broke first — the
+    /// worker died or was killed.
+    fn call(&mut self, call: CampaignCall) -> Option<Result<CampaignReply, CampaignError>> {
+        self.stdin.write_all(&encode_frame(&FrameBody::CampaignCall(call))).ok()?;
+        let frame = match read_frame(&mut self.stdout) {
+            Ok(frame) => frame?,
+            // A header the codec rejects stays a typed wire error; any
+            // other read failure is a lost worker.
+            Err(e) => {
+                let wire = e.into_inner()?.downcast::<WireError>().ok()?;
+                return Some(Err(CampaignError::Wire(*wire)));
+            }
+        };
+        Some(match decode_frame(&frame) {
+            Ok((FrameBody::CampaignReply(reply), _)) => reply,
+            Ok(_) => Err(CampaignError::Protocol {
                 what: "non-campaign frame on control channel".into(),
             }),
-        }
+            Err(e) => Err(CampaignError::Wire(e)),
+        })
     }
 }
 
@@ -651,13 +659,13 @@ impl CampaignConfig {
 
 /// Runs a campaign end to end: spawns `config.workers` worker
 /// processes, fans the shard assignments out, collects and merges the
-/// shard reports, and shuts the workers down.
+/// shard reports, and kills the workers.
 ///
 /// # Errors
 ///
 /// [`CampaignError::Spawn`] when a worker cannot be started,
-/// [`CampaignError::ShardLost`] when one dies mid-shard, plus the
-/// taxonomy's protocol/worker variants.
+/// [`CampaignError::ShardLost`] when one dies mid-shard or has not
+/// reported within 600 s, plus the taxonomy's protocol/worker variants.
 pub fn run_campaign(
     config: &CampaignConfig,
     cmd: &WorkerCommand,
@@ -673,68 +681,57 @@ pub fn run_campaign(
         guards.push(WorkerProcess::spawn(cmd)?);
     }
 
-    // One collector thread per worker: handshake, run the shard, ship
-    // the result back. Shards stream in whatever order workers finish;
-    // the merge makes that order invisible.
-    let (tx, rx) = std::sync::mpsc::channel::<Result<ShardReport, CampaignError>>();
+    // One driver thread per worker, holding only that worker's pipes:
+    // run the shard, ship the result back. Shards stream in whatever
+    // order workers finish; the merge makes that order invisible.
+    let (tx, rx) = mpsc::channel();
     let mut handles = Vec::with_capacity(workers);
-    for (shard_id, range) in ranges.iter().enumerate() {
+    for (shard_id, (guard, range)) in guards.iter_mut().zip(&ranges).enumerate() {
         let shard = ShardAssignment {
             shard_id: u32::try_from(shard_id).expect("shard id fits u32"),
             start: range.start as u64,
             end: range.end as u64,
         };
         let spec = config.spec.clone();
-        let addr = guards[shard_id].addr().to_owned();
+        let mut channel = guard.channel.take().expect("a spawned worker holds its pipes");
         let tx = tx.clone();
         handles.push(std::thread::spawn(move || {
-            let _ = tx.send(drive_worker(&addr, &spec, shard));
+            let _ = tx.send((shard_id, drive_worker(&mut channel, spec, shard)));
         }));
     }
     drop(tx);
 
-    let mut shards = Vec::with_capacity(workers);
-    let mut first_error: Option<CampaignError> = None;
-    for result in rx {
-        match result {
-            Ok(report) => shards.push(report),
-            Err(e) => first_error = Some(first_error.unwrap_or(e)),
-        }
+    // Collect until every driver has reported or the deadline passes.
+    // Dropping the guards then kills any worker still running, which
+    // ends its driver's blocked read.
+    let deadline = Instant::now() + SHARD_DEADLINE;
+    let mut results = vec![None; workers];
+    while let Ok((shard_id, result)) =
+        rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+    {
+        results[shard_id] = Some(result);
     }
+    drop(guards);
     for handle in handles {
         let _ = handle.join();
     }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    let report = merge_reports(&config.spec, shards)?;
-    // Polite shutdown; the drop guards are the enforcement.
-    for guard in &guards {
-        if let Ok(mut chan) = ControlChannel::connect(guard.addr(), 0) {
-            let _ = chan.call(CampaignCall::Shutdown);
-        }
-    }
-    Ok(report)
+    let shards = results
+        .into_iter()
+        .zip(0u32..)
+        .map(|(result, shard_id)| result.unwrap_or(Err(CampaignError::ShardLost { shard_id })))
+        .collect::<Result<Vec<_>, _>>()?;
+    merge_reports(&config.spec, shards)
 }
 
-/// Drives one worker through its shard: Hello handshake, RunShard,
-/// typed result.
+/// Drives one worker through its shard: RunShard, typed result.
 fn drive_worker(
-    addr: &str,
-    spec: &CampaignSpec,
+    channel: &mut ControlChannel,
+    spec: CampaignSpec,
     shard: ShardAssignment,
 ) -> Result<ShardReport, CampaignError> {
-    let mut chan = ControlChannel::connect(addr, shard.shard_id)?;
-    match chan.call(CampaignCall::Hello)? {
-        CampaignReply::HelloAck { .. } => {}
-        other => {
-            return Err(CampaignError::Protocol {
-                what: format!("expected HelloAck, got {other:?}"),
-            })
-        }
-    }
-    match chan.call(CampaignCall::RunShard { spec: spec.clone(), shard })? {
-        CampaignReply::ShardDone(report) => {
+    match channel.call(CampaignCall::RunShard { spec, shard }) {
+        None => Err(CampaignError::ShardLost { shard_id: shard.shard_id }),
+        Some(Ok(CampaignReply::ShardDone(report))) => {
             if report.shard_id != shard.shard_id
                 || report.start != shard.start
                 || report.end != shard.end
@@ -748,9 +745,10 @@ fn drive_worker(
             }
             Ok(report)
         }
-        other => {
+        Some(Ok(other)) => {
             Err(CampaignError::Protocol { what: format!("expected ShardDone, got {other:?}") })
         }
+        Some(Err(e)) => Err(e),
     }
 }
 
@@ -861,6 +859,31 @@ mod tests {
         let report = run_shard(&spec, ShardAssignment { shard_id: 0, start: 0, end: 6 }).unwrap();
         assert_eq!(report.sampled_plays, 60, "6 devices x 10 apps");
         assert_eq!(report.sample_mismatches, 0, "derivation diverged from real playbacks");
+    }
+
+    #[test]
+    fn workers_answer_hello_and_refuse_other_frames_typed() {
+        let reply = |frame: &[u8]| decode_frame(&answer(frame)).expect("a well-formed reply").0;
+        let hello = encode_frame(&FrameBody::CampaignCall(CampaignCall::Hello));
+        assert_eq!(
+            reply(&hello),
+            FrameBody::CampaignReply(Ok(CampaignReply::HelloAck {
+                pid: std::process::id(),
+                wire_version: VERSION
+            }))
+        );
+        let drm =
+            encode_frame(&FrameBody::Call(wideleak_android_drm::binder::DrmCall::IsProvisioned));
+        assert!(matches!(
+            reply(&drm),
+            FrameBody::CampaignReply(Err(CampaignError::Protocol { .. }))
+        ));
+        let mut garbled = hello;
+        *garbled.last_mut().unwrap() ^= 1;
+        assert!(matches!(
+            reply(&garbled),
+            FrameBody::CampaignReply(Err(CampaignError::Wire(WireError::BadCrc { .. })))
+        ));
     }
 
     #[test]

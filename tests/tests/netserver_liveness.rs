@@ -22,19 +22,13 @@ use std::time::{Duration, Instant};
 
 use wideleak::android_drm::binder::{DrmCall, DrmReply, Transport};
 use wideleak::android_drm::netserver::TcpBinder;
-use wideleak::android_drm::wire::{encode_frame, frame_len, FrameBody, HEADER_LEN};
+use wideleak::android_drm::wire::{encode_frame, read_frame, FrameBody};
 use wideleak::android_drm::DrmError;
 use wideleak::bmff::types::WIDEVINE_SYSTEM_ID;
 
 /// Reads one whole request frame off a fake server's socket.
 fn read_request(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut header = [0u8; HEADER_LEN];
-    stream.read_exact(&mut header)?;
-    let total = frame_len(&header).expect("client frames are well-formed");
-    let mut frame = vec![0u8; total];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    stream.read_exact(&mut frame[HEADER_LEN..])?;
-    Ok(frame)
+    read_frame(stream)?.ok_or_else(|| std::io::ErrorKind::UnexpectedEof.into())
 }
 
 #[test]
