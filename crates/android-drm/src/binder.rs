@@ -8,7 +8,7 @@
 //! simulator's `mediadrmserver` thread pool). [`InProcessBinder`] offers
 //! the same interface synchronously for cheap unit tests. Both implement
 //! the one [`Transport`] trait, and both run every transaction through
-//! the same [`transact_via`] seam — telemetry, panic isolation and fault
+//! the same `transact_via` seam — telemetry, panic isolation and fault
 //! injection compose there once instead of per-transport.
 //!
 //! Both transports isolate panics per transaction: a handler that

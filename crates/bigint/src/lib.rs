@@ -1,10 +1,9 @@
-//! Arbitrary-precision unsigned and signed integer arithmetic.
+//! Arbitrary-precision unsigned integer arithmetic.
 //!
 //! This crate is the numeric substrate for the WideLeak reproduction's RSA
 //! implementation (`wideleak-crypto`). It provides [`BigUint`], a
-//! little-endian limb-based unsigned integer, a signed companion
-//! [`BigInt`] used by the extended Euclidean algorithm, modular arithmetic
-//! helpers in [`modular`], precomputed Montgomery/CRT contexts for the
+//! little-endian limb-based unsigned integer, modular arithmetic helpers
+//! in [`modular`], precomputed Montgomery/CRT contexts for the
 //! exponentiation hot path in [`montgomery`], and probabilistic primality
 //! testing plus prime generation in [`prime`].
 //!
@@ -29,11 +28,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod int;
 pub mod modular;
 pub mod montgomery;
 pub mod prime;
 mod uint;
 
-pub use int::{BigInt, Sign};
 pub use uint::{BigUint, ParseBigUintError};

@@ -1,20 +1,11 @@
-//! Modular arithmetic: addition, multiplication, reference
+//! Modular arithmetic: subtraction, multiplication, reference
 //! exponentiation, inversion and greatest common divisor. CRT
 //! recombination lives in [`crate::montgomery::CrtContext`].
 //!
 //! These free functions operate on [`BigUint`] values and back the RSA
 //! implementation in `wideleak-crypto`.
 
-use crate::{BigInt, BigUint, Sign};
-
-/// Computes `(a + b) mod m`.
-///
-/// # Panics
-///
-/// Panics if `m` is zero.
-pub fn mod_add(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
-    &(&(a % m) + &(b % m)) % m
-}
+use crate::BigUint;
 
 /// Computes `(a - b) mod m` with a non-negative result.
 ///
@@ -93,35 +84,10 @@ pub fn gcd(a: &BigUint, b: &BigUint) -> BigUint {
     a
 }
 
-/// Extended Euclidean algorithm: returns `(g, x, y)` with
-/// `a*x + b*y == g == gcd(a, b)`.
-pub fn extended_gcd(a: &BigUint, b: &BigUint) -> (BigUint, BigInt, BigInt) {
-    let mut old_r = BigInt::from_biguint(a.clone());
-    let mut r = BigInt::from_biguint(b.clone());
-    let mut old_s = BigInt::one();
-    let mut s = BigInt::zero();
-    let mut old_t = BigInt::zero();
-    let mut t = BigInt::one();
-
-    while !r.is_zero() {
-        let (q, rem) = old_r.magnitude().div_rem(r.magnitude());
-        // Signs: our remainders stay non-negative because we always divide
-        // magnitudes; track coefficient signs explicitly.
-        let q = BigInt::with_sign(Sign::Positive, q);
-        let new_r = BigInt::with_sign(Sign::Positive, rem);
-        old_r = std::mem::replace(&mut r, new_r);
-        let new_s = &old_s - &(&q * &s);
-        old_s = std::mem::replace(&mut s, new_s);
-        let new_t = &old_t - &(&q * &t);
-        old_t = std::mem::replace(&mut t, new_t);
-    }
-
-    (old_r.to_biguint().expect("gcd is non-negative"), old_s, old_t)
-}
-
 /// Computes the modular inverse of `a` modulo `m`, if it exists.
 ///
-/// Returns `None` when `gcd(a, m) != 1`.
+/// Returns `None` when `gcd(a, m) != 1` or `m` is zero; modulo 1 the
+/// inverse is zero.
 ///
 /// # Examples
 ///
@@ -136,11 +102,28 @@ pub fn mod_inv(a: &BigUint, m: &BigUint) -> Option<BigUint> {
     if m.is_zero() {
         return None;
     }
-    let (g, x, _) = extended_gcd(a, m);
-    if !g.is_one() {
-        return None;
+    if m.is_one() {
+        return Some(BigUint::zero());
     }
-    Some(x.rem_euclid(m))
+    // Euclid on (m, a mod m). The i-th remainder is r_i ≡ x_i·a (mod m)
+    // with x_0 = 0, x_1 = 1 and x_{i+1} = x_{i-1} − q_i·x_i. The x_i
+    // alternate in sign, positive at odd i, so only their magnitudes are
+    // kept: |x_{i+1}| = |x_{i-1}| + q_i·|x_i|. Once r_i = 1, x_i is the
+    // inverse, and 0 < |x_i| ≤ m/2.
+    let (mut r_prev, mut r) = (m.clone(), a % m);
+    let (mut x_prev, mut x) = (BigUint::zero(), BigUint::one());
+    let mut odd = true;
+    while !r.is_one() {
+        if r.is_zero() {
+            return None;
+        }
+        let (q, r_next) = r_prev.div_rem(&r);
+        let x_next = &x_prev + &(&q * &x);
+        r_prev = std::mem::replace(&mut r, r_next);
+        x_prev = std::mem::replace(&mut x, x_next);
+        odd = !odd;
+    }
+    Some(if odd { x } else { m - &x })
 }
 
 #[cfg(test)]
@@ -149,12 +132,6 @@ mod tests {
 
     fn n(v: u64) -> BigUint {
         BigUint::from_u64(v)
-    }
-
-    #[test]
-    fn mod_add_wraps() {
-        assert_eq!(mod_add(&n(9), &n(5), &n(7)), n(0));
-        assert_eq!(mod_add(&n(3), &n(5), &n(7)), n(1));
     }
 
     #[test]
@@ -204,17 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn extended_gcd_bezout_identity() {
-        let a = n(240);
-        let b = n(46);
-        let (g, x, y) = extended_gcd(&a, &b);
-        assert_eq!(g, n(2));
-        // a*x + b*y == g
-        let lhs = &(&BigInt::from_biguint(a) * &x) + &(&BigInt::from_biguint(b) * &y);
-        assert_eq!(lhs, BigInt::from_biguint(g));
-    }
-
-    #[test]
     fn mod_inv_round_trip() {
         let m = n(1_000_000_007);
         for a in [2u64, 3, 12345, 999_999_999] {
@@ -227,6 +193,27 @@ mod tests {
     fn mod_inv_nonexistent() {
         assert!(mod_inv(&n(6), &n(9)).is_none());
         assert!(mod_inv(&n(2), &BigUint::zero()).is_none());
+    }
+
+    #[test]
+    fn mod_inv_edge_cases() {
+        assert_eq!(mod_inv(&n(0), &n(0)), None);
+        assert_eq!(mod_inv(&n(0), &n(1)), Some(n(0)));
+        assert_eq!(mod_inv(&n(7), &n(1)), Some(n(0)));
+        for m in [2u64, 7, 12, 1_000_000_007] {
+            assert_eq!(mod_inv(&n(0), &n(m)), None, "m = {m}");
+            assert_eq!(mod_inv(&n(m), &n(m)), None, "m = {m}");
+            for a in [1u64, 5, 11, 999_999_999] {
+                let reduced = mod_inv(&n(a % m), &n(m));
+                assert_eq!(mod_inv(&n(a + m), &n(m)), reduced, "a = {a}, m = {m}");
+                assert_eq!(mod_inv(&n(a + 3 * m), &n(m)), reduced, "a = {a}, m = {m}");
+            }
+        }
+        // Both signs of the final coefficient: modulo 11, 3 stops at
+        // x_3 = 4 and 2 at x_2 = −5, so 2⁻¹ = 11 − 5.
+        assert_eq!(mod_inv(&n(3), &n(11)), Some(n(4)));
+        assert_eq!(mod_inv(&n(2), &n(11)), Some(n(6)));
+        assert_eq!(mod_inv(&n(1), &n(11)), Some(n(1)));
     }
 
     #[test]

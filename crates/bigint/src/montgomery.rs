@@ -11,8 +11,7 @@
 //!   Montgomery form of 1. Multiplication uses REDC, exponentiation a
 //!   fixed 4-bit window with an on-context table of base powers.
 //! - [`ModExpContext`] — the public entry point: Montgomery for odd
-//!   moduli `> 1`, automatic fallback to
-//!   [`modular::mod_pow_schoolbook`](crate::modular::mod_pow_schoolbook)
+//!   moduli `> 1`, automatic fallback to [`modular::mod_pow_schoolbook`]
 //!   otherwise, with exactly the reference implementation's semantics.
 //! - [`CrtContext`] — a two-prime RSA private-operation context: one
 //!   `ModExpContext` per prime plus Garner recombination.

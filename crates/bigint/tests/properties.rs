@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use wideleak_bigint::modular::{gcd, mod_inv, mod_mul, mod_pow_schoolbook};
 use wideleak_bigint::montgomery::{ModExpContext, Montgomery};
-use wideleak_bigint::{BigInt, BigUint};
+use wideleak_bigint::BigUint;
 
 /// Strategy producing BigUints of up to ~4 limbs from random byte strings.
 fn biguint() -> impl Strategy<Value = BigUint> {
@@ -162,19 +162,17 @@ proptest! {
     }
 
     #[test]
-    fn mod_inv_is_inverse(a in biguint_nonzero(), m in biguint_nonzero()) {
-        if let Some(inv) = mod_inv(&a, &m) {
+    fn mod_inv_is_inverse(a in biguint(), m in biguint_nonzero()) {
+        // The inverse exists exactly for units, is reduced, and inverts;
+        // modulo 1 every residue is 0, so only the range is checked there.
+        let inv = mod_inv(&a, &m);
+        prop_assert_eq!(inv.is_some(), gcd(&a, &m).is_one());
+        if let Some(x) = inv {
+            prop_assert!(x < m);
             if !m.is_one() {
-                prop_assert_eq!(mod_mul(&a, &inv, &m), BigUint::one());
+                prop_assert_eq!(mod_mul(&a, &x, &m), BigUint::one());
             }
         }
-    }
-
-    #[test]
-    fn signed_add_sub_round_trip(a in any::<i64>(), b in any::<i64>()) {
-        let ba = BigInt::from(a);
-        let bb = BigInt::from(b);
-        prop_assert_eq!(&(&ba + &bb) - &bb, ba);
     }
 
     #[test]

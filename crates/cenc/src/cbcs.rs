@@ -100,38 +100,6 @@ fn xcrypt_sample_in_place(
     Ok(())
 }
 
-/// Encrypts one sample in place under the `cbcs` scheme.
-///
-/// # Errors
-///
-/// Returns [`CencError::SubsampleMismatch`] for an inconsistent map.
-pub fn encrypt_sample_in_place(
-    key: &ContentKey,
-    constant_iv: [u8; BLOCK_LEN],
-    pattern: CryptPattern,
-    sample: &mut [u8],
-    subsamples: &[Subsample],
-) -> Result<(), CencError> {
-    let cipher = key.cipher();
-    xcrypt_sample_in_place(&cipher, constant_iv, pattern, sample, subsamples, Dir::Encrypt)
-}
-
-/// Decrypts one sample in place under the `cbcs` scheme.
-///
-/// # Errors
-///
-/// Returns [`CencError::SubsampleMismatch`] for an inconsistent map.
-pub fn decrypt_sample_in_place(
-    key: &ContentKey,
-    constant_iv: [u8; BLOCK_LEN],
-    pattern: CryptPattern,
-    sample: &mut [u8],
-    subsamples: &[Subsample],
-) -> Result<(), CencError> {
-    let cipher = key.cipher();
-    xcrypt_sample_in_place(&cipher, constant_iv, pattern, sample, subsamples, Dir::Decrypt)
-}
-
 /// Encrypts one sample in place using a caller-supplied AES key schedule,
 /// so the packager can expand the key once per segment.
 ///
@@ -299,18 +267,16 @@ mod tests {
             Subsample { clear_bytes: 20, encrypted_bytes: 230 },
             Subsample { clear_bytes: 0, encrypted_bytes: 250 },
         ];
+        let cipher = key().cipher();
         for pattern in [video_pattern(), full_pattern()] {
             let expected = encrypt_sample(&key(), [6; 16], pattern, &pt, &subs).unwrap();
             let mut buf = pt.clone();
-            encrypt_sample_in_place(&key(), [6; 16], pattern, &mut buf, &subs).unwrap();
-            assert_eq!(buf, expected);
-            decrypt_sample_in_place(&key(), [6; 16], pattern, &mut buf, &subs).unwrap();
-            assert_eq!(buf, pt);
-            let cipher = Aes128::new(&key().0);
-            let mut buf2 = expected.clone();
-            decrypt_sample_in_place_with_cipher(&cipher, [6; 16], pattern, &mut buf2, &subs)
+            encrypt_sample_in_place_with_cipher(&cipher, [6; 16], pattern, &mut buf, &subs)
                 .unwrap();
-            assert_eq!(buf2, pt);
+            assert_eq!(buf, expected);
+            decrypt_sample_in_place_with_cipher(&cipher, [6; 16], pattern, &mut buf, &subs)
+                .unwrap();
+            assert_eq!(buf, pt);
         }
     }
 

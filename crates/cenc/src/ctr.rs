@@ -125,37 +125,6 @@ pub fn xcrypt_sample_in_place_with_cipher(
     Ok(())
 }
 
-/// Encrypts one sample in place under the `cenc` scheme.
-///
-/// # Errors
-///
-/// Returns [`CencError::SubsampleMismatch`] for an inconsistent map.
-pub fn encrypt_sample_in_place(
-    key: &ContentKey,
-    iv: [u8; 8],
-    sample: &mut [u8],
-    subsamples: &[Subsample],
-) -> Result<(), CencError> {
-    let cipher = key.cipher();
-    xcrypt_sample_in_place_with_cipher(&cipher, iv, sample, subsamples)
-}
-
-/// Decrypts one sample in place under the `cenc` scheme (same XOR as
-/// encryption).
-///
-/// # Errors
-///
-/// Returns [`CencError::SubsampleMismatch`] for an inconsistent map.
-pub fn decrypt_sample_in_place(
-    key: &ContentKey,
-    iv: [u8; 8],
-    sample: &mut [u8],
-    subsamples: &[Subsample],
-) -> Result<(), CencError> {
-    let cipher = key.cipher();
-    xcrypt_sample_in_place_with_cipher(&cipher, iv, sample, subsamples)
-}
-
 /// Encrypts one sample under the `cenc` scheme.
 ///
 /// # Errors
@@ -272,12 +241,13 @@ mod tests {
                 Subsample { clear_bytes: 6, encrypted_bytes: 16 },
             ],
         ];
+        let cipher = key().cipher();
         for subs in layouts {
             let expected = encrypt_sample(&key(), [9; 8], pt, subs).unwrap();
             let mut buf = pt.to_vec();
-            encrypt_sample_in_place(&key(), [9; 8], &mut buf, subs).unwrap();
+            xcrypt_sample_in_place_with_cipher(&cipher, [9; 8], &mut buf, subs).unwrap();
             assert_eq!(buf, expected);
-            decrypt_sample_in_place(&key(), [9; 8], &mut buf, subs).unwrap();
+            xcrypt_sample_in_place_with_cipher(&cipher, [9; 8], &mut buf, subs).unwrap();
             assert_eq!(&buf[..], &pt[..]);
         }
     }
@@ -298,7 +268,8 @@ mod tests {
     fn in_place_rejects_mismatched_map_without_touching_buffer() {
         let subs = [Subsample { clear_bytes: 4, encrypted_bytes: 4 }];
         let mut buf = vec![0xAAu8; 9];
-        assert!(encrypt_sample_in_place(&key(), [0; 8], &mut buf, &subs).is_err());
+        let cipher = key().cipher();
+        assert!(xcrypt_sample_in_place_with_cipher(&cipher, [0; 8], &mut buf, &subs).is_err());
         assert_eq!(buf, vec![0xAAu8; 9]);
     }
 

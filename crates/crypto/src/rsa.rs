@@ -42,7 +42,7 @@ impl Eq for RsaPublicKey {}
 
 /// An RSA private key with CRT parameters.
 ///
-/// Construction runs through [`RsaPrivateKey::precompute`], which builds
+/// Construction runs through `RsaPrivateKey::precompute`, which builds
 /// the per-prime Montgomery contexts once; every private operation then
 /// reuses them.
 #[derive(Clone)]

@@ -67,7 +67,7 @@ pub enum Plane {
     /// the request path, e.g. `license/netflix/title-001`.
     Server,
     /// Binder transactions to the media DRM server. The op label is the
-    /// [`DrmCall`] kind, e.g. `decrypt_sample`.
+    /// `DrmCall` kind, e.g. `decrypt_sample`.
     Binder,
     /// Both planes.
     Any,

@@ -16,9 +16,11 @@
 
 use wideleak_device::catalog::DeviceModel;
 use wideleak_ott::adapt::AdaptConfig;
+use wideleak_ott::apps::evaluated_apps;
 use wideleak_ott::bandwidth::{BandwidthConfig, BandwidthSchedule};
 use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
 
+use crate::report::render_grid;
 use crate::study::STUDY_TITLE;
 
 /// Wall-clock window for the renewal-storm metric: the peak number of
@@ -170,13 +172,12 @@ fn storm_peak(license_times_ms: &[u64]) -> u64 {
 /// advances a private local timeline.
 pub fn run_adapt_study(seed: u64, quick: bool) -> AdaptReport {
     let _span = wideleak_telemetry::span!("adapt.run");
+    let take = if quick { 4 } else { usize::MAX };
+    let slugs: Vec<&str> = evaluated_apps().iter().map(|p| p.slug).take(take).collect();
     let mut cells = Vec::new();
     for scenario in scenarios() {
         let _scenario_span = wideleak_telemetry::span!("adapt.scenario", name = scenario.name);
-        let roster = Ecosystem::new(EcosystemConfig::fast_for_tests());
-        let slugs: Vec<String> = roster.profiles().iter().map(|p| p.slug.to_owned()).collect();
-        let take = if quick { 4 } else { slugs.len() };
-        for slug in slugs.iter().take(take) {
+        for slug in &slugs {
             cells.push(run_cell(&scenario, slug, seed, quick));
         }
     }
@@ -284,20 +285,7 @@ pub fn render_adapt(report: &AdaptReport) -> String {
         rows.push(row);
     }
 
-    let cols = rows[0].len();
-    let widths: Vec<usize> =
-        (0..cols).map(|c| rows.iter().map(|r| r[c].len()).max().unwrap_or(0)).collect();
-    let mut out = String::new();
-    for (i, row) in rows.iter().enumerate() {
-        for (c, cell) in row.iter().enumerate() {
-            out.push_str(&format!("{:width$}  ", cell, width = widths[c]));
-        }
-        out.push('\n');
-        if i == 0 {
-            out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-            out.push('\n');
-        }
-    }
+    let mut out = render_grid(&rows);
     out.push('\n');
     out.push_str(&format!(
         "seed {} | reb = rebuffer permille of presentation time | storm = peak licenses in any {}s window\n",

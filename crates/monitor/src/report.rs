@@ -38,7 +38,7 @@ fn q4_cell(l: LegacyPlayback) -> &'static str {
 
 /// Renders the study as the paper's Table I (ASCII form).
 pub fn render_table_1(report: &StudyReport) -> String {
-    let mut rows: Vec<[String; 7]> = vec![[
+    let mut rows: Vec<Vec<String>> = vec![vec![
         "OTT".into(),
         "Widevine (Q1)".into(),
         "Video (Q2)".into(),
@@ -48,7 +48,7 @@ pub fn render_table_1(report: &StudyReport) -> String {
         "L3 discontinued playback (Q4)".into(),
     ]];
     for f in &report.findings {
-        rows.push([
+        rows.push(vec![
             f.app_name.clone(),
             q1_cell(f).to_owned(),
             protection_cell(f.assets.video).to_owned(),
@@ -58,9 +58,16 @@ pub fn render_table_1(report: &StudyReport) -> String {
             q4_cell(f.legacy).to_owned(),
         ]);
     }
+    render_grid(&rows)
+}
 
+/// Lays `rows` out as a text grid: each cell left-aligned and padded to
+/// its column's widest cell plus two spaces, with a dash rule under the
+/// first (header) row.
+pub(crate) fn render_grid(rows: &[Vec<String>]) -> String {
+    let cols = rows.first().map_or(0, Vec::len);
     let widths: Vec<usize> =
-        (0..7).map(|c| rows.iter().map(|r| r[c].len()).max().unwrap_or(0)).collect();
+        (0..cols).map(|c| rows.iter().map(|r| r[c].len()).max().unwrap_or(0)).collect();
     let mut out = String::new();
     for (i, row) in rows.iter().enumerate() {
         for (c, cell) in row.iter().enumerate() {

@@ -16,9 +16,10 @@
 use wideleak_android_drm::binder::TransportKind;
 use wideleak_device::catalog::DeviceModel;
 use wideleak_faults::{FaultKind, FaultPlan, ResiliencePolicy, Schedule};
-use wideleak_ott::apps::RetryStatsSnapshot;
+use wideleak_ott::apps::{evaluated_apps, RetryStatsSnapshot};
 use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
 
+use crate::report::render_grid;
 use crate::study::STUDY_TITLE;
 
 /// One named fault schedule the sweep applies.
@@ -212,13 +213,12 @@ pub fn run_resilience_study_on(
 ) -> ResilienceReport {
     let _span = wideleak_telemetry::span!("resilience.run");
     let policy = ResiliencePolicy::default();
+    let take = if quick { 4 } else { usize::MAX };
+    let slugs: Vec<&str> = evaluated_apps().iter().map(|p| p.slug).take(take).collect();
     let mut cells = Vec::new();
     for scenario in scenarios() {
         let _scenario_span = wideleak_telemetry::span!("resilience.scenario", name = scenario.name);
-        let roster = Ecosystem::new(EcosystemConfig::fast_for_tests());
-        let slugs: Vec<String> = roster.profiles().iter().map(|p| p.slug.to_owned()).collect();
-        let take = if quick { 4 } else { slugs.len() };
-        for slug in slugs.iter().take(take) {
+        for slug in &slugs {
             cells.push(run_cell(&scenario, slug, seed, &policy, transport));
         }
     }
@@ -276,21 +276,7 @@ pub fn render_q5(report: &ResilienceReport) -> String {
         rows.push(row);
     }
 
-    let cols = rows[0].len();
-    let widths: Vec<usize> =
-        (0..cols).map(|c| rows.iter().map(|r| r[c].len()).max().unwrap_or(0)).collect();
-    let mut out = String::new();
-    for (i, row) in rows.iter().enumerate() {
-        for (c, cell) in row.iter().enumerate() {
-            out.push_str(&format!("{:width$}  ", cell, width = widths[c]));
-        }
-        out.push('\n');
-        if i == 0 {
-            out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-            out.push('\n');
-        }
-    }
-    out
+    render_grid(&rows)
 }
 
 #[cfg(test)]

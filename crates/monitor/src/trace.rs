@@ -37,7 +37,7 @@ pub fn analyze(log: &[CallEvent]) -> TraceAnalysis {
 }
 
 /// Per-function call counts — the raw statistic the paper's tool logs
-/// while "intercept[ing] and not[ing] any function called within the CDM
+/// while "intercept\[ing\] and not\[ing\] any function called within the CDM
 /// process linked to the Widevine protocol".
 pub fn call_histogram(log: &[CallEvent]) -> Vec<(String, usize)> {
     let mut counts: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();

@@ -1,4 +1,4 @@
-//! Exporters: render a [`Snapshot`](crate::Snapshot) as JSONL (one
+//! Exporters: render a [`Snapshot`] as JSONL (one
 //! JSON object per line, machine-consumable), and read an export back
 //! into the human-readable summary table the CLI prints after a
 //! `--telemetry` run and for `wideleak stats`.

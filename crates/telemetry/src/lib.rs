@@ -6,7 +6,7 @@
 //! OTT backend requests, per-app monitoring. This crate gives all of
 //! them one lightweight observability substrate:
 //!
-//! - [`span`] / [`span!`] — RAII guards measuring a named region with
+//! - [`span()`] / [`span!`] — RAII guards measuring a named region with
 //!   parent/child nesting (thread-local stack) and key=value fields;
 //!   each span also feeds a latency histogram of the same name;
 //! - [`incr`] / [`add`] — named monotonic counters;
@@ -22,9 +22,11 @@
 //! runs pay no measurable cost. `wideleak --telemetry out.jsonl ...`
 //! calls [`enable`] and exports at exit.
 //!
-//! Span storage is sharded across a fixed set of mutexes (selected by
-//! span id) so concurrent binder threads do not serialise on a single
-//! collector lock.
+//! Completed spans sit in one ring of at most [`trace::BUFFER_CAP`]
+//! records. Once it is full each new span evicts the oldest, counted on
+//! the `telemetry.spans.dropped` counter, so a long-lived collector
+//! (`wideleak serve --metrics`) holds bounded memory and its exports
+//! show the loss.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,6 +38,7 @@ pub mod span;
 pub mod trace;
 pub mod trace_report;
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -48,9 +51,8 @@ pub use metrics::{CounterHandle, Histogram, HistogramSummary, LatencyHistogram, 
 pub use span::{FieldValue, SpanGuard, SpanRecord};
 pub use trace::{TraceContext, TraceGuard, TraceSpan};
 
-/// Number of span-storage shards. Spans are appended to
-/// `shards[id % SHARDS]`, so concurrent threads rarely contend.
-pub const SHARDS: usize = 8;
+/// The counter of spans a collector evicted from its full ring.
+const SPANS_DROPPED: &str = "telemetry.spans.dropped";
 
 /// The telemetry sink: spans, counters, gauges and histograms.
 ///
@@ -60,7 +62,7 @@ pub struct Collector {
     enabled: AtomicBool,
     epoch: Instant,
     next_span_id: AtomicU64,
-    span_shards: [Mutex<Vec<SpanRecord>>; SHARDS],
+    spans: Mutex<VecDeque<SpanRecord>>,
     registry: Registry,
 }
 
@@ -82,7 +84,7 @@ impl Collector {
             enabled: AtomicBool::new(enabled),
             epoch: Instant::now(),
             next_span_id: AtomicU64::new(1),
-            span_shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
+            spans: Mutex::new(VecDeque::new()),
             registry: Registry::default(),
         }
     }
@@ -109,8 +111,12 @@ impl Collector {
     }
 
     pub(crate) fn record_span(&self, record: SpanRecord) {
-        let shard = (record.id % SHARDS as u64) as usize;
-        self.span_shards[shard].lock().push(record);
+        let mut spans = self.spans.lock();
+        if spans.len() >= trace::BUFFER_CAP {
+            spans.pop_front();
+            self.registry.counter(SPANS_DROPPED).fetch_add(1, Ordering::Relaxed);
+        }
+        spans.push_back(record);
     }
 
     /// Opens a span; inert (free) when disabled.
@@ -166,10 +172,7 @@ impl Collector {
     /// A consistent copy of everything recorded so far.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let mut spans: Vec<SpanRecord> = Vec::new();
-        for shard in &self.span_shards {
-            spans.extend(shard.lock().iter().cloned());
-        }
+        let mut spans: Vec<SpanRecord> = self.spans.lock().iter().cloned().collect();
         spans.sort_by_key(|s| s.id);
         Snapshot {
             spans,
@@ -181,9 +184,7 @@ impl Collector {
 
     /// Clears all recorded data (enabled state is unchanged).
     pub fn reset(&self) {
-        for shard in &self.span_shards {
-            shard.lock().clear();
-        }
+        self.spans.lock().clear();
         self.registry.clear();
         self.next_span_id.store(1, Ordering::Relaxed);
     }
@@ -367,6 +368,20 @@ mod tests {
         c.max_gauge("peak", 1);
         let s = c.snapshot();
         assert_eq!(s.gauges, vec![("depth".to_owned(), 2), ("peak".to_owned(), 3)]);
+    }
+
+    #[test]
+    fn full_span_ring_drops_the_oldest_and_counts_them() {
+        let c = Collector::new();
+        for _ in 0..trace::BUFFER_CAP + 3 {
+            drop(c.span("s"));
+        }
+        let s = c.snapshot();
+        assert_eq!(s.spans.len(), trace::BUFFER_CAP);
+        // Ids start at 1, so ids 1–3 are the ones lost.
+        assert_eq!(s.spans.first().map(|r| r.id), Some(4));
+        assert_eq!(s.spans.last().map(|r| r.id), Some(trace::BUFFER_CAP as u64 + 3));
+        assert_eq!(s.counters, vec![(SPANS_DROPPED.to_owned(), 3)]);
     }
 
     #[test]

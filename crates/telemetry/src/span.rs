@@ -89,7 +89,7 @@ pub struct SpanRecord {
 }
 
 /// RAII guard for an open span. Created by [`Collector::span`] or the
-/// crate-level [`crate::span`]; recording happens on drop.
+/// crate-level [`crate::span()`]; recording happens on drop.
 ///
 /// When telemetry is disabled the guard is inert: no allocation, no id,
 /// no record.

@@ -1,6 +1,6 @@
 //! Cross-process distributed tracing for the DRM plane.
 //!
-//! The PR-1 telemetry spans ([`crate::span`]) nest through a
+//! The collector's spans ([`mod@crate::span`]) nest through a
 //! thread-local stack, which goes blind the moment a call crosses a
 //! socket: the server's spans land in the server's collector with no
 //! causal link back to the client call that triggered them. This
