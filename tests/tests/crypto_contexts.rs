@@ -15,8 +15,10 @@ use wideleak::bmff::types::Subsample;
 use wideleak::cenc::ctr::{decrypt_sample, encrypt_sample};
 use wideleak::cenc::keys::ContentKey;
 use wideleak::crypto::aes::{Aes128, BLOCK_LEN};
+use wideleak::crypto::digest::Digest;
 use wideleak::crypto::rng::seeded_rng;
 use wideleak::crypto::rsa::RsaPrivateKey;
+use wideleak::crypto::sha256::Sha256;
 
 /// Seeded 1024-bit key shared by the known-answer tests; generation is
 /// deterministic so every derived artifact below is pinnable.
@@ -42,6 +44,32 @@ fn hex(bytes: &[u8]) -> String {
 fn rsa_keygen_is_deterministic_and_pinned() {
     let key = fixed_key();
     assert_eq!(key.public_key().modulus().to_hex(), FIXED_N_HEX);
+}
+
+/// SHA-256 over the big-endian moduli of the 768-bit keys from seeds
+/// 0..16, concatenated: the size of the attack's, stream's and
+/// campaign's device keys and of every `--fast` golden.
+const KEYGEN_768_MODULI_SHA256: &str =
+    "e852c75cfba190c4519cfbd98a45986ae424454e614303aa9f4120a9b170d17b";
+
+/// Modulus of the 2048-bit key from seed 2048: the size of the play
+/// workload's device keys.
+const KEYGEN_2048_N_HEX: &str = "9941407fe012fb9692cad79511c0014dfa9c51bf1fcbbd9b34ceaa2d4b98a2b7798de230c62ab465a65730fc1e6e7144a86867d85da5067c765f0e1260f4a6c05a23be8e97cde3c622101274d9d73f12f07425e383d98607fbaf1b0e1003fab21ea977fc4f1af44225a225356b7e38b9b7a1bcf97130d28564115be4c4032845247cb9914e4b3f15e84ca7b24c2b40dc34e6fb7132e12ec42746f4d0c269a34dee36f28a21847a65ae4d150ffe9bb217079322411b157a2b907a8436d680d9d7c200f5dfe2be1e0a3808b2a7f7fe18f2ab692cfec41a9518546819bac7b1116c575dda768c66259b65d859d62f42cb71d3ff8b03217e355407d5bf80bc766e73";
+
+#[test]
+fn rsa_768_keygen_is_pinned_across_seeds() {
+    let mut moduli = Vec::new();
+    for seed in 0..16 {
+        let key = RsaPrivateKey::generate(&mut seeded_rng(seed), 768);
+        moduli.extend(key.public_key().modulus().to_bytes_be_padded(96));
+    }
+    assert_eq!(hex(&Sha256::digest(&moduli)), KEYGEN_768_MODULI_SHA256);
+}
+
+#[test]
+fn rsa_2048_keygen_is_pinned() {
+    let key = RsaPrivateKey::generate(&mut seeded_rng(2048), 2048);
+    assert_eq!(key.public_key().modulus().to_hex(), KEYGEN_2048_N_HEX);
 }
 
 #[test]
