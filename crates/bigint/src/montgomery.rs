@@ -8,8 +8,10 @@
 //!
 //! - [`Montgomery`] — an odd-modulus context holding `-n^-1 mod 2^64`,
 //!   `R^2 mod n` (with `R = 2^(64k)` for a `k`-limb modulus) and the
-//!   Montgomery form of 1. Multiplication uses REDC, exponentiation a
-//!   fixed 4-bit window with an on-context table of base powers.
+//!   Montgomery form of 1. Products run the CIOS kernel (multiply and
+//!   reduce interleaved in one pass), squarings a dedicated kernel that
+//!   computes each cross product once, and exponentiation a fixed 4-bit
+//!   window whose buffers are allocated once per call.
 //! - [`ModExpContext`] — the public entry point: Montgomery for odd
 //!   moduli `> 1`, automatic fallback to [`modular::mod_pow_schoolbook`]
 //!   otherwise, with exactly the reference implementation's semantics.
@@ -28,6 +30,11 @@ const WINDOW: usize = 4;
 /// with REDC (one interleaved reduction per limb instead of a full
 /// division per product), and converted back on the way out. All the
 /// per-modulus constants are computed once in [`Montgomery::new`].
+///
+/// The window stays fixed at 4 bits, so where the squarings fall depends
+/// only on the exponent's bit length. A sliding window would skip work
+/// on runs of zero bits, placing its squarings and products by the
+/// secret exponent's bit pattern.
 ///
 /// # Examples
 ///
@@ -89,23 +96,38 @@ impl Montgomery {
 
     /// Computes `base^exp mod n` by fixed-window exponentiation in
     /// Montgomery form. `exp == 0` yields 1; `base` is reduced first.
+    ///
+    /// Every buffer is allocated once per call, before the window loop:
+    /// the flat table, the accumulator and one scratch buffer the
+    /// product and square kernels share.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one();
         }
-        let base_m = self.to_mont(&(base % &self.n));
-        // Table of base^0 .. base^(2^WINDOW - 1) in Montgomery form.
-        let mut table = Vec::with_capacity(1 << WINDOW);
-        table.push(self.one.clone());
-        table.push(base_m.clone());
+        let k = self.n_limbs.len();
+        let mut scratch = vec![0u64; scratch_len(k)];
+        // base^0 .. base^(2^WINDOW - 1) in Montgomery form; entry `i`
+        // is limbs `i*k .. (i+1)*k`. Even entries square their half.
+        let mut table = vec![0u64; k << WINDOW];
+        table[..k].copy_from_slice(&self.one);
+        load(&mut table[k..2 * k], &(base % &self.n));
+        self.mul_assign(&mut table[k..2 * k], &self.r2, &mut scratch);
         for i in 2..1usize << WINDOW {
-            table.push(self.mont_mul(&table[i - 1], &base_m));
+            let (done, rest) = table.split_at_mut(i * k);
+            let entry = &mut rest[..k];
+            if i % 2 == 0 {
+                entry.copy_from_slice(&done[i / 2 * k..(i / 2 + 1) * k]);
+                self.sqr_assign(entry, &mut scratch);
+            } else {
+                entry.copy_from_slice(&done[(i - 1) * k..i * k]);
+                self.mul_assign(entry, &done[k..2 * k], &mut scratch);
+            }
         }
         let bits = exp.bit_len();
         let mut acc = self.one.clone();
         for w in (0..bits.div_ceil(WINDOW)).rev() {
             for _ in 0..WINDOW {
-                acc = self.mont_mul(&acc, &acc);
+                self.sqr_assign(&mut acc, &mut scratch);
             }
             let mut val = 0usize;
             for b in (0..WINDOW).rev() {
@@ -115,89 +137,154 @@ impl Montgomery {
                 }
             }
             if val != 0 {
-                acc = self.mont_mul(&acc, &table[val]);
+                self.mul_assign(&mut acc, &table[val * k..(val + 1) * k], &mut scratch);
             }
         }
-        self.demont(&acc)
+        // Leave Montgomery form by multiplying by a plain 1, built in
+        // the table's first entry now that the window loop is done.
+        let plain_one = &mut table[..k];
+        plain_one.fill(0);
+        plain_one[0] = 1;
+        self.mul_assign(&mut acc, plain_one, &mut scratch);
+        BigUint::from_limbs(acc)
     }
 
-    /// Computes `(a * b) mod n` with two REDC passes (no full division).
+    /// Computes `(a * b) mod n` with two Montgomery products (no full
+    /// division).
     ///
-    /// `mont_mul(a, b)` yields `a*b*R^-1`; a second pass against `R^2`
+    /// The first product yields `a*b*R^-1`; a second against `R^2`
     /// restores the plain representation.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
         let k = self.n_limbs.len();
-        let t = self.mont_mul(&to_limbs(&(a % &self.n), k), &to_limbs(&(b % &self.n), k));
-        BigUint::from_limbs(self.mont_mul(&t, &self.r2))
+        let mut scratch = vec![0u64; scratch_len(k)];
+        let mut x = to_limbs(&(a % &self.n), k);
+        self.mul_assign(&mut x, &to_limbs(&(b % &self.n), k), &mut scratch);
+        self.mul_assign(&mut x, &self.r2, &mut scratch);
+        BigUint::from_limbs(x)
     }
 
-    /// Converts `x < n` into Montgomery form.
-    fn to_mont(&self, x: &BigUint) -> Vec<u64> {
-        self.mont_mul(&to_limbs(x, self.n_limbs.len()), &self.r2)
-    }
-
-    /// Converts a Montgomery-form value back to a plain integer.
-    fn demont(&self, xm: &[u64]) -> BigUint {
-        let mut plain_one = vec![0u64; self.n_limbs.len()];
-        plain_one[0] = 1;
-        BigUint::from_limbs(self.mont_mul(xm, &plain_one))
-    }
-
-    /// Montgomery product `a * b * R^-1 mod n` over `k`-limb operands.
+    /// CIOS Montgomery product: `a <- a * b * R^-1 mod n`, for `a, b < n`.
     ///
-    /// Schoolbook product into a `2k+1`-limb buffer, then the textbook
-    /// REDC loop: fold one low limb to zero per iteration by adding a
-    /// multiple of `n`, and shift the whole buffer down `k` limbs at the
-    /// end. Both inputs must be `< n`, so one conditional final subtract
-    /// suffices.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.n_limbs.len();
-        let mut t = vec![0u64; 2 * k + 1];
+    /// Coarsely integrated operand scanning: each of the `k` rows adds
+    /// `a * b[i]` into the `k + 2`-limb accumulator `t`, then adds the
+    /// multiple of `n` that zeroes `t`'s low limb and shifts `t` down one
+    /// limb, so multiply and reduce share one pass. The row's second
+    /// carry limb `t[k + 1]` catches the carry out of `t[k]`, which
+    /// moduli close to `R` reach. The result is below `2n`, so one
+    /// conditional subtract reduces it.
+    fn mul_assign(&self, a: &mut [u64], b: &[u64], t: &mut [u64]) {
+        let n = &self.n_limbs[..];
+        let k = n.len();
+        let (a, b, t) = (&mut a[..k], &b[..k], &mut t[..k + 2]);
+        t.fill(0);
+        for &bi in b {
+            let mut carry = 0u64;
+            for (tj, &aj) in t[..k].iter_mut().zip(a.iter()) {
+                let v = *tj as u128 + aj as u128 * bi as u128 + carry as u128;
+                *tj = v as u64;
+                carry = (v >> 64) as u64;
+            }
+            let v = t[k] as u128 + carry as u128;
+            t[k] = v as u64;
+            t[k + 1] = (v >> 64) as u64;
+
+            let m = t[0].wrapping_mul(self.n0_inv) as u128;
+            let mut carry = ((t[0] as u128 + m * n[0] as u128) >> 64) as u64;
+            for j in 1..k {
+                let v = t[j] as u128 + m * n[j] as u128 + carry as u128;
+                t[j - 1] = v as u64;
+                carry = (v >> 64) as u64;
+            }
+            let v = t[k] as u128 + carry as u128;
+            t[k - 1] = v as u64;
+            t[k] = t[k + 1] + (v >> 64) as u64;
+        }
+        a.copy_from_slice(&t[..k]);
+        if t[k] != 0 || ge(a, n) {
+            sub_in_place(a, n);
+        }
+    }
+
+    /// Montgomery square: `a <- a^2 * R^-1 mod n`, for `a < n`.
+    ///
+    /// Each off-diagonal product `a[i] * a[j]` (`i < j`) is computed
+    /// once into the `2k`-limb `t`; the sum is doubled with a one-bit
+    /// shift and the diagonal squares `a[i]^2` added, which gives `a^2`
+    /// for about half a general product's word multiplies. REDC then
+    /// zeroes `t`'s low `k` limbs one row at a time. A row's carry out of
+    /// its top limb `t[i + k]` is held in `top` and added at the next
+    /// row's top limb `t[i + k + 1]`, instead of rippling through `t`;
+    /// after the last row `top` is the result's bit `64k`. The result is
+    /// below `2n`, so one conditional subtract reduces it.
+    fn sqr_assign(&self, a: &mut [u64], t: &mut [u64]) {
+        let n = &self.n_limbs[..];
+        let k = n.len();
+        let (a, t) = (&mut a[..k], &mut t[..2 * k]);
+        t.fill(0);
         for i in 0..k {
             let ai = a[i] as u128;
             let mut carry = 0u64;
-            for j in 0..k {
-                let v = t[i + j] as u128 + ai * b[j] as u128 + carry as u128;
-                t[i + j] = v as u64;
+            for (tj, &aj) in t[2 * i + 1..i + k].iter_mut().zip(&a[i + 1..]) {
+                let v = *tj as u128 + ai * aj as u128 + carry as u128;
+                *tj = v as u64;
                 carry = (v >> 64) as u64;
             }
-            propagate_carry(&mut t[i + k..], carry);
+            t[i + k] = carry;
         }
+        let mut shifted_out = 0u64;
+        let mut carry = 0u64;
+        for (pair, &ai) in t.chunks_exact_mut(2).zip(a.iter()) {
+            let square = ai as u128 * ai as u128;
+            let lo = (pair[0] << 1) | shifted_out;
+            let hi = (pair[1] << 1) | (pair[0] >> 63);
+            shifted_out = pair[1] >> 63;
+            let v = lo as u128 + (square as u64) as u128 + carry as u128;
+            pair[0] = v as u64;
+            let v = hi as u128 + (square >> 64) + (v >> 64);
+            pair[1] = v as u64;
+            carry = (v >> 64) as u64;
+        }
+        debug_assert_eq!((shifted_out, carry), (0, 0), "a^2 fits in 2k limbs");
+
+        let mut top = 0u64;
         for i in 0..k {
             let m = t[i].wrapping_mul(self.n0_inv) as u128;
             let mut carry = 0u64;
-            for j in 0..k {
-                let v = t[i + j] as u128 + m * self.n_limbs[j] as u128 + carry as u128;
-                t[i + j] = v as u64;
+            for (tj, &nj) in t[i..i + k].iter_mut().zip(n) {
+                let v = *tj as u128 + m * nj as u128 + carry as u128;
+                *tj = v as u64;
                 carry = (v >> 64) as u64;
             }
-            propagate_carry(&mut t[i + k..], carry);
+            let v = t[i + k] as u128 + carry as u128 + top as u128;
+            t[i + k] = v as u64;
+            top = (v >> 64) as u64;
         }
-        let mut r = t[k..2 * k].to_vec();
-        if t[2 * k] != 0 || ge(&r, &self.n_limbs) {
-            sub_in_place(&mut r, &self.n_limbs);
+        a.copy_from_slice(&t[k..]);
+        if top != 0 || ge(a, n) {
+            sub_in_place(a, n);
         }
-        r
     }
+}
+
+/// Limbs of scratch the kernels need for a `k`-limb modulus: `k + 2`
+/// for a product, `2k` for a square.
+fn scratch_len(k: usize) -> usize {
+    (2 * k).max(k + 2)
 }
 
 /// Pads the limbs of `x` (which must fit) to exactly `k` limbs.
 fn to_limbs(x: &BigUint, k: usize) -> Vec<u64> {
-    let mut limbs = x.limbs().to_vec();
-    debug_assert!(limbs.len() <= k, "operand wider than modulus");
-    limbs.resize(k, 0);
+    let mut limbs = vec![0u64; k];
+    load(&mut limbs, x);
     limbs
 }
 
-/// Adds `carry` into the little-endian slice `t`, rippling as needed.
-fn propagate_carry(t: &mut [u64], mut carry: u64) {
-    let mut idx = 0;
-    while carry != 0 {
-        let v = t[idx] as u128 + carry as u128;
-        t[idx] = v as u64;
-        carry = (v >> 64) as u64;
-        idx += 1;
-    }
+/// Writes `x` (which must fit) into `dst`, zero-padding the high limbs.
+fn load(dst: &mut [u64], x: &BigUint) {
+    let limbs = x.limbs();
+    debug_assert!(limbs.len() <= dst.len(), "operand wider than modulus");
+    dst[..limbs.len()].copy_from_slice(limbs);
+    dst[limbs.len()..].fill(0);
 }
 
 /// Compares equal-length little-endian slices: `a >= b`.
