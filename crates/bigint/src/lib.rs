@@ -9,9 +9,13 @@
 //!
 //! The base arithmetic favours clarity and testability (schoolbook
 //! multiplication, Knuth Algorithm D division); the [`montgomery`]
-//! contexts layer REDC-based fixed-window exponentiation on top for the
+//! contexts layer fixed-window exponentiation on top for the
 //! repeated-modulus workloads (RSA private ops, Miller–Rabin), with the
-//! schoolbook path kept as the differential reference. This comfortably
+//! schoolbook path kept as the differential reference. Their products
+//! run the CIOS kernel, which interleaves multiply and reduce in one
+//! pass, and their squarings a dedicated kernel. The [`prime`] search
+//! sieves its walk by the small primes once per start and takes its
+//! Miller–Rabin round count from the prime's size. This comfortably
 //! handles the 2048-bit RSA moduli used by the simulated Widevine CDM.
 //!
 //! # Examples

@@ -16,9 +16,50 @@ const SMALL_PRIMES: [u64; 46] = [
     197, 199,
 ];
 
-/// Default number of Miller–Rabin rounds; gives an error probability well
-/// below `2^-80` for the sizes used by the simulated CDM.
-pub const DEFAULT_ROUNDS: u32 = 40;
+/// Starts at or above this take the sieve in [`next_prime_from`]: it is
+/// above the largest small prime, so a zero residue proves a candidate
+/// composite.
+const SIEVE_FROM: u64 = 256;
+
+/// Miller–Rabin rounds for a random `bits`-bit prime candidate: enough
+/// that a composite passes with probability at most `2^-80`.
+///
+/// The counts are Table 4.4 of the Handbook of Applied Cryptography
+/// (Menezes, van Oorschot and Vanstone, 1996), which gives that bound
+/// for a randomly chosen odd `k`-bit integer: 27 rounds at 100 bits down
+/// to 2 at 1300. A size between two rows takes the lower row's count,
+/// so 384-bit primes (768-bit keys) get 8 rounds, 512-bit primes 6 and
+/// 1024-bit primes (2048-bit keys) 3. Below the table's first row the
+/// count is 40. The bound is for random candidates, as key generation
+/// draws them; test a number from elsewhere through [`is_prime`] with a
+/// count of the caller's choosing.
+///
+/// # Examples
+///
+/// ```
+/// use wideleak_bigint::prime::miller_rabin_rounds;
+///
+/// assert_eq!(miller_rabin_rounds(384), 8);
+/// assert_eq!(miller_rabin_rounds(1024), 3);
+/// ```
+pub fn miller_rabin_rounds(bits: usize) -> u32 {
+    /// `(first bit length of the row, rounds)`, largest sizes first.
+    const HAC_TABLE_4_4: [(usize, u32); 12] = [
+        (1300, 2),
+        (850, 3),
+        (650, 4),
+        (550, 5),
+        (450, 6),
+        (400, 7),
+        (350, 8),
+        (300, 9),
+        (250, 12),
+        (200, 15),
+        (150, 18),
+        (100, 27),
+    ];
+    HAC_TABLE_4_4.iter().find(|&&(from, _)| bits >= from).map_or(40, |&(_, rounds)| rounds)
+}
 
 /// Tests `n` for primality with trial division followed by `rounds` rounds
 /// of Miller–Rabin with deterministically derived witnesses.
@@ -36,12 +77,8 @@ pub fn is_prime(n: &BigUint, rounds: u32) -> bool {
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let p_big = BigUint::from_u64(p);
-        if *n == p_big {
-            return true;
-        }
-        if (n % &p_big).is_zero() {
-            return false;
+        if n.div_rem_u64(p).1 == 0 {
+            return n.to_u64() == Some(p);
         }
     }
     miller_rabin(n, rounds)
@@ -120,10 +157,16 @@ impl WitnessStream {
     }
 }
 
-/// Finds the smallest probable prime `>= candidate`, forcing oddness first.
+/// Finds the smallest probable prime `>= candidate`, forcing oddness first:
+/// the first odd number from there on that [`is_prime`] accepts with
+/// `rounds` rounds.
 ///
 /// Used by RSA key generation: the caller draws a random candidate of the
-/// right bit length and this routine walks forward to a prime.
+/// right bit length and this routine walks forward to a prime. From
+/// 256 up the walk is sieved: the start's residues modulo the odd small
+/// primes are computed once and stepped by 2 with the candidate, and
+/// only a candidate with no zero residue is built and handed to
+/// Miller–Rabin. Smaller starts walk [`is_prime`] itself.
 ///
 /// # Panics
 ///
@@ -138,11 +181,29 @@ pub fn next_prime_from(candidate: &BigUint, rounds: u32) -> BigUint {
     if n.is_even() {
         n = &n + &BigUint::one();
     }
-    loop {
-        if is_prime(&n, rounds) {
-            return n;
+    if *candidate < BigUint::from_u64(SIEVE_FROM) {
+        while !is_prime(&n, rounds) {
+            n = &n + &two;
         }
-        n = &n + &two;
+        return n;
+    }
+    let odd_primes = &SMALL_PRIMES[1..];
+    let mut residues: Vec<u64> = odd_primes.iter().map(|&p| n.div_rem_u64(p).1).collect();
+    let mut offset = 0u64;
+    loop {
+        if residues.iter().all(|&r| r != 0) {
+            let c = &n + &BigUint::from_u64(offset);
+            if miller_rabin(&c, rounds) {
+                return c;
+            }
+        }
+        for (r, &p) in residues.iter_mut().zip(odd_primes) {
+            *r += 2;
+            if *r >= p {
+                *r -= p;
+            }
+        }
+        offset += 2;
     }
 }
 
@@ -208,6 +269,24 @@ mod tests {
     #[should_panic(expected = "candidate >= 2")]
     fn next_prime_rejects_zero() {
         next_prime_from(&BigUint::zero(), 16);
+    }
+
+    #[test]
+    fn rounds_follow_the_handbook_table() {
+        for (bits, rounds) in
+            [(2, 40), (99, 40), (100, 27), (256, 12), (384, 8), (512, 6), (1024, 3), (2048, 2)]
+        {
+            assert_eq!(miller_rabin_rounds(bits), rounds, "{bits} bits");
+        }
+    }
+
+    #[test]
+    fn sieved_search_crosses_the_walk_threshold() {
+        // 251 walks; 256 and 257 sieve (257 is prime; 263 is the next).
+        assert_eq!(next_prime_from(&n(251), 8), n(251));
+        assert_eq!(next_prime_from(&n(252), 8), n(257));
+        assert_eq!(next_prime_from(&n(256), 8), n(257));
+        assert_eq!(next_prime_from(&n(258), 8), n(263));
     }
 
     #[test]

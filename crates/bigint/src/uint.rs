@@ -283,7 +283,7 @@ impl BigUint {
     }
 
     /// Division by a single limb.
-    fn div_rem_u64(&self, d: u64) -> (BigUint, u64) {
+    pub(crate) fn div_rem_u64(&self, d: u64) -> (BigUint, u64) {
         let mut q = vec![0u64; self.limbs.len()];
         let mut rem: u128 = 0;
         for i in (0..self.limbs.len()).rev() {

@@ -9,7 +9,7 @@
 
 use wideleak_bigint::modular::{gcd, mod_inv};
 use wideleak_bigint::montgomery::{CrtContext, ModExpContext};
-use wideleak_bigint::prime::{next_prime_from, DEFAULT_ROUNDS};
+use wideleak_bigint::prime::{miller_rabin_rounds, next_prime_from};
 use wideleak_bigint::BigUint;
 
 use crate::digest::Digest;
@@ -484,7 +484,7 @@ fn gen_prime(rng: &mut Rng, bits: usize) -> BigUint {
     if candidate.is_even() {
         candidate = &candidate + &BigUint::one();
     }
-    next_prime_from(&candidate, DEFAULT_ROUNDS)
+    next_prime_from(&candidate, miller_rabin_rounds(bits))
 }
 
 #[cfg(test)]
