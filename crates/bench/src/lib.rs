@@ -171,10 +171,12 @@ fn push_json_escaped(s: &str, out: &mut String) {
 }
 
 impl BenchReport {
-    /// Starts a report for the named bench target.
+    /// Starts a report for the named bench target, labelled with the
+    /// core count (`nproc`) its timings were taken on.
     #[must_use]
     pub fn new(name: &'static str) -> BenchReport {
-        BenchReport { name, metrics: Vec::new(), labels: Vec::new() }
+        let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        BenchReport { name, metrics: Vec::new(), labels: vec![("nproc".into(), nproc.to_string())] }
     }
 
     /// Records one numeric metric (dotted keys, e.g. `tcp.p50_us`).
@@ -255,10 +257,13 @@ mod tests {
         let mut report = BenchReport::new("unit");
         report.label("mode", "quick").metric("tcp.p50_us", 12.5).metric("bad", f64::NAN);
         let json = report.to_json();
+        let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         assert_eq!(
             json,
-            "{\"bench\":\"unit\",\"labels\":{\"mode\":\"quick\"},\
-             \"metrics\":{\"tcp.p50_us\":12.5,\"bad\":null}}\n"
+            format!(
+                "{{\"bench\":\"unit\",\"labels\":{{\"nproc\":\"{nproc}\",\"mode\":\"quick\"}},\
+                 \"metrics\":{{\"tcp.p50_us\":12.5,\"bad\":null}}}}\n"
+            )
         );
     }
 
