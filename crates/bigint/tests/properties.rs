@@ -199,8 +199,8 @@ fn from_limbs(limbs: &[u64]) -> BigUint {
 fn wide_odd_modulus() -> impl Strategy<Value = BigUint> {
     (1usize..=32, collection::vec(any::<u64>(), 32), 0u8..3).prop_map(|(k, limbs, kind)| {
         if kind == 0 {
-            let j = BigUint::from_u64(limbs[0] >> 32);
-            &(&(&BigUint::one() << (64 * k)) - &(&j + &j)) - &BigUint::one()
+            let j = limbs[0] >> 32;
+            &(&BigUint::one() << (64 * k)) - &BigUint::from_u64(2 * j + 1)
         } else {
             let mut limbs = limbs[..k].to_vec();
             limbs[0] |= 1;
