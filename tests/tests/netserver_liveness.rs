@@ -1,6 +1,6 @@
 //! Liveness regressions for the TCP client transport.
 //!
-//! Both tests pin fixes to real hang/stale-read bugs in the pooled
+//! The tests pin fixes to real hang/stale-read bugs in the pooled
 //! [`TcpBinder`]:
 //!
 //! 1. The client's reply read had no deadline (a never-set shutdown
@@ -12,6 +12,9 @@
 //!    the dead socket's buffer, then the read sees a clean EOF before
 //!    any reply byte — hard-failed `BinderDied`. It must now cost
 //!    exactly one reconnect and succeed.
+//! 3. The deadline bounds the whole reply frame, not each read: a
+//!    server that trickles a valid reply slower than the deadline
+//!    allows still surfaces the timeout.
 //!
 //! The fake servers here speak the wire format directly so the tests
 //! control exactly when a connection goes quiet or dies.
@@ -63,6 +66,36 @@ fn a_stalled_server_surfaces_a_timeout_instead_of_hanging() {
     assert_eq!(reply.unwrap_err().class(), "timeout");
     drop(binder);
     stall.join().unwrap();
+}
+
+#[test]
+fn the_deadline_covers_a_whole_trickled_reply() {
+    // A server that answers, but one byte every 50 ms: each read waits
+    // less than the 100 ms deadline, the whole 19-byte reply far more.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let reply_frame = encode_frame(&FrameBody::Reply(Ok(DrmReply::Bool(true))));
+    let trickle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        read_request(&mut stream).unwrap();
+        for byte in &reply_frame {
+            std::thread::sleep(Duration::from_millis(50));
+            // The client hangs up once its deadline passes.
+            if stream.write_all(std::slice::from_ref(byte)).is_err() {
+                break;
+            }
+        }
+    });
+    let binder = TcpBinder::connect(addr)
+        .pool_size(1)
+        .read_timeout(Duration::from_millis(100))
+        .build()
+        .unwrap();
+    let started = Instant::now();
+    let reply = binder.transact(DrmCall::IsSchemeSupported { uuid: WIDEVINE_SYSTEM_ID });
+    assert_eq!(reply, Err(DrmError::Timeout { ms: 100 }), "after {:?}", started.elapsed());
+    drop(binder);
+    trickle.join().unwrap();
 }
 
 #[test]

@@ -5,6 +5,10 @@
 
 use proptest::prelude::*;
 use wideleak::android_drm::binder::{DrmCall, DrmReply};
+use wideleak::android_drm::campaign::{
+    AppCells, CampaignCall, CampaignError, CampaignReply, CampaignSpec, ShardAssignment,
+    ShardReport,
+};
 use wideleak::android_drm::wire::{
     decode_frame, decode_frame_full, encode_frame, encode_frame_full, FrameBody, WireError,
     HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN,
@@ -14,8 +18,10 @@ use wideleak::bmff::types::{KeyId, Subsample};
 use wideleak::cdm::oemcrypto::SampleCrypto;
 use wideleak::cdm::CdmError;
 use wideleak::crypto::rng::seeded_rng;
+use wideleak::crypto::sha256::sha256;
 use wideleak::crypto::CryptoError;
 use wideleak::tee::TeeError;
+use wideleak::telemetry::{LatencyHistogram, TraceContext};
 
 fn kid_strategy() -> impl Strategy<Value = KeyId> {
     any::<[u8; 16]>().prop_map(KeyId)
@@ -272,4 +278,116 @@ fn flipped_id_bytes_never_survive_the_full_decode() {
             "a flipped request-id byte at {pos} must not fully decode"
         );
     }
+}
+
+/// One call per [`DrmCall`] variant, with fixed field contents.
+fn call_corpus() -> Vec<DrmCall> {
+    let kid = KeyId([0x11; 16]);
+    vec![
+        DrmCall::IsSchemeSupported { uuid: [0x01; 16] },
+        DrmCall::OpenSession { nonce: [0x02; 16] },
+        DrmCall::CloseSession { session_id: 7 },
+        DrmCall::IsProvisioned,
+        DrmCall::GetProvisionRequest { nonce: [0x03; 16] },
+        DrmCall::ProvideProvisionResponse { nonce: [0x04; 16], response: vec![0x05; 33] },
+        DrmCall::GetKeyRequest {
+            session_id: 8,
+            content_id: "title-001".into(),
+            key_ids: vec![kid, KeyId([0x12; 16])],
+        },
+        DrmCall::ProvideKeyResponse { session_id: 8, response: vec![0x06; 70] },
+        DrmCall::DecryptSample {
+            session_id: 9,
+            kid,
+            crypto: SampleCrypto::Cbcs { constant_iv: [0x07; 16], crypt_blocks: 1, skip_blocks: 9 },
+            data: vec![0x08; 64],
+            subsamples: vec![Subsample { clear_bytes: 16, encrypted_bytes: 48 }],
+        },
+        DrmCall::GenericEncrypt { session_id: 10, kid, iv: [0x09; 16], data: vec![0x0A; 32] },
+        DrmCall::GenericDecrypt { session_id: 10, kid, iv: [0x0B; 16], data: vec![0x0C; 32] },
+        DrmCall::GenericSign { session_id: 11, kid, data: vec![0x0D; 20] },
+        DrmCall::GenericVerify {
+            session_id: 11,
+            kid,
+            data: vec![0x0E; 20],
+            signature: vec![0x0F; 32],
+        },
+    ]
+}
+
+/// One of each campaign control-channel frame: `Hello`, a `RunShard`,
+/// a `HelloAck`, a `ShardDone` and a `CampaignError` reply.
+fn campaign_corpus() -> Vec<FrameBody> {
+    let spec = CampaignSpec {
+        seed: 2022,
+        devices: 4096,
+        apps: vec!["netflix".into(), "disney".into()],
+        sample_every: 512,
+        rsa_bits: 768,
+        kill_at_device: Some(17),
+    };
+    let mut latency = LatencyHistogram::new();
+    for ms in [12, 12, 40, 511] {
+        latency.record(ms);
+    }
+    let mut cells = AppCells::new("netflix");
+    cells.record(0, 42);
+    cells.record(3, 7);
+    let report = ShardReport {
+        shard_id: 1,
+        start: 2048,
+        end: 4096,
+        cells: vec![cells],
+        latency,
+        sampled_plays: 4,
+        sample_mismatches: 0,
+        counters: vec![("campaign.devices".into(), 2048)],
+    };
+    vec![
+        FrameBody::CampaignCall(CampaignCall::Hello),
+        FrameBody::CampaignCall(CampaignCall::RunShard {
+            spec,
+            shard: ShardAssignment { shard_id: 1, start: 2048, end: 4096 },
+        }),
+        FrameBody::CampaignReply(Ok(CampaignReply::HelloAck { pid: 4242, wire_version: 3 })),
+        FrameBody::CampaignReply(Ok(CampaignReply::ShardDone(report))),
+        FrameBody::CampaignReply(Err(CampaignError::Protocol { what: "reply out of step".into() })),
+    ]
+}
+
+/// Encodes `body` with an optional trace context and request id.
+fn frame(body: &FrameBody, ctx: Option<&TraceContext>, request_id: Option<u64>) -> Vec<u8> {
+    encode_frame_full(body, ctx, request_id)
+}
+
+/// Pins the wire bytes: the SHA-256 of every frame a fixed corpus
+/// encodes (each call variant, each corpus reply and each campaign
+/// frame, with no extension, a trace context, a request id, and both).
+/// Any change to how a frame is laid out changes the digest.
+#[test]
+fn corpus_frames_are_byte_identical() {
+    let ctx = TraceContext { trace_id: 0x0123_4567_89AB_CDEF, span_id: 0xFEED, parent_span_id: 7 };
+    let bodies = call_corpus()
+        .into_iter()
+        .map(FrameBody::Call)
+        .chain(reply_corpus().into_iter().map(FrameBody::Reply))
+        .chain(campaign_corpus());
+    let mut stream = Vec::new();
+    let mut frames = 0;
+    for body in bodies {
+        for (ctx, request_id) in
+            [(None, None), (Some(&ctx), None), (None, Some(41)), (Some(&ctx), Some(42))]
+        {
+            stream.extend_from_slice(&frame(&body, ctx, request_id));
+            frames += 1;
+        }
+    }
+    assert_eq!(frames, 4 * (13 + 16 + 5));
+    let digest: String = sha256(&stream).iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        digest,
+        "62d186371b2ff795d4188a27bc85bab8d86fde451959d611a356aa154b6604b0",
+        "{} bytes",
+        stream.len()
+    );
 }
