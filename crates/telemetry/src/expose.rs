@@ -18,7 +18,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::metrics::Registry;
 use crate::Collector;
@@ -26,8 +26,9 @@ use crate::Collector;
 /// How often the accept loop re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
-/// Per-request socket timeout; a stalled scraper cannot wedge the
-/// exposition thread past this.
+/// How long one request may take to arrive, counted from accept; a
+/// stalled or trickling scraper cannot wedge the exposition thread past
+/// this.
 const REQUEST_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Rewrites a metric name into the Prometheus charset: `[a-zA-Z0-9_]`
@@ -100,12 +101,18 @@ fn write_response(stream: &mut TcpStream, status: &str, content_type: &str, body
 }
 
 /// Reads up to the end of the request head and returns the request
-/// line, or `None` on malformed/oversized/timed-out input.
+/// line, or `None` on malformed/oversized/timed-out input. Each read
+/// waits only for what is left of [`REQUEST_TIMEOUT`].
 fn read_request_line(stream: &mut TcpStream) -> Option<String> {
-    let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
+    let deadline = Instant::now() + REQUEST_TIMEOUT;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // std rejects a zero timeout; a spent budget ends the read.
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -261,5 +268,35 @@ mod tests {
         // The port is released: a fresh bind to the same addr works.
         let rebound = TcpListener::bind(addr);
         assert!(rebound.is_ok());
+    }
+
+    #[test]
+    fn a_trickling_scraper_is_cut_off_and_the_next_scrape_answered() {
+        let collector: &'static Collector = Box::leak(Box::new(Collector::new()));
+        let server = ExpositionServer::bind("127.0.0.1:0", collector).unwrap();
+        let addr = server.local_addr();
+        // One byte of a request every 100 ms: each read waits far less
+        // than the request timeout, the whole 38-byte request far more.
+        let mut trickler = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        let writer = {
+            let mut stream = trickler.try_clone().unwrap();
+            std::thread::spawn(move || {
+                for byte in b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n" {
+                    std::thread::sleep(Duration::from_millis(100));
+                    // The server hangs up once the request's time is up.
+                    if stream.write_all(std::slice::from_ref(byte)).is_err() {
+                        break;
+                    }
+                }
+            })
+        };
+        // The server gives up on the request and closes the connection.
+        let _ = trickler.read_to_end(&mut Vec::new());
+        let held = started.elapsed();
+        assert!(held < Duration::from_secs(2), "one request held the endpoint for {held:?}");
+        let health = http_get(addr, "/healthz");
+        assert!(health.contains("200 OK") && health.ends_with("ok\n"), "{health}");
+        writer.join().unwrap();
     }
 }
