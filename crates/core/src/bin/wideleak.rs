@@ -61,7 +61,6 @@ fn usage() -> ExitCode {
                           --congestion steady|constricted runs adaptive plays on constrained links\n\
            campaign       run the sharded catalog campaign (--quick: CI size)\n\
                           --workers N shards across N worker processes\n\
-                          --devices N / --sample-every N override the catalog sweep\n\
            serve [ADDR]   run a wire-framed TCP media DRM server (default 127.0.0.1:7564)\n\
                           --metrics ADDR adds a live Prometheus /metrics endpoint\n\
                           --worker runs as a campaign shard worker on stdin/stdout\n\
@@ -124,8 +123,6 @@ fn main() -> ExitCode {
     let mut quick = false;
     let mut worker_mode = false;
     let mut campaign_workers: Option<usize> = None;
-    let mut campaign_devices: Option<u64> = None;
-    let mut campaign_sample_every: Option<u64> = None;
     let mut positional = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -155,14 +152,6 @@ fn main() -> ExitCode {
             "--worker" => worker_mode = true,
             "--workers" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => campaign_workers = Some(n),
-                None => return usage(),
-            },
-            "--devices" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => campaign_devices = Some(n),
-                None => return usage(),
-            },
-            "--sample-every" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => campaign_sample_every = Some(n),
                 None => return usage(),
             },
             "--congestion" => match args.next().as_deref().and_then(Congestion::parse) {
@@ -303,12 +292,6 @@ fn main() -> ExitCode {
         let mut cc = if quick { CampaignConfig::quick(seed) } else { CampaignConfig::full(seed) };
         if let Some(n) = campaign_workers {
             cc.workers = n;
-        }
-        if let Some(n) = campaign_devices {
-            cc.spec.devices = n;
-        }
-        if let Some(n) = campaign_sample_every {
-            cc.spec.sample_every = n;
         }
         let cmd = match WorkerCommand::current_exe() {
             Ok(cmd) => cmd,
