@@ -724,13 +724,13 @@ mod tests {
     /// serving: the reactor neither closes it nor desyncs its framing.
     #[test]
     fn server_panic_crosses_the_wire_and_the_connection_keeps_serving() {
-        use crate::wire::{decode_frame, encode_frame, read_frame, FrameBody};
+        use crate::wire::{decode_frame, encode_frame, read_frame, FrameBody, FrameMeta};
         use std::io::Write;
 
         let srv = TcpDrmServer::bind("127.0.0.1:0", panicking_server()).unwrap();
         let mut stream = std::net::TcpStream::connect(srv.local_addr()).unwrap();
         let mut round_trip = |call: DrmCall| {
-            stream.write_all(&encode_frame(&FrameBody::Call(call))).unwrap();
+            stream.write_all(&encode_frame(&FrameBody::Call(call), FrameMeta::default())).unwrap();
             let frame = read_frame(&mut stream).unwrap().expect("a reply before EOF");
             decode_frame(&frame).unwrap().0
         };

@@ -518,7 +518,7 @@ fn decode_campaign_error(r: &mut Reader<'_>) -> Result<CampaignError, WireError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_frame, encode_frame, FrameBody};
+    use crate::wire::{decode_frame, encode_frame, FrameBody, FrameMeta};
 
     fn sample_spec() -> CampaignSpec {
         CampaignSpec {
@@ -553,15 +553,15 @@ mod tests {
     }
 
     fn roundtrip_call(call: CampaignCall) {
-        let frame = encode_frame(&FrameBody::CampaignCall(call.clone()));
-        let (body, used) = decode_frame(&frame).expect("campaign call decodes");
+        let frame = encode_frame(&FrameBody::CampaignCall(call.clone()), FrameMeta::default());
+        let (body, _, used) = decode_frame(&frame).expect("campaign call decodes");
         assert_eq!(used, frame.len());
         assert_eq!(body, FrameBody::CampaignCall(call));
     }
 
     fn roundtrip_reply(reply: Result<CampaignReply, CampaignError>) {
-        let frame = encode_frame(&FrameBody::CampaignReply(reply.clone()));
-        let (body, used) = decode_frame(&frame).expect("campaign reply decodes");
+        let frame = encode_frame(&FrameBody::CampaignReply(reply.clone()), FrameMeta::default());
+        let (body, _, used) = decode_frame(&frame).expect("campaign reply decodes");
         assert_eq!(used, frame.len());
         assert_eq!(body, FrameBody::CampaignReply(reply));
     }

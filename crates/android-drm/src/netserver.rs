@@ -10,13 +10,15 @@
 //! in-flight call per checked-out socket, with a health-checked
 //! reconnect. The health check covers *both* stale-socket symptoms: a
 //! failed write, and a clean EOF before any reply byte (the write
-//! landed in a dead socket's buffer) — each worth exactly one
-//! reconnect-and-retry.
+//! landed in a dead socket's buffer). Either costs the call one
+//! reconnect-and-resend, and a call gets at most one.
 //!
-//! Every read is bounded by a configurable deadline
-//! ([`TcpBinderBuilder::read_timeout`]); a wedged server surfaces as
-//! the transient, retryable [`DrmError::Timeout`] instead of hanging
-//! the caller forever.
+//! The reply is read with [`read_frame`], the reader the campaign's
+//! pipes use too, under one configurable deadline
+//! ([`TcpBinderBuilder::read_timeout`]) covering the whole frame:
+//! before each read the socket's timeout is set to the time left. A
+//! wedged or trickling server surfaces as the transient, retryable
+//! [`DrmError::Timeout`] instead of hanging the caller.
 //!
 //! Fault realisation differs from the in-memory transport by design:
 //! it corrupts the typed reply payload, but here corruption faults
@@ -37,7 +39,7 @@ use wideleak_telemetry::{trace, CounterHandle};
 
 use crate::binder::{transact_via, DrmCall, DrmReply, FaultStyle, Transport};
 use crate::server::MediaDrmServer;
-use crate::wire::{decode_frame, encode_frame_with, frame_len, FrameBody, WireError, HEADER_LEN};
+use crate::wire::{decode_frame, encode_frame, read_frame, FrameBody, FrameMeta, WireError};
 use crate::DrmError;
 
 pub use crate::reactor::{ReactorConfig, TcpDrmServer};
@@ -48,91 +50,44 @@ static BYTES_SENT: CounterHandle = CounterHandle::new("binder.tcp.bytes.sent");
 static BYTES_RECEIVED: CounterHandle = CounterHandle::new("binder.tcp.bytes.received");
 static RECONNECTS: CounterHandle = CounterHandle::new("binder.tcp.reconnects");
 
-/// How often blocked reads wake up to re-check their deadline.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
 /// Default read deadline: generous against real dispatch latency,
 /// finite against a wedged server.
 const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Outcome of a deadline-bounded frame read on a pooled socket.
-enum FrameRead {
-    /// A complete frame.
-    Frame(Vec<u8>),
-    /// The header was unparseable; the stream can no longer be trusted
-    /// to be frame-aligned.
-    Wire(WireError),
-    /// Clean EOF before any reply byte — the stale-socket symptom the
-    /// one-retry health check covers.
-    CleanEof,
-    /// The deadline expired with the frame incomplete.
-    TimedOut,
+/// A pooled socket read against one deadline: before each read it sets
+/// the socket's timeout to the time left, so the deadline bounds the
+/// whole reply frame rather than each read.
+struct DeadlineReader<'a> {
+    stream: &'a mut TcpStream,
+    deadline: Instant,
 }
 
-enum FillStatus {
-    Done,
-    CleanEof,
-    TimedOut,
-}
-
-/// Reads exactly `buf.len()` bytes or gives up when `deadline` (dated
-/// from `started`) expires. Each blocking wait is capped at
-/// [`POLL_INTERVAL`] so the remaining budget is re-checked often.
-fn read_full_deadline(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    started: Instant,
-    deadline: Duration,
-) -> std::io::Result<FillStatus> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let Some(remaining) = deadline.checked_sub(started.elapsed()) else {
-            return Ok(FillStatus::TimedOut);
-        };
-        let slice = remaining.min(POLL_INTERVAL).max(Duration::from_millis(1));
-        let _ = stream.set_read_timeout(Some(slice));
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(FillStatus::CleanEof),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        // std rejects a zero timeout; a spent deadline is a timeout.
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
         }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
-    Ok(FillStatus::Done)
 }
 
-/// Reads one whole frame with a deadline covering header and payload
-/// together. A timeout mid-frame still reports [`FrameRead::TimedOut`]
-/// — the caller severs the (now desynced) socket either way.
-fn read_frame_deadline(stream: &mut TcpStream, deadline: Duration) -> std::io::Result<FrameRead> {
-    let started = Instant::now();
-    let mut header = [0u8; HEADER_LEN];
-    match read_full_deadline(stream, &mut header, started, deadline)? {
-        FillStatus::Done => {}
-        FillStatus::CleanEof => return Ok(FrameRead::CleanEof),
-        FillStatus::TimedOut => return Ok(FrameRead::TimedOut),
-    }
-    let total = match frame_len(&header) {
-        Ok(total) => total,
-        Err(e) => return Ok(FrameRead::Wire(e)),
-    };
-    let mut frame = vec![0u8; total];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    match read_full_deadline(stream, &mut frame[HEADER_LEN..], started, deadline)? {
-        FillStatus::Done => Ok(FrameRead::Frame(frame)),
-        FillStatus::CleanEof => {
-            Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "peer closed mid-frame"))
+/// Maps a failed reply read to the transport's taxonomy: an expired
+/// deadline is the transient [`DrmError::Timeout`], a header the codec
+/// rejects is [`DrmError::Wire`], and anything else (EOF mid-frame, a
+/// reset) is [`DrmError::BinderDied`].
+fn read_error(e: std::io::Error, read_timeout: Duration) -> DrmError {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+            DrmError::Timeout { ms: u64::try_from(read_timeout.as_millis()).unwrap_or(u64::MAX) }
         }
-        FillStatus::TimedOut => Ok(FrameRead::TimedOut),
+        std::io::ErrorKind::InvalidData => e
+            .into_inner()
+            .and_then(|inner| inner.downcast::<WireError>().ok())
+            .map_or(DrmError::BinderDied, |wire| DrmError::Wire(*wire)),
+        _ => DrmError::BinderDied,
     }
 }
 
@@ -340,18 +295,42 @@ impl TcpBinder {
         }
         let request = {
             let _encode = trace::span("tcp.encode");
-            encode_frame_with(&FrameBody::Call(call), trace_ctx.as_ref())
+            encode_frame(&FrameBody::Call(call), FrameMeta { ctx: trace_ctx, request_id: None })
         };
         let started = Instant::now();
         let roundtrip = trace::span("tcp.roundtrip");
-        // The stale-socket health check: at most one reconnect-and-retry
+        // The stale-socket health check: at most one reconnect-and-resend
         // per transaction, whether the staleness shows as a failed write
-        // or as a clean EOF before any reply byte.
+        // or as a clean EOF before any reply byte (the write landed in a
+        // dead socket's buffer).
         let mut retried = false;
-        if stream.write_all(&request).is_err() {
+        let mut frame = loop {
+            let stale = if stream.write_all(&request).is_err() {
+                "stale_socket"
+            } else {
+                FRAMES_SENT.incr();
+                BYTES_SENT.add(request.len() as u64);
+                let deadline = Instant::now() + self.read_timeout;
+                match read_frame(&mut DeadlineReader { stream: &mut stream, deadline }) {
+                    Ok(Some(frame)) => break frame,
+                    Ok(None) => "eof_before_reply",
+                    Err(e) => {
+                        // The stream can no longer be trusted to be
+                        // frame-aligned, and after a timeout the late
+                        // reply may still arrive on it: sever, and let
+                        // the retry policy pay one reconnect.
+                        self.checkin(ConnSlot::Dead);
+                        return Err(read_error(e, self.read_timeout));
+                    }
+                }
+            };
+            if retried {
+                self.checkin(ConnSlot::Dead);
+                return Err(DrmError::BinderDied);
+            }
             retried = true;
             RECONNECTS.incr();
-            trace::annotate("reconnect", "stale_socket");
+            trace::annotate("reconnect", stale);
             stream = match self.connect_fresh() {
                 Ok(fresh) => fresh,
                 Err(e) => {
@@ -359,56 +338,6 @@ impl TcpBinder {
                     return Err(e);
                 }
             };
-            if stream.write_all(&request).is_err() {
-                self.checkin(ConnSlot::Dead);
-                return Err(DrmError::BinderDied);
-            }
-        }
-        FRAMES_SENT.incr();
-        BYTES_SENT.add(request.len() as u64);
-        let mut frame = loop {
-            match read_frame_deadline(&mut stream, self.read_timeout) {
-                Ok(FrameRead::Frame(frame)) => break frame,
-                Ok(FrameRead::Wire(wire_err)) => {
-                    self.checkin(ConnSlot::Dead);
-                    return Err(DrmError::Wire(wire_err));
-                }
-                Ok(FrameRead::TimedOut) => {
-                    // A wedged server. The stream may deliver the stale
-                    // reply later, so the socket cannot be reused; the
-                    // error is transient and the retry policy pays one
-                    // reconnect.
-                    self.checkin(ConnSlot::Dead);
-                    return Err(DrmError::Timeout {
-                        ms: u64::try_from(self.read_timeout.as_millis()).unwrap_or(u64::MAX),
-                    });
-                }
-                Ok(FrameRead::CleanEof) if !retried => {
-                    // The write landed in a dead socket's buffer and the
-                    // EOF is the first evidence. Same one-shot health
-                    // check as a failed write.
-                    retried = true;
-                    RECONNECTS.incr();
-                    trace::annotate("reconnect", "eof_before_reply");
-                    stream = match self.connect_fresh() {
-                        Ok(fresh) => fresh,
-                        Err(e) => {
-                            self.checkin(ConnSlot::Dead);
-                            return Err(e);
-                        }
-                    };
-                    if stream.write_all(&request).is_err() {
-                        self.checkin(ConnSlot::Dead);
-                        return Err(DrmError::BinderDied);
-                    }
-                    FRAMES_SENT.incr();
-                    BYTES_SENT.add(request.len() as u64);
-                }
-                Ok(FrameRead::CleanEof) | Err(_) => {
-                    self.checkin(ConnSlot::Dead);
-                    return Err(DrmError::BinderDied);
-                }
-            }
         };
         FRAMES_RECEIVED.incr();
         BYTES_RECEIVED.add(frame.len() as u64);
@@ -422,14 +351,11 @@ impl TcpBinder {
         }
         let _decode = trace::span("tcp.decode");
         match decode_frame(&frame) {
-            Ok((FrameBody::Reply(reply), _)) => {
+            Ok((FrameBody::Reply(reply), _, _)) => {
                 self.checkin(ConnSlot::Live(stream));
                 reply
             }
-            Ok((
-                FrameBody::Call(_) | FrameBody::CampaignCall(_) | FrameBody::CampaignReply(_),
-                _,
-            )) => {
+            Ok(_) => {
                 // Anything but a DRM reply on the DRM channel is a
                 // protocol violation.
                 self.checkin(ConnSlot::Dead);

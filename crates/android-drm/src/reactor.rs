@@ -10,10 +10,12 @@
 //! - an **accept thread** hands incoming connections to the event loop
 //!   (non-blocking + nodelay already set);
 //! - the **event loop** owns a slab of connections, each with a read
-//!   buffer running a frame-reassembly state machine, a bounded
-//!   outbound queue, and an in-flight dispatch count. A sweep reads
-//!   until `WouldBlock`, parses complete frames, hands calls to the
-//!   dispatch pool, and flushes writes until `WouldBlock`;
+//!   buffer, a bounded outbound queue, and an in-flight dispatch count.
+//!   A sweep reads until `WouldBlock`, cuts whole frames off the buffer
+//!   with [`frame_at_front`], hands calls to the dispatch pool, and
+//!   flushes writes until `WouldBlock`. Any other well-formed frame (a
+//!   reply, a campaign frame) is answered with a typed
+//!   [`DrmError::BadReply`] and the connection keeps serving;
 //! - a **dispatch worker pool** runs the actual
 //!   [`dispatch`](crate::binder) (panic-contained, trace-stitched) so a
 //!   slow CDM call never stalls the loop's IO. The workers share one
@@ -35,11 +37,11 @@
 //! time, like the pooled [`TcpBinder`](crate::netserver::TcpBinder),
 //! needs no correlation).
 //!
-//! **Backpressure:** per-connection in-flight dispatches
-//! ([`ReactorConfig`]) and queued outbound bytes (a fixed 1 MiB) are
-//! both bounded; at either limit the loop simply stops parsing (and
-//! reading) that connection until replies drain, so one greedy or
-//! stalled peer cannot balloon server memory.
+//! **Backpressure:** per-connection in-flight dispatches (a fixed 32)
+//! and queued outbound bytes (a fixed 1 MiB) are both bounded; at
+//! either limit the loop simply stops parsing (and reading) that
+//! connection until replies drain, so one greedy or stalled peer cannot
+//! balloon server memory.
 //!
 //! **Observability:** `netserver.connections` counts accepts (as
 //! before), the `netserver.connections.active` gauge tracks live
@@ -58,9 +60,8 @@ use std::time::{Duration, Instant};
 use wideleak_telemetry::{trace, CounterHandle, TraceContext};
 
 use crate::binder::{dispatch, DrmCall};
-use crate::campaign::CampaignError;
 use crate::server::MediaDrmServer;
-use crate::wire::{decode_frame_full, encode_frame_full, frame_len, FrameBody, HEADER_LEN};
+use crate::wire::{decode_frame, encode_frame, frame_at_front, FrameBody, FrameMeta};
 use crate::DrmError;
 
 pub(crate) static SERVER_CONNECTIONS: CounterHandle = CounterHandle::new("netserver.connections");
@@ -85,21 +86,21 @@ const YIELD_STREAK: u32 = 256;
 /// parsing new calls from it (a single larger frame still queues).
 const OUTBOUND_QUEUE_BYTES: usize = 1024 * 1024;
 
-/// Tuning for the reactor: how many dispatch threads it runs and where
-/// each connection's in-flight limit sits.
+/// Max dispatches in flight per connection before the loop stops
+/// parsing new calls from it.
+const MAX_INFLIGHT_PER_CONN: usize = 32;
+
+/// Tuning for the reactor: how many dispatch threads it runs.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Dispatch worker threads running CDM calls (min 1).
     pub dispatch_workers: usize,
-    /// Max dispatches in flight per connection before the loop stops
-    /// parsing new calls from it (min 1).
-    pub max_inflight_per_conn: usize,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
-        ReactorConfig { dispatch_workers: cores.max(2), max_inflight_per_conn: 32 }
+        ReactorConfig { dispatch_workers: cores.max(2) }
     }
 }
 
@@ -163,7 +164,7 @@ impl TcpDrmServer {
             let active = Arc::clone(&active);
             std::thread::Builder::new()
                 .name("netdrm-reactor".into())
-                .spawn(move || event_loop(&events_rx, &jobs, &config, &shutdown, &active))
+                .spawn(move || event_loop(&events_rx, &jobs, &shutdown, &active))
                 .expect("spawning the reactor event loop")
         };
 
@@ -363,7 +364,8 @@ fn worker_loop(jobs: &JobQueue, events: &mpsc::Sender<Event>, server: &Arc<Media
         } else {
             dispatch(server, job.call)
         };
-        let frame = encode_frame_full(&FrameBody::Reply(reply), None, job.request_id);
+        let meta = FrameMeta { ctx: None, request_id: job.request_id };
+        let frame = encode_frame(&FrameBody::Reply(reply), meta);
         // A send failure means the owning loop is gone (shutdown); the
         // reply has nowhere to go.
         let done = Completion { slot: job.slot, generation: job.generation, frame };
@@ -383,7 +385,6 @@ fn bump_active(active: &AtomicU64, opened: bool) {
 fn event_loop(
     events: &mpsc::Receiver<Event>,
     jobs: &JobQueue,
-    config: &ReactorConfig,
     shutdown: &AtomicBool,
     active: &AtomicU64,
 ) {
@@ -434,7 +435,7 @@ fn event_loop(
         // IO sweep.
         for (slot, entry) in conns.iter_mut().enumerate() {
             let Some(conn) = entry.as_mut() else { continue };
-            let (did, dead) = sweep_conn(conn, slot, jobs, config, &mut scratch);
+            let (did, dead) = sweep_conn(conn, slot, jobs, &mut scratch);
             work += did;
             if dead || (conn.closing && conn.wqueue.is_empty() && conn.inflight == 0) {
                 *entry = None;
@@ -483,8 +484,8 @@ fn apply_completion(conns: &mut [Option<Conn>], done: Completion) {
 }
 
 /// Whether the connection may grow its workload, or must drain first.
-fn under_limits(conn: &Conn, config: &ReactorConfig) -> bool {
-    conn.inflight < config.max_inflight_per_conn.max(1) && conn.wqueue_bytes < OUTBOUND_QUEUE_BYTES
+fn under_limits(conn: &Conn) -> bool {
+    conn.inflight < MAX_INFLIGHT_PER_CONN && conn.wqueue_bytes < OUTBOUND_QUEUE_BYTES
 }
 
 fn push_reply(conn: &mut Conn, frame: Vec<u8>) {
@@ -494,19 +495,13 @@ fn push_reply(conn: &mut Conn, frame: Vec<u8>) {
 
 /// One connection's share of a sweep: read, parse, dispatch, flush.
 /// Returns `(events_processed, fatally_dead)`.
-fn sweep_conn(
-    conn: &mut Conn,
-    slot: usize,
-    jobs: &JobQueue,
-    config: &ReactorConfig,
-    scratch: &mut [u8],
-) -> (usize, bool) {
+fn sweep_conn(conn: &mut Conn, slot: usize, jobs: &JobQueue, scratch: &mut [u8]) -> (usize, bool) {
     let mut work = 0usize;
 
     // Read until WouldBlock — but only while under the backpressure
     // limits: a connection at its in-flight or outbound cap is left on
     // the socket until it drains, which is what bounds its memory.
-    while !conn.closing && under_limits(conn, config) {
+    while !conn.closing && under_limits(conn) {
         match conn.stream.read(scratch) {
             Ok(0) => {
                 conn.closing = true;
@@ -522,64 +517,38 @@ fn sweep_conn(
         }
     }
 
-    // Parse complete frames off the reassembly buffer.
-    while under_limits(conn, config) && conn.rbuf.len() >= HEADER_LEN {
-        let total = match frame_len(&conn.rbuf[..HEADER_LEN]) {
-            Ok(total) => total,
-            Err(e) => {
-                // A bad header means the frame boundary is unknowable:
-                // send the typed error and close once it flushes.
-                push_reply(
-                    conn,
-                    encode_frame_full(&FrameBody::Reply(Err(DrmError::Wire(e))), None, None),
-                );
-                conn.closing = true;
-                conn.rbuf.clear();
-                work += 1;
-                break;
+    // Parse whole frames off the reassembly buffer, decoding each where
+    // it lies.
+    while under_limits(conn) {
+        let decoded = match frame_at_front(&conn.rbuf) {
+            Ok(Some(total)) => {
+                let decoded = decode_frame(&conn.rbuf[..total]);
+                conn.rbuf.drain(..total);
+                SERVER_FRAMES.incr();
+                decoded
             }
+            Ok(None) => break,
+            Err(e) => Err(e),
         };
-        if conn.rbuf.len() < total {
-            break;
-        }
-        let frame: Vec<u8> = conn.rbuf.drain(..total).collect();
-        SERVER_FRAMES.incr();
         work += 1;
-        let (call, meta) = match decode_frame_full(&frame) {
+        let (call, meta) = match decoded {
             Ok((FrameBody::Call(call), meta, _)) => (call, meta),
-            Ok((FrameBody::Reply(_), meta, _)) => {
-                // A reply frame arriving at the server is a protocol
-                // violation; answer with the taxonomy's close cousin
-                // and keep serving (the stream is still aligned).
-                push_reply(
-                    conn,
-                    encode_frame_full(
-                        &FrameBody::Reply(Err(DrmError::BadReply)),
-                        None,
-                        meta.request_id,
-                    ),
-                );
-                continue;
-            }
-            Ok((FrameBody::CampaignCall(_) | FrameBody::CampaignReply(_), meta, _)) => {
-                // Campaign frames travel on a worker's pipes, never to a
-                // DRM server: refuse them in kind and keep serving.
-                push_reply(
-                    conn,
-                    encode_frame_full(
-                        &FrameBody::CampaignReply(Err(CampaignError::Protocol {
-                            what: "a DRM server serves no campaigns".into(),
-                        })),
-                        None,
-                        meta.request_id,
-                    ),
-                );
+            Ok((_, meta, _)) => {
+                // Only calls are served: a reply or a campaign frame
+                // arriving here is a protocol violation. Answer with the
+                // taxonomy's close cousin and keep serving (the stream
+                // is still aligned).
+                let meta = FrameMeta { ctx: None, request_id: meta.request_id };
+                push_reply(conn, encode_frame(&FrameBody::Reply(Err(DrmError::BadReply)), meta));
                 continue;
             }
             Err(e) => {
+                // After a malformed frame the stream offset cannot be
+                // trusted: send the typed error and close once it
+                // flushes.
                 push_reply(
                     conn,
-                    encode_frame_full(&FrameBody::Reply(Err(DrmError::Wire(e))), None, None),
+                    encode_frame(&FrameBody::Reply(Err(DrmError::Wire(e))), FrameMeta::default()),
                 );
                 conn.closing = true;
                 conn.rbuf.clear();
@@ -622,8 +591,8 @@ fn sweep_conn(
 mod tests {
     use super::*;
     use crate::binder::DrmReply;
-    use crate::campaign::CampaignCall;
-    use crate::wire::{decode_frame, encode_frame, read_frame, WireError};
+    use crate::campaign::{CampaignCall, CampaignReply};
+    use crate::wire::{read_frame, WireError};
     use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
     use wideleak_cdm::cdm::Cdm;
     use wideleak_cdm::keybox::Keybox;
@@ -644,6 +613,15 @@ mod tests {
         read_frame(stream).unwrap().expect("a reply frame before EOF")
     }
 
+    /// Encodes a call frame carrying a request id.
+    fn tagged_call(call: DrmCall, id: u64) -> Vec<u8> {
+        encode_frame(&FrameBody::Call(call), FrameMeta { ctx: None, request_id: Some(id) })
+    }
+
+    fn encode_bare(body: &FrameBody) -> Vec<u8> {
+        encode_frame(body, FrameMeta::default())
+    }
+
     #[test]
     fn pipelined_calls_on_one_socket_answer_with_echoed_ids() {
         let srv = TcpDrmServer::bind("127.0.0.1:0", server()).unwrap();
@@ -651,21 +629,16 @@ mod tests {
         // Two calls with *different* answers, written back-to-back
         // before any reply is read: correlation must come from the
         // echoed ids, not arrival order.
-        let mut batch = encode_frame_full(
-            &FrameBody::Call(DrmCall::IsSchemeSupported { uuid: [0; 16] }),
-            None,
-            Some(71),
-        );
-        batch.extend_from_slice(&encode_frame_full(
-            &FrameBody::Call(DrmCall::IsSchemeSupported { uuid: WIDEVINE_SYSTEM_ID }),
-            None,
-            Some(72),
+        let mut batch = tagged_call(DrmCall::IsSchemeSupported { uuid: [0; 16] }, 71);
+        batch.extend_from_slice(&tagged_call(
+            DrmCall::IsSchemeSupported { uuid: WIDEVINE_SYSTEM_ID },
+            72,
         ));
         stream.write_all(&batch).unwrap();
         let mut seen = std::collections::HashMap::new();
         for _ in 0..2 {
             let frame = read_reply_frame(&mut stream);
-            let (body, meta, _) = decode_frame_full(&frame).unwrap();
+            let (body, meta, _) = decode_frame(&frame).unwrap();
             seen.insert(meta.request_id.expect("reply echoes the request id"), body);
         }
         assert_eq!(seen[&71], FrameBody::Reply(Ok(DrmReply::Bool(false))));
@@ -674,25 +647,20 @@ mod tests {
 
     #[test]
     fn inflight_cap_queues_rather_than_drops() {
-        let config = ReactorConfig { max_inflight_per_conn: 1, ..ReactorConfig::default() };
-        let srv = TcpDrmServer::bind_with("127.0.0.1:0", Arc::new(server()), config).unwrap();
+        let srv = TcpDrmServer::bind("127.0.0.1:0", server()).unwrap();
         let mut stream = TcpStream::connect(srv.local_addr()).unwrap();
+        // More calls than the in-flight cap, all on one socket.
+        let calls = MAX_INFLIGHT_PER_CONN as u64 + 8;
         let mut batch = Vec::new();
-        for id in 0..8u64 {
-            batch.extend_from_slice(&encode_frame_full(
-                &FrameBody::Call(DrmCall::IsProvisioned),
-                None,
-                Some(id),
-            ));
+        for id in 0..calls {
+            batch.extend_from_slice(&tagged_call(DrmCall::IsProvisioned, id));
         }
         stream.write_all(&batch).unwrap();
-        let mut ids: Vec<u64> = (0..8)
-            .map(|_| {
-                decode_frame_full(&read_reply_frame(&mut stream)).unwrap().1.request_id.unwrap()
-            })
+        let mut ids: Vec<u64> = (0..calls)
+            .map(|_| decode_frame(&read_reply_frame(&mut stream)).unwrap().1.request_id.unwrap())
             .collect();
         ids.sort_unstable();
-        assert_eq!(ids, (0..8).collect::<Vec<u64>>());
+        assert_eq!(ids, (0..calls).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -701,7 +669,7 @@ mod tests {
         let mut stream = TcpStream::connect(srv.local_addr()).unwrap();
         stream.write_all(b"XXXXXXXXXXXXXXXX").unwrap();
         let frame = read_reply_frame(&mut stream);
-        let (body, _) = decode_frame(&frame).unwrap();
+        let (body, _, _) = decode_frame(&frame).unwrap();
         assert!(
             matches!(body, FrameBody::Reply(Err(DrmError::Wire(WireError::BadMagic { .. })))),
             "got {body:?}"
@@ -715,42 +683,25 @@ mod tests {
     fn reply_frames_at_the_server_answer_bad_reply_and_keep_serving() {
         let srv = TcpDrmServer::bind("127.0.0.1:0", server()).unwrap();
         let mut stream = TcpStream::connect(srv.local_addr()).unwrap();
-        stream.write_all(&encode_frame(&FrameBody::Reply(Ok(DrmReply::Unit)))).unwrap();
-        let (body, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
-        assert_eq!(body, FrameBody::Reply(Err(DrmError::BadReply)));
-        // The stream is still frame-aligned, so the server keeps serving.
-        stream
-            .write_all(&encode_frame(&FrameBody::Call(DrmCall::IsSchemeSupported {
-                uuid: WIDEVINE_SYSTEM_ID,
-            })))
-            .unwrap();
-        let (body, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
-        assert_eq!(body, FrameBody::Reply(Ok(DrmReply::Bool(true))));
-    }
-
-    #[test]
-    fn campaign_frames_at_the_server_are_refused_and_it_keeps_serving() {
-        let srv = TcpDrmServer::bind("127.0.0.1:0", server()).unwrap();
-        let mut stream = TcpStream::connect(srv.local_addr()).unwrap();
+        // A DRM reply, and the campaign frames that travel on a worker's
+        // pipes, never to a DRM server.
         let hello = FrameBody::CampaignCall(CampaignCall::Hello);
-        let ack = FrameBody::CampaignReply(Ok(crate::campaign::CampaignReply::HelloAck {
+        let ack = FrameBody::CampaignReply(Ok(CampaignReply::HelloAck {
             pid: 1,
             wire_version: crate::wire::VERSION,
         }));
-        for frame in [hello, ack] {
-            stream.write_all(&encode_frame(&frame)).unwrap();
-            let (body, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
-            assert!(
-                matches!(body, FrameBody::CampaignReply(Err(CampaignError::Protocol { .. }))),
-                "{frame:?} got {body:?}"
-            );
+        for frame in [FrameBody::Reply(Ok(DrmReply::Unit)), hello, ack] {
+            stream.write_all(&encode_bare(&frame)).unwrap();
+            let (body, _, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
+            assert_eq!(body, FrameBody::Reply(Err(DrmError::BadReply)), "{frame:?}");
         }
+        // The stream is still frame-aligned, so the server keeps serving.
         stream
-            .write_all(&encode_frame(&FrameBody::Call(DrmCall::IsSchemeSupported {
+            .write_all(&encode_bare(&FrameBody::Call(DrmCall::IsSchemeSupported {
                 uuid: WIDEVINE_SYSTEM_ID,
             })))
             .unwrap();
-        let (body, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
+        let (body, _, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
         assert_eq!(body, FrameBody::Reply(Ok(DrmReply::Bool(true))));
     }
 
@@ -795,11 +746,11 @@ mod tests {
         // One of them still gets served while the other 63 idle.
         let mut stream = TcpStream::connect(srv.local_addr()).unwrap();
         stream
-            .write_all(&encode_frame(&FrameBody::Call(DrmCall::IsSchemeSupported {
+            .write_all(&encode_bare(&FrameBody::Call(DrmCall::IsSchemeSupported {
                 uuid: WIDEVINE_SYSTEM_ID,
             })))
             .unwrap();
-        let (body, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
+        let (body, _, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
         assert_eq!(body, FrameBody::Reply(Ok(DrmReply::Bool(true))));
         drop(conns);
     }

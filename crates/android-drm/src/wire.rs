@@ -47,6 +47,14 @@
 //! [`WireError::Malformed`]. The decoder never panics on arbitrary
 //! input.
 //!
+//! This is the one module that knows how a frame is laid out and cut
+//! from a stream. Both codec functions carry the extensions as a
+//! [`FrameMeta`]. A blocking reader (the TCP client's reply read, the
+//! campaign's worker pipes) calls [`read_frame`]; a non-blocking one
+//! (the reactor, the `load --fleet` driver) appends what it reads to a
+//! buffer, asks [`frame_at_front`] whether a whole frame sits at its
+//! front, and decodes it where it lies.
+//!
 //! Version negotiation is deliberately one-sided: the header carries the
 //! sender's version and the receiver rejects anything it does not speak.
 //! Every peer is this build, so that is an equality check against
@@ -198,7 +206,8 @@ const FRAME_TYPE_REPLY: u8 = 1;
 const FRAME_TYPE_CAMPAIGN_CALL: u8 = 2;
 const FRAME_TYPE_CAMPAIGN_REPLY: u8 = 3;
 
-/// The wire extensions a frame carried ahead of its body.
+/// The wire extensions a frame carries ahead of its body: what
+/// [`encode_frame`] attaches and [`decode_frame`] surfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FrameMeta {
     /// The trace context, when the sender attached one
@@ -209,28 +218,10 @@ pub struct FrameMeta {
     pub request_id: Option<u64>,
 }
 
-/// Encodes one frame: header, payload, CRC trailer.
+/// Encodes one frame: header, the extensions `meta` names (a trace
+/// context and/or a pipelining request id), the body, CRC trailer.
 #[must_use]
-pub fn encode_frame(body: &FrameBody) -> Vec<u8> {
-    encode_frame_full(body, None, None)
-}
-
-/// Encodes one frame, optionally carrying a trace context ahead of the
-/// body so the receiving process can stitch its spans into the
-/// caller's trace.
-#[must_use]
-pub fn encode_frame_with(body: &FrameBody, ctx: Option<&TraceContext>) -> Vec<u8> {
-    encode_frame_full(body, ctx, None)
-}
-
-/// Encodes one frame with any combination of wire extensions: a trace
-/// context and/or a pipelining request id ahead of the body.
-#[must_use]
-pub fn encode_frame_full(
-    body: &FrameBody,
-    ctx: Option<&TraceContext>,
-    request_id: Option<u64>,
-) -> Vec<u8> {
+pub fn encode_frame(body: &FrameBody, meta: FrameMeta) -> Vec<u8> {
     let (frame_type, payload) = match body {
         FrameBody::Call(call) => (FRAME_TYPE_CALL, encode_call(call)),
         FrameBody::Reply(reply) => (FRAME_TYPE_REPLY, encode_reply(reply)),
@@ -241,14 +232,14 @@ pub fn encode_frame_full(
             (FRAME_TYPE_CAMPAIGN_REPLY, crate::campaign::encode_campaign_reply(reply))
         }
     };
-    let ctx_len = ctx.map_or(0, |_| TraceContext::WIRE_LEN);
-    let id_len = request_id.map_or(0, |_| 8);
+    let ctx_len = meta.ctx.map_or(0, |_| TraceContext::WIRE_LEN);
+    let id_len = meta.request_id.map_or(0, |_| 8);
     let total_payload = ctx_len + id_len + payload.len();
     let mut flags = 0u8;
-    if ctx.is_some() {
+    if meta.ctx.is_some() {
         flags |= FLAG_TRACE_CONTEXT;
     }
-    if request_id.is_some() {
+    if meta.request_id.is_some() {
         flags |= FLAG_REQUEST_ID;
     }
     let mut out = Vec::with_capacity(HEADER_LEN + total_payload + TRAILER_LEN);
@@ -258,10 +249,10 @@ pub fn encode_frame_full(
     out.push(flags);
     out.push(0);
     out.extend_from_slice(&u32::try_from(total_payload).expect("payload fits u32").to_le_bytes());
-    if let Some(ctx) = ctx {
+    if let Some(ctx) = meta.ctx {
         out.extend_from_slice(&ctx.encode());
     }
-    if let Some(id) = request_id {
+    if let Some(id) = meta.request_id {
         out.extend_from_slice(&id.to_le_bytes());
     }
     out.extend_from_slice(&payload);
@@ -271,14 +262,9 @@ pub fn encode_frame_full(
 }
 
 /// Validates a frame header and returns the total frame length
-/// (header plus payload plus trailer). Stream readers call this on the
-/// first [`HEADER_LEN`] bytes to learn how much more to read — the
-/// oversize check happens here, before any payload buffer is sized.
-///
-/// # Errors
-///
-/// Returns the header-level subset of the [`WireError`] taxonomy.
-pub fn frame_len(header: &[u8]) -> Result<usize, WireError> {
+/// (header plus payload plus trailer). The oversize check happens
+/// here, before any payload buffer is sized.
+fn frame_len(header: &[u8]) -> Result<usize, WireError> {
     if header.len() < HEADER_LEN {
         return Err(WireError::Truncated { needed: HEADER_LEN, got: header.len() });
     }
@@ -297,26 +283,44 @@ pub fn frame_len(header: &[u8]) -> Result<usize, WireError> {
     Ok(HEADER_LEN + len + TRAILER_LEN)
 }
 
+/// Says whether a whole frame sits at the front of `buf`, a
+/// non-blocking reader's reassembly buffer: `Some(len)` when its first
+/// `len` bytes are one frame, `None` while more bytes are needed.
+///
+/// # Errors
+///
+/// A header that cannot open a frame (bad magic, another version, an
+/// oversized length). The frame boundary is then unknowable.
+pub fn frame_at_front(buf: &[u8]) -> Result<Option<usize>, WireError> {
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let total = frame_len(&buf[..HEADER_LEN])?;
+    Ok((buf.len() >= total).then_some(total))
+}
+
 /// Reads one whole frame off a blocking byte stream (a socket, a pipe):
-/// the header, then the rest of the length [`frame_len`] finds in it.
-/// `Ok(None)` is a clean EOF before the frame's first byte.
+/// the header, then the rest of the length it announces. `Ok(None)` is
+/// a clean EOF before the frame's first byte.
 ///
 /// # Errors
 ///
 /// EOF inside a frame is [`std::io::ErrorKind::UnexpectedEof`]; a
-/// header [`frame_len`] rejects is [`std::io::ErrorKind::InvalidData`]
-/// carrying its [`WireError`]; other IO errors pass through.
+/// header that cannot open a frame is
+/// [`std::io::ErrorKind::InvalidData`] carrying its [`WireError`];
+/// other IO errors pass through.
 pub fn read_frame(stream: &mut impl std::io::Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; HEADER_LEN];
-    loop {
-        match stream.read(&mut header[..1]) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
+    let mut filled = 0;
+    while filled < HEADER_LEN {
+        match stream.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    stream.read_exact(&mut header[1..])?;
     let total =
         frame_len(&header).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     let mut frame = vec![0u8; total];
@@ -325,36 +329,14 @@ pub fn read_frame(stream: &mut impl std::io::Read) -> std::io::Result<Option<Vec
     Ok(Some(frame))
 }
 
-/// Decodes one frame from the front of `buf`, returning the body and
-/// the number of bytes consumed.
+/// Decodes one frame from the front of `buf`, returning the body, the
+/// wire extensions it carried and the number of bytes consumed.
 ///
 /// # Errors
 ///
 /// Returns the matching [`WireError`] for every malformed input; never
 /// panics.
-pub fn decode_frame(buf: &[u8]) -> Result<(FrameBody, usize), WireError> {
-    decode_frame_full(buf).map(|(body, _meta, used)| (body, used))
-}
-
-/// Like [`decode_frame`], but also surfacing the trace context when
-/// the sender attached one ([`FLAG_TRACE_CONTEXT`]).
-///
-/// # Errors
-///
-/// Returns the matching [`WireError`] for every malformed input; never
-/// panics.
-pub fn decode_frame_ext(buf: &[u8]) -> Result<(FrameBody, Option<TraceContext>, usize), WireError> {
-    decode_frame_full(buf).map(|(body, meta, used)| (body, meta.ctx, used))
-}
-
-/// Like [`decode_frame`], but surfacing every wire extension the frame
-/// carried as a [`FrameMeta`].
-///
-/// # Errors
-///
-/// Returns the matching [`WireError`] for every malformed input; never
-/// panics.
-pub fn decode_frame_full(buf: &[u8]) -> Result<(FrameBody, FrameMeta, usize), WireError> {
+pub fn decode_frame(buf: &[u8]) -> Result<(FrameBody, FrameMeta, usize), WireError> {
     let total = frame_len(buf)?;
     if buf.len() < total {
         return Err(WireError::Truncated { needed: total, got: buf.len() });
@@ -1011,6 +993,10 @@ fn decode_cdm_error(r: &mut Reader<'_>) -> Result<CdmError, WireError> {
 mod tests {
     use super::*;
 
+    fn encode_bare(body: &FrameBody) -> Vec<u8> {
+        encode_frame(body, FrameMeta::default())
+    }
+
     fn sample_calls() -> Vec<DrmCall> {
         vec![
             DrmCall::IsSchemeSupported { uuid: [7; 16] },
@@ -1097,8 +1083,8 @@ mod tests {
     #[test]
     fn every_call_round_trips() {
         for call in sample_calls() {
-            let frame = encode_frame(&FrameBody::Call(call.clone()));
-            let (body, consumed) = decode_frame(&frame).unwrap();
+            let frame = encode_bare(&FrameBody::Call(call.clone()));
+            let (body, _, consumed) = decode_frame(&frame).unwrap();
             assert_eq!(consumed, frame.len());
             assert_eq!(body, FrameBody::Call(call));
         }
@@ -1107,8 +1093,8 @@ mod tests {
     #[test]
     fn every_reply_round_trips() {
         for reply in sample_replies() {
-            let frame = encode_frame(&FrameBody::Reply(reply.clone()));
-            let (body, consumed) = decode_frame(&frame).unwrap();
+            let frame = encode_bare(&FrameBody::Reply(reply.clone()));
+            let (body, _, consumed) = decode_frame(&frame).unwrap();
             assert_eq!(consumed, frame.len());
             assert_eq!(body, FrameBody::Reply(reply));
         }
@@ -1116,7 +1102,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_boundary_is_typed() {
-        let frame = encode_frame(&FrameBody::Call(DrmCall::OpenSession { nonce: [1; 16] }));
+        let frame = encode_bare(&FrameBody::Call(DrmCall::OpenSession { nonce: [1; 16] }));
         for cut in 0..frame.len() {
             match decode_frame(&frame[..cut]) {
                 Err(WireError::Truncated { needed, got }) => {
@@ -1130,7 +1116,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_detected_before_anything_else() {
-        let mut frame = encode_frame(&FrameBody::Call(DrmCall::IsProvisioned));
+        let mut frame = encode_bare(&FrameBody::Call(DrmCall::IsProvisioned));
         frame[0] = b'X';
         assert!(matches!(decode_frame(&frame), Err(WireError::BadMagic { .. })));
     }
@@ -1138,7 +1124,7 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         for version in [0, 1, 2, VERSION + 1, 255] {
-            let mut frame = encode_frame(&FrameBody::Call(DrmCall::IsProvisioned));
+            let mut frame = encode_bare(&FrameBody::Call(DrmCall::IsProvisioned));
             frame[4] = version;
             assert_eq!(decode_frame(&frame), Err(WireError::UnsupportedVersion { version }));
         }
@@ -1146,7 +1132,7 @@ mod tests {
 
     #[test]
     fn oversized_length_is_rejected_before_allocation() {
-        let mut frame = encode_frame(&FrameBody::Call(DrmCall::IsProvisioned));
+        let mut frame = encode_bare(&FrameBody::Call(DrmCall::IsProvisioned));
         frame[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             decode_frame(&frame),
@@ -1156,7 +1142,7 @@ mod tests {
 
     #[test]
     fn flipped_bit_fails_the_crc() {
-        let frame = encode_frame(&FrameBody::Call(DrmCall::OpenSession { nonce: [1; 16] }));
+        let frame = encode_bare(&FrameBody::Call(DrmCall::OpenSession { nonce: [1; 16] }));
         for bit in 0..(frame.len() - TRAILER_LEN) * 8 {
             // Skip magic/version bytes — those fail earlier in the taxonomy.
             if bit < 5 * 8 {
@@ -1236,22 +1222,20 @@ mod tests {
             FrameBody::Call(DrmCall::OpenSession { nonce: [3; 16] }),
             FrameBody::Reply(Ok(DrmReply::SessionId(9))),
         ] {
-            let frame = encode_frame_with(&body, Some(&ctx));
-            let (decoded, got_ctx, used) = decode_frame_ext(&frame).unwrap();
+            let frame = encode_frame(&body, FrameMeta { ctx: Some(ctx), request_id: None });
+            let (decoded, meta, used) = decode_frame(&frame).unwrap();
             assert_eq!(decoded, body);
-            assert_eq!(got_ctx, Some(ctx));
+            assert_eq!(meta, FrameMeta { ctx: Some(ctx), request_id: None });
             assert_eq!(used, frame.len());
-            // The plain decoder sees the same body and just drops the context.
-            assert_eq!(decode_frame(&frame).unwrap().0, body);
         }
     }
 
     #[test]
     fn context_frames_cost_exactly_the_context_bytes() {
         let body = FrameBody::Call(DrmCall::IsProvisioned);
-        let bare = encode_frame(&body);
+        let bare = encode_bare(&body);
         let ctx = TraceContext { trace_id: 1, span_id: 2, parent_span_id: 0 };
-        let traced = encode_frame_with(&body, Some(&ctx));
+        let traced = encode_frame(&body, FrameMeta { ctx: Some(ctx), request_id: None });
         assert_eq!(traced.len(), bare.len() + TraceContext::WIRE_LEN);
     }
 
@@ -1259,7 +1243,7 @@ mod tests {
     fn trace_flag_without_room_for_the_context_is_malformed() {
         let frame = handmade_frame(FLAG_TRACE_CONTEXT, 0, &[0u8; 8]);
         assert_eq!(
-            decode_frame_ext(&frame),
+            decode_frame(&frame),
             Err(WireError::Malformed { what: "trace context exceeds payload" })
         );
     }
@@ -1270,7 +1254,7 @@ mod tests {
         payload[TraceContext::WIRE_LEN] = 3; // IsProvisioned call tag
         let frame = handmade_frame(FLAG_TRACE_CONTEXT, 0, &payload);
         assert_eq!(
-            decode_frame_ext(&frame),
+            decode_frame(&frame),
             Err(WireError::Malformed { what: "trace context with zero span id" })
         );
     }
@@ -1279,7 +1263,7 @@ mod tests {
     fn unknown_flag_bits_are_malformed() {
         let frame = handmade_frame(0x80, 0, &encode_call(&DrmCall::IsProvisioned));
         assert_eq!(
-            decode_frame_ext(&frame),
+            decode_frame(&frame),
             Err(WireError::Malformed { what: "unknown header flags" })
         );
     }
@@ -1289,7 +1273,7 @@ mod tests {
         for reserved in [0x01, 0x80, 0xFF] {
             let frame = handmade_frame(0, reserved, &encode_call(&DrmCall::IsProvisioned));
             assert_eq!(
-                decode_frame_full(&frame),
+                decode_frame(&frame),
                 Err(WireError::Malformed { what: "reserved header byte set" })
             );
         }
@@ -1302,15 +1286,14 @@ mod tests {
             FrameBody::Call(DrmCall::OpenSession { nonce: [3; 16] }),
             FrameBody::Reply(Ok(DrmReply::SessionId(9))),
         ] {
-            for ctx in [None, Some(&ctx)] {
-                let frame = encode_frame_full(&body, ctx, Some(0xD00D_F00D_0000_0042));
-                let (decoded, meta, used) = decode_frame_full(&frame).unwrap();
+            for ctx in [None, Some(ctx)] {
+                let frame =
+                    encode_frame(&body, FrameMeta { ctx, request_id: Some(0xD00D_F00D_0000_0042) });
+                let (decoded, meta, used) = decode_frame(&frame).unwrap();
                 assert_eq!(decoded, body);
-                assert_eq!(meta.ctx, ctx.copied());
+                assert_eq!(meta.ctx, ctx);
                 assert_eq!(meta.request_id, Some(0xD00D_F00D_0000_0042));
                 assert_eq!(used, frame.len());
-                // The plain decoder sees the same body and drops the id.
-                assert_eq!(decode_frame(&frame).unwrap().0, body);
             }
         }
     }
@@ -1318,8 +1301,8 @@ mod tests {
     #[test]
     fn request_id_frames_cost_exactly_eight_bytes() {
         let body = FrameBody::Call(DrmCall::IsProvisioned);
-        let bare = encode_frame(&body);
-        let tagged = encode_frame_full(&body, None, Some(1));
+        let bare = encode_bare(&body);
+        let tagged = encode_frame(&body, FrameMeta { ctx: None, request_id: Some(1) });
         assert_eq!(tagged.len(), bare.len() + 8);
     }
 
@@ -1327,16 +1310,23 @@ mod tests {
     fn request_id_flag_without_room_is_malformed() {
         let frame = handmade_frame(FLAG_REQUEST_ID, 0, &[0u8; 4]);
         assert_eq!(
-            decode_frame_full(&frame),
+            decode_frame(&frame),
             Err(WireError::Malformed { what: "request id exceeds payload" })
         );
     }
 
     #[test]
     fn frame_len_reports_totals() {
-        let frame = encode_frame(&FrameBody::Call(DrmCall::IsProvisioned));
+        let frame = encode_bare(&FrameBody::Call(DrmCall::IsProvisioned));
         assert_eq!(frame_len(&frame[..HEADER_LEN]).unwrap(), frame.len());
         assert!(matches!(frame_len(&frame[..4]), Err(WireError::Truncated { .. })));
+        // The splitter: a whole frame at the front, not yet, or a bad header.
+        let mut buf = frame.clone();
+        buf.extend_from_slice(&frame[..5]);
+        assert_eq!(frame_at_front(&buf), Ok(Some(frame.len())));
+        assert_eq!(frame_at_front(&buf[frame.len()..]), Ok(None));
+        assert_eq!(frame_at_front(&frame[..frame.len() - 1]), Ok(None));
+        assert!(matches!(frame_at_front(b"GET / HTTP/1.1\r\n"), Err(WireError::BadMagic { .. })));
     }
 
     #[test]
@@ -1351,13 +1341,13 @@ mod tests {
         let reason: &'static str = Box::leak("x".repeat(1 << 20).into_boxed_str());
         let body = FrameBody::Reply(Err(DrmError::Cdm(CdmError::BadMessage { reason })));
         assert_eq!(
-            decode_frame(&encode_frame(&body)),
+            decode_frame(&encode_bare(&body)),
             Err(WireError::Malformed { what: "message reason" })
         );
         // At the cap itself the reason still round-trips.
         let reason: &'static str = Box::leak("y".repeat(MAX_REASON_LEN).into_boxed_str());
         let body = FrameBody::Reply(Err(DrmError::Cdm(CdmError::BadMessage { reason })));
-        assert_eq!(decode_frame(&encode_frame(&body)).unwrap().0, body);
+        assert_eq!(decode_frame(&encode_bare(&body)).unwrap().0, body);
     }
 
     #[test]
@@ -1375,13 +1365,13 @@ mod tests {
 
     #[test]
     fn decoded_frames_back_to_back_consume_exactly() {
-        let a = encode_frame(&FrameBody::Call(DrmCall::IsProvisioned));
-        let b = encode_frame(&FrameBody::Reply(Ok(DrmReply::Bool(true))));
+        let a = encode_bare(&FrameBody::Call(DrmCall::IsProvisioned));
+        let b = encode_bare(&FrameBody::Reply(Ok(DrmReply::Bool(true))));
         let mut stream = a.clone();
         stream.extend_from_slice(&b);
-        let (first, used) = decode_frame(&stream).unwrap();
+        let (first, _, used) = decode_frame(&stream).unwrap();
         assert_eq!(first, FrameBody::Call(DrmCall::IsProvisioned));
-        let (second, used2) = decode_frame(&stream[used..]).unwrap();
+        let (second, _, used2) = decode_frame(&stream[used..]).unwrap();
         assert_eq!(second, FrameBody::Reply(Ok(DrmReply::Bool(true))));
         assert_eq!(used + used2, stream.len());
     }

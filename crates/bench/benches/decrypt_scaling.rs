@@ -42,7 +42,7 @@ const WORKERS: usize = 8;
 /// socket per worker. The server is returned so it outlives the binder.
 fn boot_binder(eco: &Ecosystem) -> (TcpDrmServer, TcpBinder) {
     let server = l3_drm_server(eco, "bench-decrypt-scaling");
-    let config = ReactorConfig { dispatch_workers: WORKERS, ..ReactorConfig::default() };
+    let config = ReactorConfig { dispatch_workers: WORKERS };
     let srv = TcpDrmServer::bind_with("127.0.0.1:0", Arc::new(server), config)
         .expect("binding a loopback media drm server");
     let binder = TcpBinder::connect(srv.local_addr()).pool_size(WORKERS).build().unwrap();

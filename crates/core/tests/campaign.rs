@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use wideleak::android_drm::campaign::{
     CampaignCall, CampaignError, CampaignReply, ShardAssignment,
 };
-use wideleak::android_drm::wire::{decode_frame, encode_frame, read_frame, FrameBody};
+use wideleak::android_drm::wire::{decode_frame, encode_frame, read_frame, FrameBody, FrameMeta};
 use wideleak::load::LatencySummary;
 use wideleak::monitor::campaign::{run_campaign, CampaignConfig, WorkerCommand, WorkerProcess};
 use wideleak::telemetry::LatencyHistogram;
@@ -116,17 +116,19 @@ fn assert_worker_exits_when_its_stdin_closes(calls: &[CampaignCall]) {
         .expect("worker spawns");
     let mut stdin = child.stdin.take().expect("stdin piped");
     let mut stdout = child.stdout.take().expect("stdout piped");
-    stdin.write_all(&encode_frame(&FrameBody::CampaignCall(CampaignCall::Hello))).unwrap();
+    let hello = encode_frame(&FrameBody::CampaignCall(CampaignCall::Hello), FrameMeta::default());
+    stdin.write_all(&hello).unwrap();
     let ack = read_frame(&mut stdout).expect("reply readable").expect("worker answers Hello");
     assert!(
         matches!(
             decode_frame(&ack),
-            Ok((FrameBody::CampaignReply(Ok(CampaignReply::HelloAck { .. })), _))
+            Ok((FrameBody::CampaignReply(Ok(CampaignReply::HelloAck { .. })), _, _))
         ),
         "bad Hello answer {ack:?}"
     );
     for call in calls {
-        stdin.write_all(&encode_frame(&FrameBody::CampaignCall(call.clone()))).unwrap();
+        let frame = encode_frame(&FrameBody::CampaignCall(call.clone()), FrameMeta::default());
+        stdin.write_all(&frame).unwrap();
     }
     std::thread::sleep(Duration::from_millis(200));
     drop(stdin);

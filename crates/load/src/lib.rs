@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use wideleak_android_drm::binder::{DrmCall, DrmReply};
 use wideleak_android_drm::netserver::TcpDrmServer;
 use wideleak_android_drm::wire::{
-    decode_frame_full, encode_frame_full, frame_len, FrameBody, HEADER_LEN,
+    decode_frame, encode_frame, frame_at_front, FrameBody, FrameMeta,
 };
 use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
 use wideleak_device::catalog::DeviceModel;
@@ -651,7 +651,8 @@ impl SimDevice {
     fn enqueue(&mut self, expect: Expect, call: &DrmCall) {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = encode_frame_full(&FrameBody::Call(call.clone()), None, Some(id));
+        let meta = FrameMeta { ctx: None, request_id: Some(id) };
+        let frame = encode_frame(&FrameBody::Call(call.clone()), meta);
         self.outbox.push_back((id, expect, frame));
     }
 
@@ -754,19 +755,17 @@ fn sweep_device(dev: &mut SimDevice, scratch: &mut [u8], tally: &mut DriverTally
             Err(_) => return (progress, true),
         }
     }
-    // Settle complete frames.
-    while dev.rbuf.len() >= HEADER_LEN {
-        let total = match frame_len(&dev.rbuf[..HEADER_LEN]) {
-            Ok(total) => total,
+    // Settle whole frames, decoding each where it lies.
+    loop {
+        let total = match frame_at_front(&dev.rbuf) {
+            Ok(Some(total)) => total,
+            Ok(None) => break,
             Err(_) => return (progress, true),
         };
-        if dev.rbuf.len() < total {
-            break;
-        }
-        let frame: Vec<u8> = dev.rbuf.drain(..total).collect();
-        let Ok((body, meta, _)) = decode_frame_full(&frame) else {
+        let Ok((body, meta, _)) = decode_frame(&dev.rbuf[..total]) else {
             return (progress, true);
         };
+        dev.rbuf.drain(..total);
         progress = true;
         dev.received += 1;
         let expect = meta.request_id.and_then(|id| dev.pending.remove(&id));

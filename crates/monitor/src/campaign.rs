@@ -50,7 +50,7 @@ use wideleak_android_drm::campaign::{
     ShardReport, CELL_KINDS,
 };
 use wideleak_android_drm::wire::{
-    decode_frame, encode_frame, read_frame, FrameBody, WireError, VERSION,
+    decode_frame, encode_frame, read_frame, FrameBody, FrameMeta, WireError, VERSION,
 };
 use wideleak_device::catalog::{DeviceModel, SecurityLevel};
 use wideleak_faults::det_hash;
@@ -302,10 +302,10 @@ fn classify_play(
 /// campaign call gets a typed refusal.
 fn answer(frame: &[u8]) -> Vec<u8> {
     let reply = match decode_frame(frame) {
-        Ok((FrameBody::CampaignCall(CampaignCall::Hello), _)) => {
+        Ok((FrameBody::CampaignCall(CampaignCall::Hello), _, _)) => {
             Ok(CampaignReply::HelloAck { pid: std::process::id(), wire_version: VERSION })
         }
-        Ok((FrameBody::CampaignCall(CampaignCall::RunShard { spec, shard }), _)) => {
+        Ok((FrameBody::CampaignCall(CampaignCall::RunShard { spec, shard }), _, _)) => {
             run_shard(&spec, shard).map(CampaignReply::ShardDone)
         }
         Ok(_) => {
@@ -313,7 +313,7 @@ fn answer(frame: &[u8]) -> Vec<u8> {
         }
         Err(e) => Err(CampaignError::Wire(e)),
     };
-    encode_frame(&FrameBody::CampaignReply(reply))
+    encode_frame(&FrameBody::CampaignReply(reply), FrameMeta::default())
 }
 
 /// The worker side of the control channel (`wideleak serve --worker`):
@@ -454,7 +454,8 @@ impl ControlChannel {
     /// One call, one reply; `None` when the pipes broke first — the
     /// worker died or was killed.
     fn call(&mut self, call: CampaignCall) -> Option<Result<CampaignReply, CampaignError>> {
-        self.stdin.write_all(&encode_frame(&FrameBody::CampaignCall(call))).ok()?;
+        let frame = encode_frame(&FrameBody::CampaignCall(call), FrameMeta::default());
+        self.stdin.write_all(&frame).ok()?;
         let frame = match read_frame(&mut self.stdout) {
             Ok(frame) => frame?,
             // A header the codec rejects stays a typed wire error; any
@@ -465,7 +466,7 @@ impl ControlChannel {
             }
         };
         Some(match decode_frame(&frame) {
-            Ok((FrameBody::CampaignReply(reply), _)) => reply,
+            Ok((FrameBody::CampaignReply(reply), _, _)) => reply,
             Ok(_) => Err(CampaignError::Protocol {
                 what: "non-campaign frame on control channel".into(),
             }),
@@ -864,7 +865,8 @@ mod tests {
     #[test]
     fn workers_answer_hello_and_refuse_other_frames_typed() {
         let reply = |frame: &[u8]| decode_frame(&answer(frame)).expect("a well-formed reply").0;
-        let hello = encode_frame(&FrameBody::CampaignCall(CampaignCall::Hello));
+        let hello =
+            encode_frame(&FrameBody::CampaignCall(CampaignCall::Hello), FrameMeta::default());
         assert_eq!(
             reply(&hello),
             FrameBody::CampaignReply(Ok(CampaignReply::HelloAck {
@@ -872,8 +874,10 @@ mod tests {
                 wire_version: VERSION
             }))
         );
-        let drm =
-            encode_frame(&FrameBody::Call(wideleak_android_drm::binder::DrmCall::IsProvisioned));
+        let drm = encode_frame(
+            &FrameBody::Call(wideleak_android_drm::binder::DrmCall::IsProvisioned),
+            FrameMeta::default(),
+        );
         assert!(matches!(
             reply(&drm),
             FrameBody::CampaignReply(Err(CampaignError::Protocol { .. }))

@@ -103,7 +103,7 @@ fn decrypt(binder: &dyn Transport, sid: u32, kid: KeyId, client: usize, index: u
 /// have a call inside the server at once. The server is returned so it
 /// outlives the binder.
 fn serve_pooled(server: MediaDrmServer) -> (TcpDrmServer, Arc<TcpBinder>) {
-    let config = ReactorConfig { dispatch_workers: CLIENTS, ..ReactorConfig::default() };
+    let config = ReactorConfig { dispatch_workers: CLIENTS };
     let srv = TcpDrmServer::bind_with("127.0.0.1:0", Arc::new(server), config).unwrap();
     let binder = TcpBinder::connect(srv.local_addr()).pool_size(CLIENTS).build().unwrap();
     (srv, Arc::new(binder))

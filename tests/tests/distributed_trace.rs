@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use wideleak::android_drm::binder::{DrmCall, InProcessBinder, Transport, TransportKind};
 use wideleak::android_drm::netserver::TcpBinder;
 use wideleak::android_drm::server::MediaDrmServer;
-use wideleak::android_drm::wire::{decode_frame_ext, encode_frame_with, FrameBody};
+use wideleak::android_drm::wire::{decode_frame, encode_frame, FrameBody, FrameMeta};
 use wideleak::bmff::types::WIDEVINE_SYSTEM_ID;
 use wideleak::device::catalog::DeviceModel;
 use wideleak::faults::{FaultKind, FaultPlan, Schedule};
@@ -50,10 +50,11 @@ proptest! {
         let ctx = TraceContext { trace_id, span_id, parent_span_id };
         prop_assert_eq!(TraceContext::decode(&ctx.encode()), Some(ctx));
 
-        let frame = encode_frame_with(&FrameBody::Call(DrmCall::IsProvisioned), Some(&ctx));
-        let (body, carried, _) = decode_frame_ext(&frame).expect("framed context decodes");
+        let meta = FrameMeta { ctx: Some(ctx), request_id: None };
+        let frame = encode_frame(&FrameBody::Call(DrmCall::IsProvisioned), meta);
+        let (body, carried, _) = decode_frame(&frame).expect("framed context decodes");
         prop_assert!(matches!(body, FrameBody::Call(DrmCall::IsProvisioned)));
-        prop_assert_eq!(carried, Some(ctx));
+        prop_assert_eq!(carried.ctx, Some(ctx));
 
         for (kind, binder) in boot_all_transports() {
             let _ = trace::drain();

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use wideleak::android_drm::binder::{DrmCall, DrmReply, Transport};
 use wideleak::android_drm::netserver::TcpBinder;
-use wideleak::android_drm::wire::{encode_frame, read_frame, FrameBody};
+use wideleak::android_drm::wire::{encode_frame, read_frame, FrameBody, FrameMeta};
 use wideleak::android_drm::DrmError;
 use wideleak::bmff::types::WIDEVINE_SYSTEM_ID;
 
@@ -74,7 +74,8 @@ fn the_deadline_covers_a_whole_trickled_reply() {
     // less than the 100 ms deadline, the whole 19-byte reply far more.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let reply_frame = encode_frame(&FrameBody::Reply(Ok(DrmReply::Bool(true))));
+    let reply_frame =
+        encode_frame(&FrameBody::Reply(Ok(DrmReply::Bool(true))), FrameMeta::default());
     let trickle = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         read_request(&mut stream).unwrap();
@@ -102,7 +103,8 @@ fn the_deadline_covers_a_whole_trickled_reply() {
 fn eof_between_checkout_and_read_costs_exactly_one_reconnect() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let reply_frame = encode_frame(&FrameBody::Reply(Ok(DrmReply::Bool(true))));
+    let reply_frame =
+        encode_frame(&FrameBody::Reply(Ok(DrmReply::Bool(true))), FrameMeta::default());
     let server = std::thread::spawn(move || {
         let mut accepts = 0u32;
         // Connection 1: serve one call, then read the next request and

@@ -10,8 +10,8 @@ use wideleak::android_drm::campaign::{
     ShardReport,
 };
 use wideleak::android_drm::wire::{
-    decode_frame, decode_frame_full, encode_frame, encode_frame_full, FrameBody, WireError,
-    HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN,
+    decode_frame, encode_frame, FrameBody, FrameMeta, WireError, HEADER_LEN, MAX_PAYLOAD,
+    TRAILER_LEN,
 };
 use wideleak::android_drm::DrmError;
 use wideleak::bmff::types::{KeyId, Subsample};
@@ -126,9 +126,9 @@ proptest! {
     /// the wire byte-identically.
     #[test]
     fn arbitrary_calls_round_trip(call in call_strategy()) {
-        let frame = encode_frame(&FrameBody::Call(call.clone()));
+        let frame = encode_frame(&FrameBody::Call(call.clone()), FrameMeta::default());
         prop_assert!(frame.len() >= HEADER_LEN + TRAILER_LEN);
-        let (body, consumed) = decode_frame(&frame).expect("own frames must decode");
+        let (body, _, consumed) = decode_frame(&frame).expect("own frames must decode");
         prop_assert_eq!(consumed, frame.len());
         prop_assert_eq!(body, FrameBody::Call(call));
     }
@@ -138,10 +138,10 @@ proptest! {
     /// starts, and the tail never leaks into the payload.
     #[test]
     fn framing_survives_a_busy_stream(call in call_strategy(), tail in bytes_strategy()) {
-        let frame = encode_frame(&FrameBody::Call(call.clone()));
+        let frame = encode_frame(&FrameBody::Call(call.clone()), FrameMeta::default());
         let mut stream = frame.clone();
         stream.extend_from_slice(&tail);
-        let (body, consumed) = decode_frame(&stream).expect("decode from the stream front");
+        let (body, _, consumed) = decode_frame(&stream).expect("decode from the stream front");
         prop_assert_eq!(consumed, frame.len());
         prop_assert_eq!(body, FrameBody::Call(call));
     }
@@ -168,8 +168,8 @@ proptest! {
 #[test]
 fn reply_corpus_round_trips() {
     for reply in reply_corpus() {
-        let frame = encode_frame(&FrameBody::Reply(reply.clone()));
-        let (body, consumed) = decode_frame(&frame).expect("own frames must decode");
+        let frame = encode_frame(&FrameBody::Reply(reply.clone()), FrameMeta::default());
+        let (body, _, consumed) = decode_frame(&frame).expect("own frames must decode");
         assert_eq!(consumed, frame.len());
         assert_eq!(body, FrameBody::Reply(reply));
     }
@@ -181,16 +181,21 @@ fn reply_corpus_round_trips() {
 /// successfully — the CRC (or an earlier header check) has to catch it.
 #[test]
 fn mutated_corpus_never_panics_and_never_false_decodes() {
-    let mut corpus: Vec<Vec<u8>> =
-        reply_corpus().into_iter().map(|r| encode_frame(&FrameBody::Reply(r))).collect();
-    corpus.push(encode_frame(&FrameBody::Call(DrmCall::IsProvisioned)));
-    corpus.push(encode_frame(&FrameBody::Call(DrmCall::DecryptSample {
-        session_id: 3,
-        kid: KeyId([1; 16]),
-        crypto: SampleCrypto::Cenc { iv: [2; 8] },
-        data: vec![0x42; 96],
-        subsamples: vec![Subsample { clear_bytes: 16, encrypted_bytes: 80 }],
-    })));
+    let mut corpus: Vec<Vec<u8>> = reply_corpus()
+        .into_iter()
+        .map(|r| encode_frame(&FrameBody::Reply(r), FrameMeta::default()))
+        .collect();
+    corpus.push(encode_frame(&FrameBody::Call(DrmCall::IsProvisioned), FrameMeta::default()));
+    corpus.push(encode_frame(
+        &FrameBody::Call(DrmCall::DecryptSample {
+            session_id: 3,
+            kid: KeyId([1; 16]),
+            crypto: SampleCrypto::Cenc { iv: [2; 8] },
+            data: vec![0x42; 96],
+            subsamples: vec![Subsample { clear_bytes: 16, encrypted_bytes: 80 }],
+        }),
+        FrameMeta::default(),
+    ));
 
     let mut rng = seeded_rng(0x57_49_44_45);
     for frame in &corpus {
@@ -236,8 +241,9 @@ proptest! {
     /// full decode, and it never bleeds into the body.
     #[test]
     fn request_ids_round_trip_on_arbitrary_calls(call in call_strategy(), id in any::<u64>()) {
-        let frame = encode_frame_full(&FrameBody::Call(call.clone()), None, Some(id));
-        let (body, meta, consumed) = decode_frame_full(&frame).expect("own frames must decode");
+        let meta = FrameMeta { ctx: None, request_id: Some(id) };
+        let frame = encode_frame(&FrameBody::Call(call.clone()), meta);
+        let (body, meta, consumed) = decode_frame(&frame).expect("own frames must decode");
         prop_assert_eq!(consumed, frame.len());
         prop_assert_eq!(meta.request_id, Some(id));
         prop_assert!(meta.ctx.is_none());
@@ -252,8 +258,9 @@ proptest! {
 fn reply_corpus_round_trips_with_request_ids() {
     for (i, reply) in reply_corpus().into_iter().enumerate() {
         let id = (i as u64).wrapping_mul(0x0101_0101_0101_0101).wrapping_add(7);
-        let frame = encode_frame_full(&FrameBody::Reply(reply.clone()), None, Some(id));
-        let (body, meta, consumed) = decode_frame_full(&frame).expect("own frames must decode");
+        let meta = FrameMeta { ctx: None, request_id: Some(id) };
+        let frame = encode_frame(&FrameBody::Reply(reply.clone()), meta);
+        let (body, meta, consumed) = decode_frame(&frame).expect("own frames must decode");
         assert_eq!(consumed, frame.len());
         assert_eq!(meta.request_id, Some(id));
         assert_eq!(body, FrameBody::Reply(reply));
@@ -265,16 +272,15 @@ fn reply_corpus_round_trips_with_request_ids() {
 /// id-tagged frame's id may survive the full decode.
 #[test]
 fn flipped_id_bytes_never_survive_the_full_decode() {
-    let frame = encode_frame_full(
+    let frame = encode_frame(
         &FrameBody::Call(DrmCall::CloseSession { session_id: 44 }),
-        None,
-        Some(0xDEAD_BEEF_F00D_CAFE),
+        FrameMeta { ctx: None, request_id: Some(0xDEAD_BEEF_F00D_CAFE) },
     );
     for pos in HEADER_LEN..HEADER_LEN + 8 {
         let mut bad = frame.clone();
         bad[pos] ^= 0x40;
         assert!(
-            decode_frame_full(&bad).is_err(),
+            decode_frame(&bad).is_err(),
             "a flipped request-id byte at {pos} must not fully decode"
         );
     }
@@ -357,7 +363,7 @@ fn campaign_corpus() -> Vec<FrameBody> {
 
 /// Encodes `body` with an optional trace context and request id.
 fn frame(body: &FrameBody, ctx: Option<&TraceContext>, request_id: Option<u64>) -> Vec<u8> {
-    encode_frame_full(body, ctx, request_id)
+    encode_frame(body, FrameMeta { ctx: ctx.copied(), request_id })
 }
 
 /// Pins the wire bytes: the SHA-256 of every frame a fixed corpus
