@@ -169,6 +169,9 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::SUCCESS;
             }
+            // A flag this build does not know is an error, not a
+            // positional argument the command may silently ignore.
+            flag if flag.starts_with("--") => return usage(),
             _ => positional.push(arg),
         }
     }

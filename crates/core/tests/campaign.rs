@@ -49,6 +49,20 @@ fn report_bytes_are_invariant_across_worker_counts_and_reruns() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors_not_ignored() {
+    // `--devices` and `--sample-every` were deleted; a script still
+    // passing them must fail, not run the default campaign.
+    for flag in ["--devices", "--sample-every", "--no-such-flag"] {
+        let out = Command::new(wideleak_bin().program)
+            .args(["--quick", "campaign", flag, "5"])
+            .output()
+            .expect("wideleak runs");
+        assert_eq!(out.status.code(), Some(1), "{flag} was accepted");
+        assert!(out.stdout.is_empty(), "{flag} ran a campaign");
+    }
+}
+
+#[test]
 fn killed_worker_is_a_typed_shard_loss_and_a_retry_recovers() {
     let cmd = wideleak_bin();
     let mut config = CampaignConfig::quick(2022);
