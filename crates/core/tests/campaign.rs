@@ -50,8 +50,8 @@ fn report_bytes_are_invariant_across_worker_counts_and_reruns() {
 
 #[test]
 fn unknown_flags_are_usage_errors_not_ignored() {
-    // `--devices` and `--sample-every` were deleted; a script still
-    // passing them must fail, not run the default campaign.
+    // A flag this build does not know fails the command instead of
+    // running the default campaign.
     for flag in ["--devices", "--sample-every", "--no-such-flag"] {
         let out = Command::new(wideleak_bin().program)
             .args(["--quick", "campaign", flag, "5"])
