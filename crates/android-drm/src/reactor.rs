@@ -679,23 +679,16 @@ mod tests {
         assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
     }
 
-    #[test]
-    fn reply_frames_at_the_server_answer_bad_reply_and_keep_serving() {
+    /// Writes each frame, expects a `BadReply` answer to each, then
+    /// checks the still frame-aligned stream keeps being served.
+    fn refused_with_bad_reply_then_served(frames: &[FrameBody]) {
         let srv = TcpDrmServer::bind("127.0.0.1:0", server()).unwrap();
         let mut stream = TcpStream::connect(srv.local_addr()).unwrap();
-        // A DRM reply, and the campaign frames that travel on a worker's
-        // pipes, never to a DRM server.
-        let hello = FrameBody::CampaignCall(CampaignCall::Hello);
-        let ack = FrameBody::CampaignReply(Ok(CampaignReply::HelloAck {
-            pid: 1,
-            wire_version: crate::wire::VERSION,
-        }));
-        for frame in [FrameBody::Reply(Ok(DrmReply::Unit)), hello, ack] {
-            stream.write_all(&encode_bare(&frame)).unwrap();
+        for frame in frames {
+            stream.write_all(&encode_bare(frame)).unwrap();
             let (body, _, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
             assert_eq!(body, FrameBody::Reply(Err(DrmError::BadReply)), "{frame:?}");
         }
-        // The stream is still frame-aligned, so the server keeps serving.
         stream
             .write_all(&encode_bare(&FrameBody::Call(DrmCall::IsSchemeSupported {
                 uuid: WIDEVINE_SYSTEM_ID,
@@ -703,6 +696,23 @@ mod tests {
             .unwrap();
         let (body, _, _) = decode_frame(&read_reply_frame(&mut stream)).unwrap();
         assert_eq!(body, FrameBody::Reply(Ok(DrmReply::Bool(true))));
+    }
+
+    #[test]
+    fn reply_frames_at_the_server_answer_bad_reply_and_keep_serving() {
+        refused_with_bad_reply_then_served(&[FrameBody::Reply(Ok(DrmReply::Unit))]);
+    }
+
+    #[test]
+    fn campaign_frames_at_the_server_are_refused_and_it_keeps_serving() {
+        // The campaign frames travel on a worker's pipes, never to a DRM
+        // server; the server has no campaign arm and refuses them.
+        let hello = FrameBody::CampaignCall(CampaignCall::Hello);
+        let ack = FrameBody::CampaignReply(Ok(CampaignReply::HelloAck {
+            pid: 1,
+            wire_version: crate::wire::VERSION,
+        }));
+        refused_with_bad_reply_then_served(&[hello, ack]);
     }
 
     #[test]
