@@ -366,18 +366,11 @@ fn frame(body: &FrameBody, ctx: Option<&TraceContext>, request_id: Option<u64>) 
     encode_frame(body, FrameMeta { ctx: ctx.copied(), request_id })
 }
 
-/// Pins the wire bytes: the SHA-256 of every frame a fixed corpus
-/// encodes (each call variant, each corpus reply and each campaign
-/// frame, with no extension, a trace context, a request id, and both).
-/// Any change to how a frame is laid out changes the digest.
-#[test]
-fn corpus_frames_are_byte_identical() {
+/// The SHA-256, in hex, of every frame `bodies` encode, each with no
+/// extension, a trace context, a request id, and both; and the frame
+/// count.
+fn corpus_digest(bodies: impl IntoIterator<Item = FrameBody>) -> (String, usize) {
     let ctx = TraceContext { trace_id: 0x0123_4567_89AB_CDEF, span_id: 0xFEED, parent_span_id: 7 };
-    let bodies = call_corpus()
-        .into_iter()
-        .map(FrameBody::Call)
-        .chain(reply_corpus().into_iter().map(FrameBody::Reply))
-        .chain(campaign_corpus());
     let mut stream = Vec::new();
     let mut frames = 0;
     for body in bodies {
@@ -388,12 +381,30 @@ fn corpus_frames_are_byte_identical() {
             frames += 1;
         }
     }
-    assert_eq!(frames, 4 * (13 + 16 + 5));
-    let digest: String = sha256(&stream).iter().map(|b| format!("{b:02x}")).collect();
+    (sha256(&stream).iter().map(|b| format!("{b:02x}")).collect(), frames)
+}
+
+/// Pins the wire bytes with two digests: one over the DRM frames (each
+/// call variant and each corpus reply), one over the campaign frames.
+/// Any change to how a frame is laid out changes a digest; a change to
+/// the campaign messages changes only the second.
+#[test]
+fn corpus_frames_are_byte_identical() {
+    let drm = call_corpus()
+        .into_iter()
+        .map(FrameBody::Call)
+        .chain(reply_corpus().into_iter().map(FrameBody::Reply));
     assert_eq!(
-        digest,
-        "62d186371b2ff795d4188a27bc85bab8d86fde451959d611a356aa154b6604b0",
-        "{} bytes",
-        stream.len()
+        corpus_digest(drm),
+        (
+            "182770b91eb9a82a1ef920115511d2de25c7001ec4334225e1728045ada1134d".to_owned(),
+            4 * (13 + 16)
+        ),
+        "DRM frames"
+    );
+    assert_eq!(
+        corpus_digest(campaign_corpus()),
+        ("1d014bb8263dd60a50a7d970248c5d3d391c4d4b8affd320da857f17009c1db8".to_owned(), 4 * 5),
+        "campaign frames"
     );
 }
