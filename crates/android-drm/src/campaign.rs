@@ -1,18 +1,18 @@
-//! The campaign control channel: the message family a coordinator uses
-//! to drive `wideleak serve --worker` processes, framed by the same
-//! wire-v3 codec the DRM plane speaks and carried over each worker's
-//! stdin and stdout. A DRM server refuses these frames.
+//! The campaign control channel: one call frame down each `wideleak
+//! serve --worker` process's stdin and one reply frame up its stdout,
+//! framed by the same wire-v3 codec the DRM plane speaks. A DRM server
+//! refuses these frames.
 //!
 //! A *campaign* re-derives the paper's Table-I compliance matrix across
 //! a generated catalog of thousands of device models, sharded by
 //! device-ID range across worker processes. This module holds the
-//! protocol layer only — the message types ([`CampaignCall`],
-//! [`CampaignReply`]), the typed failure taxonomy ([`CampaignError`]),
-//! the per-shard result carrier ([`ShardReport`]) and its cell merge
-//! ([`AppCells`]) — plus their wire encodings, which ride in dedicated
-//! frame types alongside the DRM call/reply frames. The semantics (how
-//! a shard is run, how cells are classified, how reports render) live
-//! in `wideleak-monitor`.
+//! protocol layer only: what a call carries (the [`CampaignSpec`] and
+//! one [`ShardAssignment`]), what its reply carries (a [`ShardReport`]
+//! or a [`CampaignError`]), and the cell merge ([`AppCells`]), plus
+//! their wire encodings, which ride in frame types 2 and 3 of
+//! [`crate::wire::FrameBody`] alongside the DRM frames. The semantics
+//! (how a shard is run, how cells are classified, how reports render)
+//! live in `wideleak-monitor`.
 //!
 //! **Exactness is the design invariant.** A merged campaign report must
 //! be a pure function of (spec, seed, catalog) — independent of shard
@@ -154,10 +154,9 @@ pub struct CampaignSpec {
     /// (`det_hash(seed, shard_id)`), but anything those seeds touch must
     /// stay out of the report.
     pub seed: u64,
-    /// Catalog device ids `0..devices` are swept.
+    /// Catalog device ids `0..devices` are swept, each against every
+    /// evaluated app.
     pub devices: u64,
-    /// App slugs to evaluate; empty means every evaluated app.
-    pub apps: Vec<String>,
     /// Every `sample_every`-th catalog selection (seed-hashed, so the
     /// choice is shard-independent) runs a *real* end-to-end playback
     /// per app to validate the derived cell; 0 disables sampling.
@@ -173,12 +172,7 @@ pub struct CampaignSpec {
 
 impl CampaignSpec {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.seed).u64(self.devices);
-        w.u32(u32::try_from(self.apps.len()).expect("app count fits u32"));
-        for app in &self.apps {
-            w.string(app);
-        }
-        w.u64(self.sample_every).u32(self.rsa_bits);
+        w.u64(self.seed).u64(self.devices).u64(self.sample_every).u32(self.rsa_bits);
         match self.kill_at_device {
             Some(id) => {
                 w.u8(1).u64(id);
@@ -192,11 +186,6 @@ impl CampaignSpec {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let seed = r.u64("spec seed")?;
         let devices = r.u64("spec devices")?;
-        let napps = r.u32("spec app count")?;
-        let mut apps = Vec::new();
-        for _ in 0..napps {
-            apps.push(r.string("spec app slug")?);
-        }
         let sample_every = r.u64("spec sample interval")?;
         let rsa_bits = r.u32("spec rsa bits")?;
         let kill_at_device = match r.u8("spec kill flag")? {
@@ -204,7 +193,7 @@ impl CampaignSpec {
             1 => Some(r.u64("spec kill device")?),
             _ => return Err(WireError::Malformed { what: "spec kill flag" }),
         };
-        Ok(CampaignSpec { seed, devices, apps, sample_every, rsa_bits, kill_at_device })
+        Ok(CampaignSpec { seed, devices, sample_every, rsa_bits, kill_at_device })
     }
 }
 
@@ -232,7 +221,7 @@ pub struct ShardReport {
     /// Echo of the assignment's range end.
     pub end: u64,
     /// Per-app compliance cells over the shard's devices, in the
-    /// spec's app order.
+    /// evaluated-app order.
     pub cells: Vec<AppCells>,
     /// Modeled license-path latency, one sample per (device, app).
     pub latency: LatencyHistogram,
@@ -241,9 +230,6 @@ pub struct ShardReport {
     /// Sampled playbacks whose outcome disagreed with the derived cell
     /// (expected 0 — a nonzero count is a model/simulation divergence).
     pub sample_mismatches: u64,
-    /// Shard-local counters, merged by name-wise sum. Only counters
-    /// whose totals are shard-count-invariant belong here.
-    pub counters: Vec<(String, u64)>,
 }
 
 impl ShardReport {
@@ -255,10 +241,6 @@ impl ShardReport {
         }
         encode_histogram(&self.latency, w);
         w.u64(self.sampled_plays).u64(self.sample_mismatches);
-        w.u32(u32::try_from(self.counters.len()).expect("counter count fits u32"));
-        for (name, value) in &self.counters {
-            w.string(name).u64(*value);
-        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -273,53 +255,8 @@ impl ShardReport {
         let latency = decode_histogram(r)?;
         let sampled_plays = r.u64("report sampled plays")?;
         let sample_mismatches = r.u64("report sample mismatches")?;
-        let ncounters = r.u32("report counter count")?;
-        let mut counters = Vec::new();
-        for _ in 0..ncounters {
-            let name = r.string("report counter name")?;
-            let value = r.u64("report counter value")?;
-            counters.push((name, value));
-        }
-        Ok(ShardReport {
-            shard_id,
-            start,
-            end,
-            cells,
-            latency,
-            sampled_plays,
-            sample_mismatches,
-            counters,
-        })
+        Ok(ShardReport { shard_id, start, end, cells, latency, sampled_plays, sample_mismatches })
     }
-}
-
-/// A coordinator-to-worker transaction on the campaign control channel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CampaignCall {
-    /// Handshake: is there a campaign worker on the other end of the
-    /// pipes? Its answer is the worker's readiness check.
-    Hello,
-    /// Run one shard of the campaign and reply with its report.
-    RunShard {
-        /// The campaign's full parameterisation.
-        spec: CampaignSpec,
-        /// This worker's slice of it.
-        shard: ShardAssignment,
-    },
-}
-
-/// A worker-to-coordinator outcome on the campaign control channel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CampaignReply {
-    /// Handshake answer.
-    HelloAck {
-        /// The worker's OS process id, for coordinator diagnostics.
-        pid: u32,
-        /// The wire revision the worker speaks.
-        wire_version: u8,
-    },
-    /// The shard's results.
-    ShardDone(ShardReport),
 }
 
 /// Everything that can go wrong with a campaign, as a typed taxonomy.
@@ -334,13 +271,14 @@ pub enum CampaignError {
         /// The shard whose worker was lost.
         shard_id: u32,
     },
-    /// Spawning or handshaking a worker process failed.
+    /// Starting a worker process failed.
     Spawn {
         /// What failed.
         what: String,
     },
-    /// The peer violated the control protocol (unexpected frame kind,
-    /// reply out of step with the call).
+    /// The peer violated the control protocol (a frame of the wrong
+    /// kind, a report that does not echo its assignment, or shard
+    /// reports that do not tile the campaign).
     Protocol {
         /// The violation.
         what: String,
@@ -400,63 +338,40 @@ impl wideleak_faults::ErrorClass for CampaignError {
 // Wire encoding (frame payloads; framing itself lives in `wire`)
 // ---------------------------------------------------------------------
 
-const CALL_HELLO: u8 = 0;
-const CALL_RUN_SHARD: u8 = 1;
-
-const REPLY_HELLO_ACK: u8 = 0;
-const REPLY_SHARD_DONE: u8 = 1;
-
 const ERR_SHARD_LOST: u8 = 0;
 const ERR_SPAWN: u8 = 1;
 const ERR_PROTOCOL: u8 = 2;
 const ERR_WORKER: u8 = 3;
 const ERR_WIRE: u8 = 4;
 
-pub(crate) fn encode_campaign_call(call: &CampaignCall) -> Vec<u8> {
+/// The call payload: the spec, then the shard assignment.
+pub(crate) fn encode_campaign_call(spec: &CampaignSpec, shard: &ShardAssignment) -> Vec<u8> {
     let mut w = Writer::new();
-    match call {
-        CampaignCall::Hello => {
-            w.u8(CALL_HELLO);
-        }
-        CampaignCall::RunShard { spec, shard } => {
-            w.u8(CALL_RUN_SHARD);
-            spec.encode(&mut w);
-            w.u32(shard.shard_id).u64(shard.start).u64(shard.end);
-        }
-    }
+    spec.encode(&mut w);
+    w.u32(shard.shard_id).u64(shard.start).u64(shard.end);
     w.into_inner()
 }
 
-pub(crate) fn decode_campaign_call(r: &mut Reader<'_>) -> Result<CampaignCall, WireError> {
-    match r.u8("campaign call tag")? {
-        CALL_HELLO => Ok(CampaignCall::Hello),
-        CALL_RUN_SHARD => {
-            let spec = CampaignSpec::decode(r)?;
-            let shard = ShardAssignment {
-                shard_id: r.u32("shard id")?,
-                start: r.u64("shard start")?,
-                end: r.u64("shard end")?,
-            };
-            Ok(CampaignCall::RunShard { spec, shard })
-        }
-        _ => Err(WireError::Malformed { what: "unknown campaign call tag" }),
-    }
+pub(crate) fn decode_campaign_call(
+    r: &mut Reader<'_>,
+) -> Result<(CampaignSpec, ShardAssignment), WireError> {
+    let spec = CampaignSpec::decode(r)?;
+    let shard = ShardAssignment {
+        shard_id: r.u32("shard id")?,
+        start: r.u64("shard start")?,
+        end: r.u64("shard end")?,
+    };
+    Ok((spec, shard))
 }
 
-pub(crate) fn encode_campaign_reply(reply: &Result<CampaignReply, CampaignError>) -> Vec<u8> {
+/// The reply payload: an ok flag, then the shard report (1) or the
+/// error (0).
+pub(crate) fn encode_campaign_reply(reply: &Result<ShardReport, CampaignError>) -> Vec<u8> {
     let mut w = Writer::new();
     match reply {
-        Ok(ok) => {
+        Ok(report) => {
             w.u8(1);
-            match ok {
-                CampaignReply::HelloAck { pid, wire_version } => {
-                    w.u8(REPLY_HELLO_ACK).u32(*pid).u8(*wire_version);
-                }
-                CampaignReply::ShardDone(report) => {
-                    w.u8(REPLY_SHARD_DONE);
-                    report.encode(&mut w);
-                }
-            }
+            report.encode(&mut w);
         }
         Err(err) => {
             w.u8(0);
@@ -468,16 +383,9 @@ pub(crate) fn encode_campaign_reply(reply: &Result<CampaignReply, CampaignError>
 
 pub(crate) fn decode_campaign_reply(
     r: &mut Reader<'_>,
-) -> Result<Result<CampaignReply, CampaignError>, WireError> {
+) -> Result<Result<ShardReport, CampaignError>, WireError> {
     match r.u8("campaign reply ok flag")? {
-        1 => match r.u8("campaign reply tag")? {
-            REPLY_HELLO_ACK => Ok(Ok(CampaignReply::HelloAck {
-                pid: r.u32("hello ack pid")?,
-                wire_version: r.u8("hello ack wire version")?,
-            })),
-            REPLY_SHARD_DONE => Ok(Ok(CampaignReply::ShardDone(ShardReport::decode(r)?))),
-            _ => Err(WireError::Malformed { what: "unknown campaign reply tag" }),
-        },
+        1 => Ok(Ok(ShardReport::decode(r)?)),
         0 => Ok(Err(decode_campaign_error(r)?)),
         _ => Err(WireError::Malformed { what: "campaign reply ok flag" }),
     }
@@ -524,7 +432,6 @@ mod tests {
         CampaignSpec {
             seed: 2022,
             devices: 4096,
-            apps: vec!["netflix".into(), "disney".into()],
             sample_every: 512,
             rsa_bits: 768,
             kill_at_device: Some(17),
@@ -548,37 +455,35 @@ mod tests {
             latency,
             sampled_plays: 4,
             sample_mismatches: 0,
-            counters: vec![("campaign.devices".into(), 2048)],
         }
     }
 
-    fn roundtrip_call(call: CampaignCall) {
-        let frame = encode_frame(&FrameBody::CampaignCall(call.clone()), FrameMeta::default());
-        let (body, _, used) = decode_frame(&frame).expect("campaign call decodes");
+    fn roundtrip(body: FrameBody) {
+        let frame = encode_frame(&body, FrameMeta::default());
+        let (decoded, _, used) = decode_frame(&frame).expect("campaign frame decodes");
         assert_eq!(used, frame.len());
-        assert_eq!(body, FrameBody::CampaignCall(call));
+        assert_eq!(decoded, body);
     }
 
-    fn roundtrip_reply(reply: Result<CampaignReply, CampaignError>) {
-        let frame = encode_frame(&FrameBody::CampaignReply(reply.clone()), FrameMeta::default());
-        let (body, _, used) = decode_frame(&frame).expect("campaign reply decodes");
-        assert_eq!(used, frame.len());
-        assert_eq!(body, FrameBody::CampaignReply(reply));
+    fn roundtrip_reply(reply: Result<ShardReport, CampaignError>) {
+        roundtrip(FrameBody::CampaignReply(reply));
     }
 
     #[test]
     fn campaign_calls_roundtrip() {
-        roundtrip_call(CampaignCall::Hello);
-        roundtrip_call(CampaignCall::RunShard {
+        roundtrip(FrameBody::CampaignCall {
             spec: sample_spec(),
             shard: ShardAssignment { shard_id: 3, start: 0, end: 1024 },
+        });
+        roundtrip(FrameBody::CampaignCall {
+            spec: CampaignSpec { kill_at_device: None, ..sample_spec() },
+            shard: ShardAssignment { shard_id: 0, start: 7, end: 7 },
         });
     }
 
     #[test]
     fn campaign_replies_roundtrip() {
-        roundtrip_reply(Ok(CampaignReply::HelloAck { pid: 4242, wire_version: 3 }));
-        roundtrip_reply(Ok(CampaignReply::ShardDone(sample_report())));
+        roundtrip_reply(Ok(sample_report()));
     }
 
     #[test]
@@ -587,7 +492,7 @@ mod tests {
             CampaignError::ShardLost { shard_id: 2 },
             CampaignError::Spawn { what: "no such binary".into() },
             CampaignError::Protocol { what: "reply out of step".into() },
-            CampaignError::Worker { what: "unknown app slug".into() },
+            CampaignError::Worker { what: "shard range outside campaign".into() },
             CampaignError::Wire(WireError::Truncated { needed: 4108, got: 12 }),
             CampaignError::Wire(WireError::Oversized { len: 1 << 30, max: 16 << 20 }),
             CampaignError::Wire(WireError::BadMagic { found: *b"HTTP" }),

@@ -591,7 +591,7 @@ fn sweep_conn(conn: &mut Conn, slot: usize, jobs: &JobQueue, scratch: &mut [u8])
 mod tests {
     use super::*;
     use crate::binder::DrmReply;
-    use crate::campaign::{CampaignCall, CampaignReply};
+    use crate::campaign::{CampaignSpec, ShardAssignment, ShardReport};
     use crate::wire::{read_frame, WireError};
     use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
     use wideleak_cdm::cdm::Cdm;
@@ -706,13 +706,29 @@ mod tests {
     #[test]
     fn campaign_frames_at_the_server_are_refused_and_it_keeps_serving() {
         // The campaign frames travel on a worker's pipes, never to a DRM
-        // server; the server has no campaign arm and refuses them.
-        let hello = FrameBody::CampaignCall(CampaignCall::Hello);
-        let ack = FrameBody::CampaignReply(Ok(CampaignReply::HelloAck {
-            pid: 1,
-            wire_version: crate::wire::VERSION,
+        // server; the server has no campaign arm and refuses them. Both
+        // are an empty-range shard: a call and its reply.
+        let spec = CampaignSpec {
+            seed: 1,
+            devices: 0,
+            sample_every: 0,
+            rsa_bits: 768,
+            kill_at_device: None,
+        };
+        let call = FrameBody::CampaignCall {
+            spec,
+            shard: ShardAssignment { shard_id: 0, start: 0, end: 0 },
+        };
+        let reply = FrameBody::CampaignReply(Ok(ShardReport {
+            shard_id: 0,
+            start: 0,
+            end: 0,
+            cells: Vec::new(),
+            latency: wideleak_telemetry::LatencyHistogram::new(),
+            sampled_plays: 0,
+            sample_mismatches: 0,
         }));
-        refused_with_bad_reply_then_served(&[hello, ack]);
+        refused_with_bad_reply_then_served(&[call, reply]);
     }
 
     #[test]

@@ -70,6 +70,7 @@ use wideleak_tee::TeeError;
 use wideleak_telemetry::TraceContext;
 
 use crate::binder::{DrmCall, DrmReply};
+use crate::campaign::{self, CampaignError, CampaignSpec, ShardAssignment, ShardReport};
 use crate::DrmError;
 
 /// The four magic bytes opening every frame.
@@ -188,17 +189,22 @@ impl wideleak_faults::ErrorClass for WireError {
 }
 
 /// What a frame carries: one DRM transaction or its reply, or one
-/// campaign control-channel transaction or its reply.
+/// campaign shard call or its reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameBody {
     /// A client-to-server DRM transaction.
     Call(DrmCall),
     /// A server-to-client DRM outcome.
     Reply(Result<DrmReply, DrmError>),
-    /// A coordinator-to-worker campaign transaction.
-    CampaignCall(crate::campaign::CampaignCall),
-    /// A worker-to-coordinator campaign outcome.
-    CampaignReply(Result<crate::campaign::CampaignReply, crate::campaign::CampaignError>),
+    /// A coordinator-to-worker call: run this shard of this campaign.
+    CampaignCall {
+        /// The campaign's full parameterisation.
+        spec: CampaignSpec,
+        /// This worker's slice of it.
+        shard: ShardAssignment,
+    },
+    /// A worker-to-coordinator reply: the shard's report or its error.
+    CampaignReply(Result<ShardReport, CampaignError>),
 }
 
 const FRAME_TYPE_CALL: u8 = 0;
@@ -225,11 +231,11 @@ pub fn encode_frame(body: &FrameBody, meta: FrameMeta) -> Vec<u8> {
     let (frame_type, payload) = match body {
         FrameBody::Call(call) => (FRAME_TYPE_CALL, encode_call(call)),
         FrameBody::Reply(reply) => (FRAME_TYPE_REPLY, encode_reply(reply)),
-        FrameBody::CampaignCall(call) => {
-            (FRAME_TYPE_CAMPAIGN_CALL, crate::campaign::encode_campaign_call(call))
+        FrameBody::CampaignCall { spec, shard } => {
+            (FRAME_TYPE_CAMPAIGN_CALL, campaign::encode_campaign_call(spec, shard))
         }
         FrameBody::CampaignReply(reply) => {
-            (FRAME_TYPE_CAMPAIGN_REPLY, crate::campaign::encode_campaign_reply(reply))
+            (FRAME_TYPE_CAMPAIGN_REPLY, campaign::encode_campaign_reply(reply))
         }
     };
     let ctx_len = meta.ctx.map_or(0, |_| TraceContext::WIRE_LEN);
@@ -388,10 +394,11 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameBody, FrameMeta, usize), WireErr
         FRAME_TYPE_CALL => FrameBody::Call(decode_call(&mut r)?),
         FRAME_TYPE_REPLY => FrameBody::Reply(decode_reply(&mut r)?),
         FRAME_TYPE_CAMPAIGN_CALL => {
-            FrameBody::CampaignCall(crate::campaign::decode_campaign_call(&mut r)?)
+            let (spec, shard) = campaign::decode_campaign_call(&mut r)?;
+            FrameBody::CampaignCall { spec, shard }
         }
         FRAME_TYPE_CAMPAIGN_REPLY => {
-            FrameBody::CampaignReply(crate::campaign::decode_campaign_reply(&mut r)?)
+            FrameBody::CampaignReply(campaign::decode_campaign_reply(&mut r)?)
         }
         _ => return Err(WireError::Malformed { what: "unknown frame type" }),
     };

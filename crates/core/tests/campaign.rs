@@ -7,17 +7,19 @@
 //! These tests spawn the real `wideleak` binary in `serve --worker`
 //! mode, so they exercise the whole stack: process spawn, the wire-v3
 //! campaign frames on each worker's stdin and stdout, per-shard
-//! measurement, and the exact merge.
+//! measurement, and the exact merge. Fake workers (`/bin/sh` scripts)
+//! stand in for the ways a worker can fail to answer.
 
 use std::io::Write;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use wideleak::android_drm::campaign::{
-    CampaignCall, CampaignError, CampaignReply, ShardAssignment,
+use wideleak::android_drm::campaign::{CampaignError, CampaignSpec, ShardAssignment};
+use wideleak::android_drm::wire::{
+    decode_frame, encode_frame, read_frame, FrameBody, FrameMeta, WireError,
 };
-use wideleak::android_drm::wire::{decode_frame, encode_frame, read_frame, FrameBody, FrameMeta};
 use wideleak::load::LatencySummary;
 use wideleak::monitor::campaign::{run_campaign, CampaignConfig, WorkerCommand, WorkerProcess};
 use wideleak::telemetry::LatencyHistogram;
@@ -105,22 +107,68 @@ fn dropped_worker_guard_kills_and_reaps_the_child() {
     );
 }
 
-#[test]
-fn a_worker_opens_no_socket() {
-    let worker = WorkerProcess::spawn(&wideleak_bin()).expect("worker spawns");
-    let fds = std::fs::read_dir(format!("/proc/{}/fd", worker.pid())).expect("fd table readable");
-    let sockets: Vec<PathBuf> = fds
-        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
-        .filter(|link| link.to_string_lossy().starts_with("socket:"))
-        .collect();
-    assert!(sockets.is_empty(), "worker {} holds {sockets:?}", worker.pid());
+/// A fake worker: `/bin/sh` running `script`, which ignores the
+/// `serve --worker` the spawner appends as positional parameters.
+fn fake_worker(script: &str) -> WorkerCommand {
+    WorkerCommand {
+        program: PathBuf::from("/bin/sh"),
+        args: vec!["-c".into(), script.into(), "sh".into()],
+    }
 }
 
-/// Spawns a worker by hand (not via the guard), sends it `Hello` and
-/// then `calls`, and about 200 ms later severs only its stdin, as a
-/// coordinator killed with SIGKILL would. The worker must exit 0 within
-/// 10 s on its own, before answering any of `calls`.
-fn assert_worker_exits_when_its_stdin_closes(calls: &[CampaignCall]) {
+/// Runs a one-worker quick campaign on `cmd` and returns its error.
+fn campaign_error(cmd: &WorkerCommand) -> CampaignError {
+    let config = CampaignConfig { workers: 1, ..CampaignConfig::quick(2022) };
+    run_campaign(&config, cmd).expect_err("a fake worker cannot yield a report")
+}
+
+#[test]
+fn spawn_returns_at_once_even_for_a_worker_that_never_answers() {
+    // `cat` reads every call and answers none. Spawning must not wait
+    // on the worker; the watch thread keeps a blocked spawn from
+    // hanging the suite.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(WorkerProcess::spawn(&fake_worker("cat >/dev/null")));
+    });
+    let spawned = rx.recv_timeout(Duration::from_secs(1)).expect("spawn returned within 1 s");
+    drop(spawned.expect("a silent worker still spawns"));
+}
+
+#[test]
+fn a_worker_that_exits_at_once_is_a_lost_shard_within_seconds() {
+    let started = Instant::now();
+    let err = campaign_error(&fake_worker("exit 3"));
+    assert!(matches!(err, CampaignError::ShardLost { shard_id: 0 }), "{err:?}");
+    assert!(started.elapsed() < Duration::from_secs(10), "took {:?}", started.elapsed());
+}
+
+#[test]
+fn a_worker_that_writes_no_frame_is_a_typed_wire_error() {
+    let err = campaign_error(&fake_worker("printf NOTAFRAME000; cat >/dev/null"));
+    assert!(
+        matches!(err, CampaignError::Wire(WireError::BadMagic { found }) if found == *b"NOTA"),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn a_worker_program_that_does_not_exist_is_a_spawn_error() {
+    let cmd =
+        WorkerCommand { program: PathBuf::from("/nonexistent/wideleak-worker"), args: Vec::new() };
+    assert!(matches!(campaign_error(&cmd), CampaignError::Spawn { .. }));
+}
+
+/// The call the tests use as a liveness probe: an empty-range shard.
+fn empty_shard_call() -> Vec<u8> {
+    let spec = CampaignConfig::quick(2022).spec;
+    let shard = ShardAssignment { shard_id: 0, start: 3, end: 3 };
+    encode_frame(&FrameBody::CampaignCall { spec, shard }, FrameMeta::default())
+}
+
+/// Spawns a worker by hand (not via the guard) and waits for its reply
+/// to an empty-range shard call, so the worker is known to be serving.
+fn answering_worker() -> (Child, ChildStdin, ChildStdout) {
     let mut child = Command::new(wideleak_bin().program)
         .args(["serve", "--worker"])
         .stdin(Stdio::piped())
@@ -130,19 +178,39 @@ fn assert_worker_exits_when_its_stdin_closes(calls: &[CampaignCall]) {
         .expect("worker spawns");
     let mut stdin = child.stdin.take().expect("stdin piped");
     let mut stdout = child.stdout.take().expect("stdout piped");
-    let hello = encode_frame(&FrameBody::CampaignCall(CampaignCall::Hello), FrameMeta::default());
-    stdin.write_all(&hello).unwrap();
-    let ack = read_frame(&mut stdout).expect("reply readable").expect("worker answers Hello");
-    assert!(
-        matches!(
-            decode_frame(&ack),
-            Ok((FrameBody::CampaignReply(Ok(CampaignReply::HelloAck { .. })), _, _))
-        ),
-        "bad Hello answer {ack:?}"
-    );
-    for call in calls {
-        let frame = encode_frame(&FrameBody::CampaignCall(call.clone()), FrameMeta::default());
-        stdin.write_all(&frame).unwrap();
+    stdin.write_all(&empty_shard_call()).unwrap();
+    let reply = read_frame(&mut stdout).expect("reply readable").expect("worker answers");
+    match decode_frame(&reply) {
+        Ok((FrameBody::CampaignReply(Ok(report)), _, _)) => {
+            assert_eq!((report.start, report.end), (3, 3), "{report:?}");
+        }
+        other => panic!("bad answer to an empty shard: {other:?}"),
+    }
+    (child, stdin, stdout)
+}
+
+#[test]
+fn a_worker_opens_no_socket() {
+    let (mut child, stdin, _stdout) = answering_worker();
+    let fds = std::fs::read_dir(format!("/proc/{}/fd", child.id())).expect("fd table readable");
+    let sockets: Vec<PathBuf> = fds
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|link| link.to_string_lossy().starts_with("socket:"))
+        .collect();
+    drop(stdin);
+    let _ = child.wait();
+    assert!(sockets.is_empty(), "worker {} holds {sockets:?}", child.id());
+}
+
+/// Spawns a worker by hand, has it answer an empty-range shard call,
+/// sends it the shards in `calls`, and about 200 ms later severs only
+/// its stdin, as a coordinator killed with SIGKILL would. The worker
+/// must exit 0 within 10 s on its own, before answering any of `calls`.
+fn assert_worker_exits_when_its_stdin_closes(calls: &[(CampaignSpec, ShardAssignment)]) {
+    let (mut child, mut stdin, mut stdout) = answering_worker();
+    for (spec, shard) in calls {
+        let call = FrameBody::CampaignCall { spec: spec.clone(), shard: *shard };
+        stdin.write_all(&encode_frame(&call, FrameMeta::default())).unwrap();
     }
     std::thread::sleep(Duration::from_millis(200));
     drop(stdin);
@@ -179,7 +247,7 @@ fn busy_worker_exits_mid_shard_when_the_coordinator_pipe_closes() {
     let mut spec = CampaignConfig::full(2022).spec;
     spec.sample_every = 1;
     let shard = ShardAssignment { shard_id: 0, start: 0, end: spec.devices };
-    assert_worker_exits_when_its_stdin_closes(&[CampaignCall::RunShard { spec, shard }]);
+    assert_worker_exits_when_its_stdin_closes(&[(spec, shard)]);
 }
 
 /// The raw-sample oracle: nearest-rank statistics over the sorted

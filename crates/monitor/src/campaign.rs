@@ -6,11 +6,13 @@
 //! fleet" to "a fleet simulating a fleet". The coordinator
 //! ([`run_campaign`]) splits the catalog id range `0..spec.devices`
 //! into contiguous shards (the same [`partition`] the load generator
-//! uses for its drivers), spawns one worker process per shard, drives
-//! each with wire-v3 campaign frames ([`CampaignCall`]/[`CampaignReply`])
-//! over the worker's stdin and stdout, and merges the [`ShardReport`]s
-//! it gets back. A worker opens no port: its pipes are its whole
-//! control channel, and its answer to `Hello` is its readiness check.
+//! uses for its drivers), spawns one worker process per shard, writes
+//! each one wire-v3 campaign call (the spec and its shard) on the
+//! worker's stdin, reads one reply frame (a [`ShardReport`] or a typed
+//! [`CampaignError`]) from its stdout, and merges the reports. A worker
+//! opens no port: its pipes are its whole control channel. There is no
+//! readiness handshake; a worker that dies before replying is a lost
+//! shard, and one that never replies is lost at the shard deadline.
 //!
 //! **Shard-count invariance** is the load-bearing property: the merged
 //! report is a pure function of (spec, seed, catalog). It holds
@@ -26,8 +28,9 @@
 //!   derived cells against actual ecosystem behaviour) is a seed-hash
 //!   over the device id, not a per-shard counter;
 //! - merges are exact: per-value histogram sums for percentiles, count
-//!   sums plus min-device-id exemplars for cells, name-wise sums for
-//!   counters — all commutative, so arrival order cannot show through.
+//!   sums plus min-device-id exemplars for cells, plain sums for the
+//!   sampled-play tallies — all commutative, so arrival order cannot
+//!   show through.
 //!
 //! The per-shard worker seed `det_hash(spec.seed, shard_id)` exists
 //! for replayability of a single shard; it seeds the worker's own
@@ -38,7 +41,6 @@
 //! even a SIGKILLed coordinator leaves no orphans: the pipe closes, the
 //! worker exits.
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -46,16 +48,15 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use wideleak_android_drm::campaign::{
-    AppCells, CampaignCall, CampaignError, CampaignReply, CampaignSpec, ShardAssignment,
-    ShardReport, CELL_KINDS,
+    AppCells, CampaignError, CampaignSpec, ShardAssignment, ShardReport, CELL_KINDS,
 };
 use wideleak_android_drm::wire::{
-    decode_frame, encode_frame, read_frame, FrameBody, FrameMeta, WireError, VERSION,
+    decode_frame, encode_frame, read_frame, FrameBody, FrameMeta, WireError,
 };
 use wideleak_device::catalog::{DeviceModel, SecurityLevel};
 use wideleak_faults::det_hash;
 use wideleak_load::{partition, LatencySummary};
-use wideleak_ott::apps::AppProfile;
+use wideleak_ott::apps::{evaluated_apps, AppProfile};
 use wideleak_ott::content::L3_MAX_HEIGHT;
 use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
 use wideleak_ott::provisioning::REVOCATION_FLOOR;
@@ -174,37 +175,14 @@ pub fn is_sampled(spec: &CampaignSpec, device_id: u64) -> bool {
         && det_hash(spec.seed ^ SAMPLE_SALT, device_id).is_multiple_of(spec.sample_every)
 }
 
-/// Resolves the spec's app slugs against the evaluated-app profiles,
-/// preserving spec order (or the canonical evaluated order when the
-/// spec names none).
-///
-/// # Errors
-///
-/// [`CampaignError::Worker`] for an unknown slug.
-pub fn resolve_apps(spec: &CampaignSpec) -> Result<Vec<AppProfile>, CampaignError> {
-    let all = wideleak_ott::apps::evaluated_apps();
-    if spec.apps.is_empty() {
-        return Ok(all);
-    }
-    spec.apps
-        .iter()
-        .map(|slug| {
-            all.iter()
-                .find(|p| p.slug == slug)
-                .cloned()
-                .ok_or_else(|| CampaignError::Worker { what: format!("unknown app slug {slug}") })
-        })
-        .collect()
-}
-
 /// Runs one shard of a campaign in this process: derives the compliance
-/// cell and latency sample for every (device, app) pair in the range,
-/// and validates the derivation with real ecosystem playbacks on the
-/// seed-elected sample devices.
+/// cell and latency sample for every (device, evaluated app) pair in the
+/// range, and validates the derivation with real ecosystem playbacks on
+/// the seed-elected sample devices.
 ///
 /// # Errors
 ///
-/// [`CampaignError::Worker`] for an invalid assignment or unknown app.
+/// [`CampaignError::Worker`] for an assignment outside the campaign.
 pub fn run_shard(
     spec: &CampaignSpec,
     shard: ShardAssignment,
@@ -217,7 +195,7 @@ pub fn run_shard(
             ),
         });
     }
-    let apps = resolve_apps(spec)?;
+    let apps = evaluated_apps();
     // The per-shard seed makes a single shard replayable in isolation;
     // it feeds the worker's private ecosystem only, never the report.
     let shard_seed = det_hash(spec.seed, u64::from(shard.shard_id));
@@ -264,7 +242,6 @@ pub fn run_shard(
         }
     }
 
-    let devices = shard.end - shard.start;
     wideleak_telemetry::incr("campaign.shards.run");
     Ok(ShardReport {
         shard_id: shard.shard_id,
@@ -274,12 +251,6 @@ pub fn run_shard(
         latency: latencies.into_iter().collect(),
         sampled_plays,
         sample_mismatches,
-        counters: vec![
-            ("campaign.cells.derived".into(), devices * apps.len() as u64),
-            ("campaign.devices".into(), devices),
-            ("campaign.plays.mismatched".into(), sample_mismatches),
-            ("campaign.plays.sampled".into(), sampled_plays),
-        ],
     })
 }
 
@@ -297,17 +268,11 @@ fn classify_play(
     }
 }
 
-/// Answers one call frame in a worker process: `Hello` with this
-/// process's id, `RunShard` with [`run_shard`]'s report. Anything but a
-/// campaign call gets a typed refusal.
+/// Answers one call frame in a worker process with [`run_shard`]'s
+/// report. Anything but a campaign call gets a typed refusal.
 fn answer(frame: &[u8]) -> Vec<u8> {
     let reply = match decode_frame(frame) {
-        Ok((FrameBody::CampaignCall(CampaignCall::Hello), _, _)) => {
-            Ok(CampaignReply::HelloAck { pid: std::process::id(), wire_version: VERSION })
-        }
-        Ok((FrameBody::CampaignCall(CampaignCall::RunShard { spec, shard }), _, _)) => {
-            run_shard(&spec, shard).map(CampaignReply::ShardDone)
-        }
+        Ok((FrameBody::CampaignCall { spec, shard }, _, _)) => run_shard(&spec, shard),
         Ok(_) => {
             Err(CampaignError::Protocol { what: "non-campaign frame on control channel".into() })
         }
@@ -386,20 +351,20 @@ impl WorkerCommand {
 #[derive(Debug)]
 pub struct WorkerProcess {
     child: Child,
-    /// The worker's pipes, until [`run_campaign`] hands them to the
-    /// thread driving its shard.
-    channel: Option<ControlChannel>,
+    /// The worker's stdin and stdout, until [`run_campaign`] hands them
+    /// to the thread driving its shard.
+    pipes: Option<(ChildStdin, ChildStdout)>,
 }
 
 impl WorkerProcess {
-    /// Spawns a worker and waits for its answer to `Hello`.
+    /// Starts a worker and takes its pipes. It reads nothing from the
+    /// worker: a worker that cannot serve shows up at its first call.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Spawn`] when the process cannot be started or
-    /// does not answer `Hello` with `HelloAck`.
+    /// [`CampaignError::Spawn`] when the process cannot be started.
     pub fn spawn(cmd: &WorkerCommand) -> Result<Self, CampaignError> {
-        let child = Command::new(&cmd.program)
+        let mut child = Command::new(&cmd.program)
             .args(&cmd.args)
             .arg("serve")
             .arg("--worker")
@@ -410,20 +375,11 @@ impl WorkerProcess {
             .map_err(|e| CampaignError::Spawn {
                 what: format!("{}: {e}", cmd.program.display()),
             })?;
-        let mut guard = WorkerProcess { child, channel: None };
-        let mut channel = ControlChannel {
-            stdin: guard.child.stdin.take().expect("worker stdin is piped"),
-            stdout: guard.child.stdout.take().expect("worker stdout is piped"),
-        };
-        let what = match channel.call(CampaignCall::Hello) {
-            Some(Ok(CampaignReply::HelloAck { .. })) => {
-                guard.channel = Some(channel);
-                return Ok(guard);
-            }
-            None => "worker exited before answering Hello".to_owned(),
-            Some(other) => format!("worker answered Hello with {other:?}"),
-        };
-        Err(CampaignError::Spawn { what })
+        let pipes = (
+            child.stdin.take().expect("worker stdin is piped"),
+            child.stdout.take().expect("worker stdout is piped"),
+        );
+        Ok(WorkerProcess { child, pipes: Some(pipes) })
     }
 
     /// The worker's OS process id.
@@ -439,39 +395,6 @@ impl Drop for WorkerProcess {
         // no-op error, and wait still collects the zombie either way.
         let _ = self.child.kill();
         let _ = self.child.wait();
-    }
-}
-
-/// A blocking control-channel client over one worker's pipes: calls go
-/// down its stdin, replies come up its stdout.
-#[derive(Debug)]
-struct ControlChannel {
-    stdin: ChildStdin,
-    stdout: ChildStdout,
-}
-
-impl ControlChannel {
-    /// One call, one reply; `None` when the pipes broke first — the
-    /// worker died or was killed.
-    fn call(&mut self, call: CampaignCall) -> Option<Result<CampaignReply, CampaignError>> {
-        let frame = encode_frame(&FrameBody::CampaignCall(call), FrameMeta::default());
-        self.stdin.write_all(&frame).ok()?;
-        let frame = match read_frame(&mut self.stdout) {
-            Ok(frame) => frame?,
-            // A header the codec rejects stays a typed wire error; any
-            // other read failure is a lost worker.
-            Err(e) => {
-                let wire = e.into_inner()?.downcast::<WireError>().ok()?;
-                return Some(Err(CampaignError::Wire(*wire)));
-            }
-        };
-        Some(match decode_frame(&frame) {
-            Ok((FrameBody::CampaignReply(reply), _, _)) => reply,
-            Ok(_) => Err(CampaignError::Protocol {
-                what: "non-campaign frame on control channel".into(),
-            }),
-            Err(e) => Err(CampaignError::Wire(e)),
-        })
     }
 }
 
@@ -491,8 +414,6 @@ pub struct CampaignReport {
     pub sampled_plays: u64,
     /// Sampled playbacks disagreeing with the derived cell (expect 0).
     pub sample_mismatches: u64,
-    /// Name-summed per-shard counters.
-    pub counters: Vec<(String, u64)>,
 }
 
 /// Merges per-shard reports into one campaign report. Validates that
@@ -503,7 +424,7 @@ pub struct CampaignReport {
 /// # Errors
 ///
 /// [`CampaignError::Protocol`] when the shard ranges do not tile the
-/// campaign range or an app list disagrees.
+/// campaign range or a shard's app list is not the evaluated apps.
 pub fn merge_reports(
     spec: &CampaignSpec,
     mut shards: Vec<ShardReport>,
@@ -527,12 +448,10 @@ pub fn merge_reports(
         });
     }
 
-    let apps = resolve_apps(spec)?;
-    let mut cells: Vec<AppCells> = apps.iter().map(|p| AppCells::new(p.slug)).collect();
+    let mut cells: Vec<AppCells> = evaluated_apps().iter().map(|p| AppCells::new(p.slug)).collect();
     let mut latency = LatencyHistogram::new();
     let mut sampled_plays = 0u64;
     let mut sample_mismatches = 0u64;
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
     for shard in &shards {
         if shard.cells.len() != cells.len()
             || shard.cells.iter().zip(&cells).any(|(a, b)| a.app != b.app)
@@ -547,18 +466,8 @@ pub fn merge_reports(
         latency.merge(&shard.latency);
         sampled_plays += shard.sampled_plays;
         sample_mismatches += shard.sample_mismatches;
-        for (name, value) in &shard.counters {
-            *counters.entry(name.clone()).or_insert(0) += value;
-        }
     }
-    Ok(CampaignReport {
-        spec: spec.clone(),
-        cells,
-        latency,
-        sampled_plays,
-        sample_mismatches,
-        counters: counters.into_iter().collect(),
-    })
+    Ok(CampaignReport { spec: spec.clone(), cells, latency, sampled_plays, sample_mismatches })
 }
 
 impl CampaignReport {
@@ -604,7 +513,12 @@ impl CampaignReport {
             self.sampled_plays, self.sample_mismatches
         ));
         out.push_str("\ncounters:\n");
-        for (name, value) in &self.counters {
+        for (name, value) in [
+            ("campaign.cells.derived", self.spec.devices * self.cells.len() as u64),
+            ("campaign.devices", self.spec.devices),
+            ("campaign.plays.mismatched", self.sample_mismatches),
+            ("campaign.plays.sampled", self.sampled_plays),
+        ] {
             out.push_str(&format!("  {name:<26} {value}\n"));
         }
         out
@@ -631,7 +545,6 @@ impl CampaignConfig {
             spec: CampaignSpec {
                 seed,
                 devices: 48,
-                apps: Vec::new(),
                 sample_every: 24,
                 rsa_bits: 768,
                 kill_at_device: None,
@@ -648,7 +561,6 @@ impl CampaignConfig {
             spec: CampaignSpec {
                 seed,
                 devices: 4096,
-                apps: Vec::new(),
                 sample_every: 512,
                 rsa_bits: 768,
                 kill_at_device: None,
@@ -665,8 +577,9 @@ impl CampaignConfig {
 /// # Errors
 ///
 /// [`CampaignError::Spawn`] when a worker cannot be started,
-/// [`CampaignError::ShardLost`] when one dies mid-shard or has not
-/// reported within 600 s, plus the taxonomy's protocol/worker variants.
+/// [`CampaignError::ShardLost`] when one dies before replying or has not
+/// replied within 600 s, plus the taxonomy's protocol, worker and wire
+/// variants.
 pub fn run_campaign(
     config: &CampaignConfig,
     cmd: &WorkerCommand,
@@ -694,10 +607,10 @@ pub fn run_campaign(
             end: range.end as u64,
         };
         let spec = config.spec.clone();
-        let mut channel = guard.channel.take().expect("a spawned worker holds its pipes");
+        let (stdin, stdout) = guard.pipes.take().expect("a spawned worker holds its pipes");
         let tx = tx.clone();
         handles.push(std::thread::spawn(move || {
-            let _ = tx.send((shard_id, drive_worker(&mut channel, spec, shard)));
+            let _ = tx.send((shard_id, drive_worker(stdin, stdout, spec, shard)));
         }));
     }
     drop(tx);
@@ -724,33 +637,44 @@ pub fn run_campaign(
     merge_reports(&config.spec, shards)
 }
 
-/// Drives one worker through its shard: RunShard, typed result.
+/// Drives one worker through its shard: one call down its stdin, one
+/// reply up its stdout, checked against the assignment. Pipes that
+/// break first (the worker died or was killed) are a lost shard.
 fn drive_worker(
-    channel: &mut ControlChannel,
+    mut stdin: ChildStdin,
+    mut stdout: ChildStdout,
     spec: CampaignSpec,
     shard: ShardAssignment,
 ) -> Result<ShardReport, CampaignError> {
-    match channel.call(CampaignCall::RunShard { spec, shard }) {
-        None => Err(CampaignError::ShardLost { shard_id: shard.shard_id }),
-        Some(Ok(CampaignReply::ShardDone(report))) => {
-            if report.shard_id != shard.shard_id
-                || report.start != shard.start
-                || report.end != shard.end
-            {
-                return Err(CampaignError::Protocol {
-                    what: format!(
-                        "shard {} echoed assignment {}..{} as {}..{}",
-                        shard.shard_id, shard.start, shard.end, report.start, report.end
-                    ),
-                });
-            }
-            Ok(report)
+    let lost = || CampaignError::ShardLost { shard_id: shard.shard_id };
+    let call = encode_frame(&FrameBody::CampaignCall { spec, shard }, FrameMeta::default());
+    stdin.write_all(&call).map_err(|_| lost())?;
+    let frame = match read_frame(&mut stdout) {
+        Ok(frame) => frame.ok_or_else(lost)?,
+        // A header the codec rejects stays a typed wire error; any
+        // other read failure is a lost worker.
+        Err(e) => {
+            return Err(match e.into_inner().map(|e| e.downcast::<WireError>()) {
+                Some(Ok(wire)) => CampaignError::Wire(*wire),
+                _ => lost(),
+            })
         }
-        Some(Ok(other)) => {
-            Err(CampaignError::Protocol { what: format!("expected ShardDone, got {other:?}") })
-        }
-        Some(Err(e)) => Err(e),
+    };
+    let (FrameBody::CampaignReply(reply), _, _) = decode_frame(&frame)? else {
+        return Err(CampaignError::Protocol {
+            what: "non-campaign frame on control channel".into(),
+        });
+    };
+    let report = reply?;
+    if (report.shard_id, report.start, report.end) != (shard.shard_id, shard.start, shard.end) {
+        return Err(CampaignError::Protocol {
+            what: format!(
+                "shard {} echoed assignment {}..{} as {}..{}",
+                shard.shard_id, shard.start, shard.end, report.start, report.end
+            ),
+        });
     }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -758,14 +682,7 @@ mod tests {
     use super::*;
 
     fn quick_spec() -> CampaignSpec {
-        CampaignSpec {
-            seed: 7,
-            devices: 24,
-            apps: Vec::new(),
-            sample_every: 0,
-            rsa_bits: 768,
-            kill_at_device: None,
-        }
+        CampaignSpec { seed: 7, devices: 24, sample_every: 0, rsa_bits: 768, kill_at_device: None }
     }
 
     #[test]
@@ -797,7 +714,10 @@ mod tests {
             run_shard(&spec, ShardAssignment { shard_id: 9, start: 0, end: 24 }).unwrap();
         assert_eq!(whole.cells, relabeled.cells);
         assert_eq!(whole.latency, relabeled.latency);
-        assert_eq!(whole.counters, relabeled.counters);
+        assert_eq!(
+            (whole.sampled_plays, whole.sample_mismatches),
+            (relabeled.sampled_plays, relabeled.sample_mismatches)
+        );
     }
 
     #[test]
@@ -863,16 +783,16 @@ mod tests {
     }
 
     #[test]
-    fn workers_answer_hello_and_refuse_other_frames_typed() {
+    fn workers_answer_a_shard_call_and_refuse_other_frames_typed() {
         let reply = |frame: &[u8]| decode_frame(&answer(frame)).expect("a well-formed reply").0;
-        let hello =
-            encode_frame(&FrameBody::CampaignCall(CampaignCall::Hello), FrameMeta::default());
+        let shard = ShardAssignment { shard_id: 2, start: 5, end: 5 };
+        let call = encode_frame(
+            &FrameBody::CampaignCall { spec: quick_spec(), shard },
+            FrameMeta::default(),
+        );
         assert_eq!(
-            reply(&hello),
-            FrameBody::CampaignReply(Ok(CampaignReply::HelloAck {
-                pid: std::process::id(),
-                wire_version: VERSION
-            }))
+            reply(&call),
+            FrameBody::CampaignReply(Ok(run_shard(&quick_spec(), shard).unwrap()))
         );
         let drm = encode_frame(
             &FrameBody::Call(wideleak_android_drm::binder::DrmCall::IsProvisioned),
@@ -882,20 +802,11 @@ mod tests {
             reply(&drm),
             FrameBody::CampaignReply(Err(CampaignError::Protocol { .. }))
         ));
-        let mut garbled = hello;
+        let mut garbled = call;
         *garbled.last_mut().unwrap() ^= 1;
         assert!(matches!(
             reply(&garbled),
             FrameBody::CampaignReply(Err(CampaignError::Wire(WireError::BadCrc { .. })))
-        ));
-    }
-
-    #[test]
-    fn unknown_app_slug_is_a_typed_worker_error() {
-        let spec = CampaignSpec { apps: vec!["caveflix".into()], ..quick_spec() };
-        assert!(matches!(
-            run_shard(&spec, ShardAssignment { shard_id: 0, start: 0, end: 1 }),
-            Err(CampaignError::Worker { .. })
         ));
     }
 }

@@ -6,8 +6,7 @@
 use proptest::prelude::*;
 use wideleak::android_drm::binder::{DrmCall, DrmReply};
 use wideleak::android_drm::campaign::{
-    AppCells, CampaignCall, CampaignError, CampaignReply, CampaignSpec, ShardAssignment,
-    ShardReport,
+    AppCells, CampaignError, CampaignSpec, ShardAssignment, ShardReport,
 };
 use wideleak::android_drm::wire::{
     decode_frame, encode_frame, FrameBody, FrameMeta, WireError, HEADER_LEN, MAX_PAYLOAD,
@@ -321,13 +320,12 @@ fn call_corpus() -> Vec<DrmCall> {
     ]
 }
 
-/// One of each campaign control-channel frame: `Hello`, a `RunShard`,
-/// a `HelloAck`, a `ShardDone` and a `CampaignError` reply.
+/// One of each campaign control-channel frame: a shard call, its report
+/// reply and a `CampaignError` reply.
 fn campaign_corpus() -> Vec<FrameBody> {
     let spec = CampaignSpec {
         seed: 2022,
         devices: 4096,
-        apps: vec!["netflix".into(), "disney".into()],
         sample_every: 512,
         rsa_bits: 768,
         kill_at_device: Some(17),
@@ -347,16 +345,13 @@ fn campaign_corpus() -> Vec<FrameBody> {
         latency,
         sampled_plays: 4,
         sample_mismatches: 0,
-        counters: vec![("campaign.devices".into(), 2048)],
     };
     vec![
-        FrameBody::CampaignCall(CampaignCall::Hello),
-        FrameBody::CampaignCall(CampaignCall::RunShard {
+        FrameBody::CampaignCall {
             spec,
             shard: ShardAssignment { shard_id: 1, start: 2048, end: 4096 },
-        }),
-        FrameBody::CampaignReply(Ok(CampaignReply::HelloAck { pid: 4242, wire_version: 3 })),
-        FrameBody::CampaignReply(Ok(CampaignReply::ShardDone(report))),
+        },
+        FrameBody::CampaignReply(Ok(report)),
         FrameBody::CampaignReply(Err(CampaignError::Protocol { what: "reply out of step".into() })),
     ]
 }
@@ -404,7 +399,7 @@ fn corpus_frames_are_byte_identical() {
     );
     assert_eq!(
         corpus_digest(campaign_corpus()),
-        ("1d014bb8263dd60a50a7d970248c5d3d391c4d4b8affd320da857f17009c1db8".to_owned(), 4 * 5),
+        ("fa027a4b49a330df6a8191507ec45e445bb3339dd9dd8dccd5901d75d2fb82c0".to_owned(), 4 * 3),
         "campaign frames"
     );
 }
