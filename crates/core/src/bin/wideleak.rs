@@ -242,285 +242,293 @@ fn main() -> ExitCode {
     let seed = config.seed;
     let transport = config.transport;
 
-    // `call` is a thin remote DRM client: all session state lives in
-    // the `serve` process, so a probe needs nothing but the socket.
-    // With `--trace` on both ends, the merged sinks reassemble each
-    // probe into one multi-process trace.
-    if command == "call" {
-        let Some(addr) = slug else {
-            return usage();
-        };
-        let count: usize = positional.get(2).and_then(|v| v.parse().ok()).unwrap_or(1);
-        let Ok(sock_addr) = addr.parse() else {
-            eprintln!("call: bad address {addr}");
-            return ExitCode::FAILURE;
-        };
-        let binder = match TcpBinder::connect(sock_addr).pool_size(2).build() {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("call: cannot connect {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut failures = 0usize;
-        for i in 0..count {
-            let mut nonce = [0u8; 16];
-            nonce[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            nonce[8..].copy_from_slice(&seed.to_le_bytes());
-            let outcome = binder
-                .transact(DrmCall::IsSchemeSupported { uuid: WIDEVINE_SYSTEM_ID })
-                .and_then(|_| binder.transact(DrmCall::OpenSession { nonce }))
-                .and_then(wideleak::android_drm::binder::DrmReply::into_session_id)
-                .and_then(|sid| {
-                    let probe = binder.transact(DrmCall::IsProvisioned);
-                    let _ = binder.transact(DrmCall::CloseSession { session_id: sid });
-                    probe
-                });
-            match outcome {
-                Ok(reply) => println!("call {i}: ok ({reply:?})"),
+    // Every command that gets this far leaves through `code`, so the
+    // telemetry export below runs whichever command turned it on.
+    let code = 'run: {
+        // `call` is a thin remote DRM client: all session state lives in
+        // the `serve` process, so a probe needs nothing but the socket.
+        // With `--trace` on both ends, the merged sinks reassemble each
+        // probe into one multi-process trace.
+        if command == "call" {
+            let Some(addr) = slug else {
+                return usage();
+            };
+            let count: usize = match positional.get(2).map(|n| n.parse()) {
+                None => 1,
+                Some(Ok(n)) => n,
+                Some(Err(_)) => return usage(),
+            };
+            let Ok(sock_addr) = addr.parse() else {
+                eprintln!("call: bad address {addr}");
+                break 'run ExitCode::FAILURE;
+            };
+            let binder = match TcpBinder::connect(sock_addr).pool_size(2).build() {
+                Ok(b) => b,
                 Err(e) => {
-                    failures += 1;
-                    eprintln!("call {i}: {e}");
+                    eprintln!("call: cannot connect {addr}: {e}");
+                    break 'run ExitCode::FAILURE;
                 }
-            }
-        }
-        trace::flush();
-        return if failures == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-
-    // `campaign` is the coordinator: it spawns copies of this binary in
-    // `serve --worker` mode and never boots an ecosystem itself (the
-    // workers each build their own from the derived shard seed).
-    if command == "campaign" {
-        let mut cc = if quick { CampaignConfig::quick(seed) } else { CampaignConfig::full(seed) };
-        if let Some(n) = campaign_workers {
-            cc.workers = n;
-        }
-        let cmd = match WorkerCommand::current_exe() {
-            Ok(cmd) => cmd,
-            Err(e) => {
-                eprintln!("campaign: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        eprintln!(
-            "wideleak: campaign over {} devices x {} workers (seed {seed})",
-            cc.spec.devices, cc.workers
-        );
-        return match run_campaign(&cc, &cmd) {
-            Ok(report) => {
-                print!("{}", report.render());
-                trace::flush();
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("campaign failed: {e} [{}]", e.class());
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // `serve --worker` is a campaign shard worker: it reads call frames
-    // from the coordinator on stdin and answers each on stdout, and it
-    // exits at stdin EOF — so a killed coordinator takes its workers
-    // down instead of leaking them.
-    if command == "serve" && worker_mode {
-        return match serve_worker(std::io::stdin(), std::io::stdout().lock()) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("serve: worker cannot reply: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // `serve` exports a standalone media DRM server; it never installs
-    // apps or boots a device stack.
-    if command == "serve" {
-        let addr = slug.unwrap_or("127.0.0.1:7564");
-        let metrics = match &metrics_addr {
-            Some(maddr) => {
-                // The exposition endpoint publishes the live registry;
-                // enable collection so there is something to scrape.
-                telemetry::enable();
-                match telemetry::ExpositionServer::bind(maddr, telemetry::global()) {
-                    Ok(server) => {
-                        println!(
-                            "wideleak: metrics endpoint on http://{}/metrics",
-                            server.local_addr()
-                        );
-                        Some(server)
-                    }
+            };
+            let mut failures = 0usize;
+            for i in 0..count {
+                let mut nonce = [0u8; 16];
+                nonce[..8].copy_from_slice(&(i as u64).to_le_bytes());
+                nonce[8..].copy_from_slice(&seed.to_le_bytes());
+                let outcome = binder
+                    .transact(DrmCall::IsSchemeSupported { uuid: WIDEVINE_SYSTEM_ID })
+                    .and_then(|_| binder.transact(DrmCall::OpenSession { nonce }))
+                    .and_then(wideleak::android_drm::binder::DrmReply::into_session_id)
+                    .and_then(|sid| {
+                        let probe = binder.transact(DrmCall::IsProvisioned);
+                        let _ = binder.transact(DrmCall::CloseSession { session_id: sid });
+                        probe
+                    });
+                match outcome {
+                    Ok(reply) => println!("call {i}: ok ({reply:?})"),
                     Err(e) => {
-                        eprintln!("serve: cannot bind metrics {maddr}: {e}");
-                        return ExitCode::FAILURE;
+                        failures += 1;
+                        eprintln!("call {i}: {e}");
                     }
                 }
             }
-            None => None,
-        };
-        let eco = Ecosystem::new(config);
-        let drm = eco.media_drm_server(DeviceModel::pixel_6());
-        return match TcpDrmServer::bind(addr, drm) {
-            Ok(server) => {
-                install_sigint_handler();
-                println!(
-                    "wideleak: media DRM server listening on {} (wire v3; ctrl-c to stop)",
-                    server.local_addr()
-                );
-                while !SIGINT_RECEIVED.load(Ordering::SeqCst) {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
+            break 'run if failures == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        }
+
+        // `campaign` is the coordinator: it spawns copies of this binary in
+        // `serve --worker` mode and never boots an ecosystem itself (the
+        // workers each build their own from the derived shard seed).
+        if command == "campaign" {
+            let mut cc =
+                if quick { CampaignConfig::quick(seed) } else { CampaignConfig::full(seed) };
+            if let Some(n) = campaign_workers {
+                cc.workers = n;
+            }
+            let cmd = match WorkerCommand::current_exe() {
+                Ok(cmd) => cmd,
+                Err(e) => {
+                    eprintln!("campaign: {e}");
+                    break 'run ExitCode::FAILURE;
                 }
-                eprintln!("wideleak: shutting down");
-                drop(server);
-                drop(metrics);
-                trace::flush();
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("serve: cannot bind {addr}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let eco = Ecosystem::new(config);
-
-    let code = match (command, slug) {
-        ("study", None) => match run_study(&eco) {
-            Ok(report) => {
-                println!("{}", render_table_1(&report));
-                println!("{}", render_insights(&report));
-                print!("{}", render_call_histogram(&report));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                faults::record_error("study.error", &e);
-                eprintln!("study failed: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        ("study", Some(slug)) => match study_app(&eco, slug) {
-            Ok(findings) => {
-                println!("{findings:#?}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                faults::record_error("study.error", &e);
-                eprintln!("study failed: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        ("attack", None) => {
-            let outcomes = attack_all(&eco);
-            for o in &outcomes {
-                let status = if o.succeeded() {
-                    match o.media.as_ref().and_then(|m| m.best_resolution()) {
-                        Some((w, h)) => format!("DRM-free media at {w}x{h}"),
-                        None => "DRM-free media, no video track".to_owned(),
-                    }
-                } else {
-                    format!(
-                        "blocked ({})",
-                        o.failure.as_ref().map_or("?".into(), |e| e.to_string())
-                    )
-                };
-                println!("{:<22} {status}", o.app_name);
-            }
-            ExitCode::SUCCESS
-        }
-        ("attack", Some(slug)) => {
-            let o = attack_app(&eco, slug);
-            println!("{o:#?}");
-            if o.succeeded() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        ("spoof", _) => {
-            match wideleak::attack::hd_spoof::hd_spoof_experiment(&eco, slug.unwrap_or("netflix")) {
-                Ok(outcome) => {
-                    println!(
-                        "best height: {:?}; HD leaked: {}",
-                        outcome.best_height,
-                        outcome.got_hd_keys()
-                    );
+            };
+            eprintln!(
+                "wideleak: campaign over {} devices x {} workers (seed {seed})",
+                cc.spec.devices, cc.workers
+            );
+            break 'run match run_campaign(&cc, &cmd) {
+                Ok(report) => {
+                    print!("{}", report.render());
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
-                    eprintln!("spoof failed: {e}");
+                    eprintln!("campaign failed: {e} [{}]", e.class());
                     ExitCode::FAILURE
                 }
-            }
+            };
         }
-        ("resilience", _) => {
-            let report = run_resilience_study_on(seed, quick, transport);
-            println!("{}", render_q5(&report));
-            ExitCode::SUCCESS
-        }
-        ("adapt", _) => {
-            let report = run_adapt_study(seed, quick);
-            println!("{}", render_adapt(&report));
-            ExitCode::SUCCESS
-        }
-        ("load", _) => {
-            if let Some(devices) = fleet_devices {
-                // High-concurrency fleet: always over TCP (it measures
-                // the reactor transport, not the study paths).
-                let base = if quick { FleetConfig::quick() } else { FleetConfig::default() };
-                let fleet_config = FleetConfig { devices, seed, ..base };
-                let report = run_fleet(&fleet_config);
-                print!("{}", report.render(&fleet_config));
-                if report.clean() {
-                    ExitCode::SUCCESS
-                } else {
-                    eprintln!("load: fleet run was not clean");
+
+        // `serve --worker` is a campaign shard worker: it reads call frames
+        // from the coordinator on stdin and answers each on stdout, and it
+        // exits at stdin EOF — so a killed coordinator takes its workers
+        // down instead of leaking them.
+        if command == "serve" && worker_mode {
+            break 'run match serve_worker(std::io::stdin(), std::io::stdout().lock()) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("serve: worker cannot reply: {e}");
                     ExitCode::FAILURE
                 }
-            } else {
-                let base = if quick { LoadConfig::quick() } else { LoadConfig::default() };
-                let load_config = LoadConfig {
-                    seed,
-                    // The fleet defaults to the TCP binder; only a
-                    // `--transport` flag overrides it.
-                    transport: transport_flag.unwrap_or(base.transport),
-                    congestion,
-                    ..base
-                };
-                let report = run_load(&load_config);
-                print!("{}", report.render());
-                ExitCode::SUCCESS
-            }
+            };
         }
-        ("play", Some(slug)) => {
-            let stack = eco.boot_device(DeviceModel::pixel_6(), true);
-            let app = eco.install_app(&stack, slug, "cli-user");
-            stack.device.hook_engine().start_recording();
-            match app.play("title-001") {
-                Ok(outcome) => {
-                    let log = stack.device.hook_engine().stop_recording();
-                    println!(
-                        "played at {}x{} ({} video samples)",
-                        outcome.resolution.0,
-                        outcome.resolution.1,
-                        outcome.video_samples.len()
-                    );
-                    if let Some(trace) = outcome.trace {
-                        for step in trace.steps() {
-                            println!("  {step:?}");
+
+        // `serve` exports a standalone media DRM server; it never installs
+        // apps or boots a device stack.
+        if command == "serve" {
+            let addr = slug.unwrap_or("127.0.0.1:7564");
+            let metrics = match &metrics_addr {
+                Some(maddr) => {
+                    // The exposition endpoint publishes the live registry;
+                    // enable collection so there is something to scrape.
+                    telemetry::enable();
+                    match telemetry::ExpositionServer::bind(maddr, telemetry::global()) {
+                        Ok(server) => {
+                            println!(
+                                "wideleak: metrics endpoint on http://{}/metrics",
+                                server.local_addr()
+                            );
+                            Some(server)
+                        }
+                        Err(e) => {
+                            eprintln!("serve: cannot bind metrics {maddr}: {e}");
+                            break 'run ExitCode::FAILURE;
                         }
                     }
-                    println!("{} CDM calls intercepted", log.len());
+                }
+                None => None,
+            };
+            let eco = Ecosystem::new(config);
+            let drm = eco.media_drm_server(DeviceModel::pixel_6());
+            break 'run match TcpDrmServer::bind(addr, drm) {
+                Ok(server) => {
+                    install_sigint_handler();
+                    println!(
+                        "wideleak: media DRM server listening on {} (wire v3; ctrl-c to stop)",
+                        server.local_addr()
+                    );
+                    while !SIGINT_RECEIVED.load(Ordering::SeqCst) {
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                    }
+                    eprintln!("wideleak: shutting down");
+                    drop(server);
+                    drop(metrics);
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
-                    eprintln!("playback failed: {e}");
+                    eprintln!("serve: cannot bind {addr}: {e}");
+                    ExitCode::FAILURE
+                }
+            };
+        }
+
+        let eco = Ecosystem::new(config);
+        match (command, slug) {
+            ("study", None) => match run_study(&eco) {
+                Ok(report) => {
+                    println!("{}", render_table_1(&report));
+                    println!("{}", render_insights(&report));
+                    print!("{}", render_call_histogram(&report));
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    faults::record_error("study.error", &e);
+                    eprintln!("study failed: {e}");
+                    ExitCode::FAILURE
+                }
+            },
+            ("study", Some(slug)) => match study_app(&eco, slug) {
+                Ok(findings) => {
+                    println!("{findings:#?}");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    faults::record_error("study.error", &e);
+                    eprintln!("study failed: {e}");
+                    ExitCode::FAILURE
+                }
+            },
+            ("attack", None) => {
+                let outcomes = attack_all(&eco);
+                for o in &outcomes {
+                    let status = if o.succeeded() {
+                        match o.media.as_ref().and_then(|m| m.best_resolution()) {
+                            Some((w, h)) => format!("DRM-free media at {w}x{h}"),
+                            None => "DRM-free media, no video track".to_owned(),
+                        }
+                    } else {
+                        format!(
+                            "blocked ({})",
+                            o.failure.as_ref().map_or("?".into(), |e| e.to_string())
+                        )
+                    };
+                    println!("{:<22} {status}", o.app_name);
+                }
+                ExitCode::SUCCESS
+            }
+            ("attack", Some(slug)) => {
+                let o = attack_app(&eco, slug);
+                println!("{o:#?}");
+                if o.succeeded() {
+                    ExitCode::SUCCESS
+                } else {
                     ExitCode::FAILURE
                 }
             }
+            ("spoof", _) => {
+                match wideleak::attack::hd_spoof::hd_spoof_experiment(
+                    &eco,
+                    slug.unwrap_or("netflix"),
+                ) {
+                    Ok(outcome) => {
+                        println!(
+                            "best height: {:?}; HD leaked: {}",
+                            outcome.best_height,
+                            outcome.got_hd_keys()
+                        );
+                        ExitCode::SUCCESS
+                    }
+                    Err(e) => {
+                        eprintln!("spoof failed: {e}");
+                        ExitCode::FAILURE
+                    }
+                }
+            }
+            ("resilience", _) => {
+                let report = run_resilience_study_on(seed, quick, transport);
+                println!("{}", render_q5(&report));
+                ExitCode::SUCCESS
+            }
+            ("adapt", _) => {
+                let report = run_adapt_study(seed, quick);
+                println!("{}", render_adapt(&report));
+                ExitCode::SUCCESS
+            }
+            ("load", _) => {
+                if let Some(devices) = fleet_devices {
+                    // High-concurrency fleet: always over TCP (it measures
+                    // the reactor transport, not the study paths).
+                    let base = if quick { FleetConfig::quick() } else { FleetConfig::default() };
+                    let fleet_config = FleetConfig { devices, seed, ..base };
+                    let report = run_fleet(&fleet_config);
+                    print!("{}", report.render(&fleet_config));
+                    if report.clean() {
+                        ExitCode::SUCCESS
+                    } else {
+                        eprintln!("load: fleet run was not clean");
+                        ExitCode::FAILURE
+                    }
+                } else {
+                    let base = if quick { LoadConfig::quick() } else { LoadConfig::default() };
+                    let load_config = LoadConfig {
+                        seed,
+                        // The fleet defaults to the TCP binder; only a
+                        // `--transport` flag overrides it.
+                        transport: transport_flag.unwrap_or(base.transport),
+                        congestion,
+                        ..base
+                    };
+                    let report = run_load(&load_config);
+                    print!("{}", report.render());
+                    ExitCode::SUCCESS
+                }
+            }
+            ("play", Some(slug)) => {
+                let stack = eco.boot_device(DeviceModel::pixel_6(), true);
+                let app = eco.install_app(&stack, slug, "cli-user");
+                stack.device.hook_engine().start_recording();
+                match app.play("title-001") {
+                    Ok(outcome) => {
+                        let log = stack.device.hook_engine().stop_recording();
+                        println!(
+                            "played at {}x{} ({} video samples)",
+                            outcome.resolution.0,
+                            outcome.resolution.1,
+                            outcome.video_samples.len()
+                        );
+                        if let Some(trace) = outcome.trace {
+                            for step in trace.steps() {
+                                println!("  {step:?}");
+                            }
+                        }
+                        println!("{} CDM calls intercepted", log.len());
+                        ExitCode::SUCCESS
+                    }
+                    Err(e) => {
+                        eprintln!("playback failed: {e}");
+                        ExitCode::FAILURE
+                    }
+                }
+            }
+            _ => return usage(),
         }
-        _ => return usage(),
     };
 
     if let Some(path) = &telemetry_path {
