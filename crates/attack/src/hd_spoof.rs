@@ -17,12 +17,12 @@
 use wideleak_bmff::types::KeyId;
 use wideleak_cdm::keybox::Keybox;
 use wideleak_cdm::messages::{LicenseRequest, LicenseResponse};
-use wideleak_cdm::wire::TlvWriter;
 use wideleak_cenc::keys::ContentKey;
 use wideleak_crypto::rsa::RsaPrivateKey;
 use wideleak_device::catalog::{CdmVersion, DeviceModel, SecurityLevel};
 use wideleak_device::net::RemoteEndpoint;
 use wideleak_ott::ecosystem::Ecosystem;
+use wideleak_ott::license::encode_envelope;
 
 use crate::keyladder::recover_content_keys;
 use crate::recover::{attack_app_on, ATTACK_TITLE};
@@ -73,11 +73,12 @@ pub fn forge_l1_license(
         .sign_pkcs1v15_sha256(&request.body_bytes())
         .map_err(|_| AttackError::Ladder { step: "forged request signing" })?;
 
-    let mut w = TlvWriter::new();
-    w.string(1, account_token).bytes(2, &request.to_bytes());
     let raw = eco
         .backend()
-        .handle(&format!("license/{slug}/{ATTACK_TITLE}"), &w.finish())
+        .handle(
+            &format!("license/{slug}/{ATTACK_TITLE}"),
+            &encode_envelope(account_token, &request.to_bytes()),
+        )
         .map_err(|reason| AttackError::Playback { reason })?;
     let response =
         LicenseResponse::parse(&raw).map_err(|_| AttackError::Ladder { step: "response parse" })?;

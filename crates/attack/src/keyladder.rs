@@ -119,6 +119,7 @@ mod tests {
     use wideleak_device::memory::ProcessMemory;
     use wideleak_device::net::RemoteEndpoint;
     use wideleak_ott::ecosystem::{Ecosystem, EcosystemConfig};
+    use wideleak_ott::license::encode_envelope;
 
     /// Drives a real provisioning + license exchange against the
     /// ecosystem's servers while recording hooks, then checks the ladder
@@ -147,9 +148,10 @@ mod tests {
         let token = eco.accounts().subscribe("netflix", "victim");
         let sid = l3.open_session([8; 16]).unwrap();
         let lreq = l3.license_request(sid, "title-001", &[]).unwrap();
-        let mut w = wideleak_cdm::wire::TlvWriter::new();
-        w.string(1, &token).bytes(2, &lreq.to_bytes());
-        let lresp_raw = eco.backend().handle("license/netflix/title-001", &w.finish()).unwrap();
+        let lresp_raw = eco
+            .backend()
+            .handle("license/netflix/title-001", &encode_envelope(&token, &lreq.to_bytes()))
+            .unwrap();
         let lresp = LicenseResponse::parse(&lresp_raw).unwrap();
         let loaded = l3.load_license(sid, &lresp).unwrap();
         assert!(!loaded.is_empty());

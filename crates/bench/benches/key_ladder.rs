@@ -20,6 +20,7 @@ use wideleak::device::catalog::CdmVersion;
 use wideleak::device::hooks::HookEngine;
 use wideleak::device::memory::ProcessMemory;
 use wideleak::device::net::RemoteEndpoint;
+use wideleak::ott::license::encode_envelope;
 use wideleak::tee::SecureWorld;
 use wideleak_bench::{bench_ecosystem, median_time, micros, BenchReport};
 
@@ -40,9 +41,10 @@ fn primed(
     let token = eco.accounts().subscribe("showtime", device);
     let sid = backend.open_session([2; 16]).unwrap();
     let req = backend.license_request(sid, "title-001", &[]).unwrap();
-    let mut w = wideleak::cdm::wire::TlvWriter::new();
-    w.string(1, &token).bytes(2, &req.to_bytes());
-    let raw = eco.backend().handle("license/showtime/title-001", &w.finish()).unwrap();
+    let raw = eco
+        .backend()
+        .handle("license/showtime/title-001", &encode_envelope(&token, &req.to_bytes()))
+        .unwrap();
     let resp = LicenseResponse::parse(&raw).unwrap();
     let kids = backend.load_license(sid, &resp).unwrap();
     let kid = kids[0];

@@ -13,12 +13,12 @@ use wideleak::android_drm::server::MediaDrmServer;
 use wideleak::bmff::types::{KeyId, WIDEVINE_SYSTEM_ID};
 use wideleak::cdm::cdm::Cdm;
 use wideleak::cdm::oemcrypto::{L3OemCrypto, OemCrypto};
-use wideleak::cdm::wire::TlvWriter;
 use wideleak::device::catalog::CdmVersion;
 use wideleak::device::hooks::HookEngine;
 use wideleak::device::memory::ProcessMemory;
 use wideleak::device::net::RemoteEndpoint;
 use wideleak::ott::ecosystem::{Ecosystem, EcosystemConfig};
+use wideleak::ott::license::encode_envelope;
 
 /// Whether a bench runs its CI-sized preset: `--quick` on the command
 /// line, or `WIDELEAK_BENCH_QUICK` set in the environment.
@@ -129,9 +129,8 @@ pub fn license_session(
         .unwrap()
         .into_bytes()
         .unwrap();
-    let mut w = TlvWriter::new();
-    w.string(1, token).bytes(2, &req);
-    let response = eco.backend().handle("license/ocs/title-001", &w.finish()).unwrap();
+    let response =
+        eco.backend().handle("license/ocs/title-001", &encode_envelope(token, &req)).unwrap();
     let kids = binder
         .transact(DrmCall::ProvideKeyResponse { session_id: sid, response })
         .unwrap()

@@ -23,7 +23,6 @@ use wideleak_bmff::fragment::{InitSegment, MediaSegment};
 use wideleak_bmff::types::{KeyId, WIDEVINE_SYSTEM_ID};
 use wideleak_cdm::messages::{LicenseResponse, ProvisioningResponse};
 use wideleak_cdm::oemcrypto::CdmCore;
-use wideleak_cdm::wire::TlvWriter;
 use wideleak_cdm::CdmError;
 use wideleak_cenc::keys::MemoryKeyStore;
 use wideleak_cenc::track::decrypt_segment;
@@ -37,7 +36,7 @@ use crate::adapt::{AdaptConfig, AdaptiveOutcome, BwMonitor, RateAdaptationContro
 use crate::bandwidth::ClientLink;
 use crate::cdn::{CdnAppConfig, URI_CHANNEL_IV};
 use crate::content::{kid_from_label, AudioProtection, L3_MAX_HEIGHT, SEGMENTS_PER_REP};
-use crate::license::{uri_channel_label, LicensePolicy};
+use crate::license::{encode_envelope, uri_channel_label, LicensePolicy};
 use crate::OttError;
 
 /// The ground-truth behaviour of one evaluated app (a Table-I row).
@@ -546,6 +545,13 @@ impl OttApp {
         }
     }
 
+    /// Posts one license request for `title_id` in the license
+    /// envelope, under this app's account token.
+    fn fetch_license(&self, title_id: &str, request: &[u8]) -> Result<Vec<u8>, OttError> {
+        let path = format!("license/{}/{title_id}", self.profile.slug);
+        self.send(&path, &encode_envelope(&self.account_token, request))
+    }
+
     /// Sends with the policy's bounded retry-and-backoff loop.
     fn send(&self, path: &str, body: &[u8]) -> Result<Vec<u8>, OttError> {
         let mut attempt = 0u32;
@@ -757,8 +763,6 @@ impl OttApp {
             license_times_ms: Vec::new(),
         });
 
-        let license_path = format!("license/{}/{title_id}", self.profile.slug);
-        let token = self.account_token.clone();
         let playback = play_adaptive_content(
             self.binder.clone(),
             WIDEVINE_SYSTEM_ID,
@@ -832,9 +836,7 @@ impl OttApp {
                 if wideleak_telemetry::is_enabled() {
                     wideleak_telemetry::incr("adapt.license.fetch");
                 }
-                let mut w = TlvWriter::new();
-                w.string(1, &token).bytes(2, request);
-                self.send(&license_path, &w.finish())
+                self.fetch_license(title_id, request)
                     .map_err(|e| DrmError::Cdm(CdmError::Rejected { reason: e.to_string() }))
             },
             || self.next_nonce(),
@@ -887,8 +889,6 @@ impl OttApp {
 
         // Video through the full Figure-1 driver.
         let bundle = self.fetch_bundle(&mpd, &video_rep_id)?;
-        let license_path = format!("license/{}/{title_id}", self.profile.slug);
-        let token = self.account_token.clone();
         let (frames, trace) = play_protected_content(
             self.binder.clone(),
             WIDEVINE_SYSTEM_ID,
@@ -896,9 +896,7 @@ impl OttApp {
             &key_ids,
             self.next_nonce(),
             |request| {
-                let mut w = TlvWriter::new();
-                w.string(1, &token).bytes(2, request);
-                self.send(&license_path, &w.finish())
+                self.fetch_license(title_id, request)
                     .map_err(|e| DrmError::Cdm(CdmError::Rejected { reason: e.to_string() }))
             },
             || Ok(bundle.clone()),
@@ -951,10 +949,7 @@ impl OttApp {
             // retried manifest fetches leak session-table slots.
             let result: Result<Vec<u8>, OttError> = (|| {
                 let request = drm.get_key_request(session, title_id, &[uri_kid])?;
-                let mut w = TlvWriter::new();
-                w.string(1, &self.account_token).bytes(2, &request);
-                let response =
-                    self.send(&format!("license/{}/{title_id}", self.profile.slug), &w.finish())?;
+                let response = self.fetch_license(title_id, &request)?;
                 drm.provide_key_response(session, response)?;
                 let crypto = MediaCrypto::new(&drm, session);
                 Ok(crypto.generic_decrypt(uri_kid, URI_CHANNEL_IV, &blob)?)
@@ -1048,8 +1043,6 @@ impl OttApp {
             return Ok(samples);
         }
         let kid = KeyId(bundle.init.tenc.as_ref().expect("protected init has tenc").default_kid.0);
-        let license_path = format!("license/{}/{title_id}", self.profile.slug);
-        let token = self.account_token.clone();
         let (frames, _) = play_protected_content(
             self.binder.clone(),
             WIDEVINE_SYSTEM_ID,
@@ -1057,9 +1050,7 @@ impl OttApp {
             &[kid],
             self.next_nonce(),
             |request| {
-                let mut w = TlvWriter::new();
-                w.string(1, &token).bytes(2, request);
-                self.send(&license_path, &w.finish())
+                self.fetch_license(title_id, request)
                     .map_err(|e| DrmError::Cdm(CdmError::Rejected { reason: e.to_string() }))
             },
             || Ok(bundle.clone()),
@@ -1117,10 +1108,7 @@ impl OttApp {
         #[allow(clippy::type_complexity)]
         let result: Result<(Vec<Vec<u8>>, Vec<Vec<u8>>, Option<String>), OttError> = (|| {
             let request = core.license_request(session, title_id, &[])?;
-            let mut w = TlvWriter::new();
-            w.string(1, &self.account_token).bytes(2, &request.to_bytes());
-            let raw =
-                self.send(&format!("license/{}/{title_id}", self.profile.slug), &w.finish())?;
+            let raw = self.fetch_license(title_id, &request.to_bytes())?;
             let response = LicenseResponse::parse(&raw)?;
             core.load_license(session, &response)?;
 

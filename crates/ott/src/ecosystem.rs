@@ -11,7 +11,6 @@ use wideleak_android_drm::server::MediaDrmServer;
 use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
 use wideleak_cdm::cdm::Cdm;
 use wideleak_cdm::messages::ProvisioningRequest;
-use wideleak_cdm::wire::TlvReader;
 use wideleak_device::catalog::DeviceModel;
 use wideleak_device::net::{NetError, RemoteEndpoint};
 use wideleak_device::Device;
@@ -22,7 +21,7 @@ use crate::apps::{encode_backend_error, evaluated_apps, AppProfile, EmbeddedWide
 use crate::bandwidth::{BandwidthConfig, ClientLink};
 use crate::cdn::CdnServer;
 use crate::content::{demo_catalog, Title};
-use crate::license::LicenseServer;
+use crate::license::{parse_envelope, LicenseServer};
 use crate::provisioning::ProvisioningServer;
 use crate::trust::TrustAuthority;
 use crate::OttError;
@@ -174,15 +173,8 @@ impl BackendRouter {
                     .profiles
                     .get(*slug)
                     .ok_or_else(|| OttError::NotFound { what: format!("app {slug}") })?;
-                let r = TlvReader::parse(body)
-                    .map_err(|_| OttError::Protocol { reason: "bad license envelope".into() })?;
-                let token = r
-                    .require_string(1)
-                    .map_err(|_| OttError::Protocol { reason: "missing account token".into() })?;
-                let request =
-                    wideleak_cdm::messages::LicenseRequest::parse(r.require(2).map_err(|_| {
-                        OttError::Protocol { reason: "missing license request".into() }
-                    })?)?;
+                let (token, request) = parse_envelope(body)?;
+                let request = wideleak_cdm::messages::LicenseRequest::parse(request)?;
                 let response = self.license.issue_license(
                     slug,
                     title,

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use wideleak_bmff::types::KeyId;
 use wideleak_cdm::ladder::derive_session_keys;
 use wideleak_cdm::messages::{KeyControl, KeyEntry, LicenseRequest, LicenseResponse};
+use wideleak_cdm::wire::{TlvReader, TlvWriter};
 use wideleak_crypto::aes::Aes128;
 use wideleak_crypto::hmac::Hmac;
 use wideleak_crypto::modes::cbc_encrypt_padded;
@@ -41,6 +42,31 @@ pub struct LicensePolicy {
     /// Whether the app licenses a non-DASH "URI channel" key used to
     /// protect manifest links (Netflix's secure channel).
     pub uri_channel: bool,
+}
+
+/// The license envelope an app posts to `license/<app>/<title>`: its
+/// account token under TLV tag 1, then the CDM's license request under
+/// tag 2.
+#[must_use]
+pub fn encode_envelope(token: &str, request: &[u8]) -> Vec<u8> {
+    let mut w = TlvWriter::new();
+    w.string(1, token).bytes(2, request);
+    w.finish()
+}
+
+/// Splits a license envelope into its account token and its license
+/// request bytes.
+///
+/// # Errors
+///
+/// [`OttError::Protocol`] when the body is not a TLV stream or lacks
+/// either field.
+pub fn parse_envelope(body: &[u8]) -> Result<(String, &[u8]), OttError> {
+    let protocol = |reason: &str| OttError::Protocol { reason: reason.into() };
+    let r = TlvReader::parse(body).map_err(|_| protocol("bad license envelope"))?;
+    let token = r.require_string(1).map_err(|_| protocol("missing account token"))?;
+    let request = r.require(2).map_err(|_| protocol("missing license request"))?;
+    Ok((token, request))
 }
 
 /// The key label of an app's non-DASH URI-protection channel.
@@ -291,6 +317,23 @@ mod tests {
         accounts: Arc<AccountRegistry>,
         rsa: RsaPrivateKey,
         device_id: Vec<u8>,
+    }
+
+    #[test]
+    fn the_envelope_is_token_then_request_and_parses_back() {
+        let body = encode_envelope("tok", &[7, 8]);
+        assert_eq!(body, [0, 1, 0, 0, 0, 3, b't', b'o', b'k', 0, 2, 0, 0, 0, 2, 7, 8]);
+        assert_eq!(parse_envelope(&body).unwrap(), ("tok".to_owned(), &[7u8, 8][..]));
+        for (body, reason) in [
+            (&body[..4], "bad license envelope"),
+            (&body[9..], "missing account token"),
+            (&body[..9], "missing license request"),
+        ] {
+            assert_eq!(
+                parse_envelope(body).unwrap_err(),
+                OttError::Protocol { reason: reason.into() }
+            );
+        }
     }
 
     fn fixture() -> Fixture {

@@ -16,13 +16,13 @@ use wideleak::cdm::messages::{
     LicenseRequest, LicenseResponse, ProvisioningRequest, ProvisioningResponse,
 };
 use wideleak::cdm::oemcrypto::{L3OemCrypto, OemCrypto, SampleCrypto};
-use wideleak::cdm::wire::TlvWriter;
 use wideleak::cdm::CdmError;
 use wideleak::device::catalog::{CdmVersion, SecurityLevel};
 use wideleak::device::hooks::HookEngine;
 use wideleak::device::memory::ProcessMemory;
 use wideleak::device::net::RemoteEndpoint;
 use wideleak::ott::ecosystem::Ecosystem;
+use wideleak::ott::license::encode_envelope;
 use wideleak_tests::fast_ecosystem;
 
 const CLIENTS: usize = 4;
@@ -70,9 +70,8 @@ fn license_session(binder: &dyn Transport, eco: &Ecosystem, token: &str, tag: u8
         .unwrap()
         .into_bytes()
         .unwrap();
-    let mut w = TlvWriter::new();
-    w.string(1, token).bytes(2, &req);
-    let response = eco.backend().handle("license/ocs/title-001", &w.finish()).unwrap();
+    let response =
+        eco.backend().handle("license/ocs/title-001", &encode_envelope(token, &req)).unwrap();
     let kids = binder
         .transact(DrmCall::ProvideKeyResponse { session_id: sid, response })
         .unwrap()

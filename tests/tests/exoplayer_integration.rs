@@ -7,10 +7,10 @@ use wideleak::android_drm::playback::MediaBundle;
 use wideleak::android_drm::DrmError;
 use wideleak::bmff::fragment::{InitSegment, MediaSegment};
 use wideleak::bmff::types::WIDEVINE_SYSTEM_ID;
-use wideleak::cdm::wire::TlvWriter;
 use wideleak::device::catalog::DeviceModel;
 use wideleak::device::net::RemoteEndpoint;
 use wideleak::ott::content::{synth_samples, TrackSelector, SEGMENTS_PER_REP};
+use wideleak::ott::license::encode_envelope;
 use wideleak_tests::fast_ecosystem;
 
 fn bundle(eco: &wideleak::ott::ecosystem::Ecosystem, app: &str, rep: &str) -> MediaBundle {
@@ -44,10 +44,8 @@ fn one_session_covers_distinct_video_and_audio_keys() {
     let player = ExoPlayer::new(stack.binder.clone(), WIDEVINE_SYSTEM_ID).unwrap();
     let playback = player
         .prepare_and_play("title-001", [9; 16], &source, |request| {
-            let mut w = TlvWriter::new();
-            w.string(1, &token).bytes(2, request);
             eco.backend()
-                .handle("license/amazon/title-001", &w.finish())
+                .handle("license/amazon/title-001", &encode_envelope(&token, request))
                 .map_err(|e| DrmError::Cdm(wideleak::cdm::CdmError::Rejected { reason: e }))
         })
         .unwrap();
@@ -81,10 +79,8 @@ fn shared_key_source_licenses_one_key() {
     let player = ExoPlayer::new(stack.binder.clone(), WIDEVINE_SYSTEM_ID).unwrap();
     let playback = player
         .prepare_and_play("title-001", [4; 16], &source, |request| {
-            let mut w = TlvWriter::new();
-            w.string(1, &token).bytes(2, request);
             eco.backend()
-                .handle("license/showtime/title-001", &w.finish())
+                .handle("license/showtime/title-001", &encode_envelope(&token, request))
                 .map_err(|e| DrmError::Cdm(wideleak::cdm::CdmError::Rejected { reason: e }))
         })
         .unwrap();
@@ -106,10 +102,8 @@ fn hd_source_on_l3_fails_cleanly_at_licensing() {
     let player = ExoPlayer::new(stack.binder.clone(), WIDEVINE_SYSTEM_ID).unwrap();
     let err = player
         .prepare_and_play("title-001", [5; 16], &source, |request| {
-            let mut w = TlvWriter::new();
-            w.string(1, &token).bytes(2, request);
             eco.backend()
-                .handle("license/showtime/title-001", &w.finish())
+                .handle("license/showtime/title-001", &encode_envelope(&token, request))
                 .map_err(|e| DrmError::Cdm(wideleak::cdm::CdmError::Rejected { reason: e }))
         })
         .unwrap_err();

@@ -13,6 +13,7 @@ use wideleak::device::catalog::{CdmVersion, DeviceModel};
 use wideleak::device::hooks::HookEngine;
 use wideleak::device::memory::ProcessMemory;
 use wideleak::device::net::RemoteEndpoint;
+use wideleak::ott::license::encode_envelope;
 use wideleak_tests::fast_ecosystem;
 
 /// Boots an L3 CDM provisioned through the real servers, returning the
@@ -37,9 +38,10 @@ fn fetch_license(
     session: u32,
 ) -> LicenseResponse {
     let req = l3.license_request(session, "title-001", &[]).unwrap();
-    let mut w = wideleak::cdm::wire::TlvWriter::new();
-    w.string(1, token).bytes(2, &req.to_bytes());
-    let raw = eco.backend().handle("license/showtime/title-001", &w.finish()).unwrap();
+    let raw = eco
+        .backend()
+        .handle("license/showtime/title-001", &encode_envelope(token, &req.to_bytes()))
+        .unwrap();
     LicenseResponse::parse(&raw).unwrap()
 }
 
@@ -99,9 +101,13 @@ fn unsubscribed_account_cannot_license() {
     let (eco, l3, _) = provisioned_l3();
     let session = l3.open_session([6; 16]).unwrap();
     let req = l3.license_request(session, "title-001", &[]).unwrap();
-    let mut w = wideleak::cdm::wire::TlvWriter::new();
-    w.string(1, "token:showtime:freeloader").bytes(2, &req.to_bytes());
-    let err = eco.backend().handle("license/showtime/title-001", &w.finish()).unwrap_err();
+    let err = eco
+        .backend()
+        .handle(
+            "license/showtime/title-001",
+            &encode_envelope("token:showtime:freeloader", &req.to_bytes()),
+        )
+        .unwrap_err();
     assert_eq!(err, "UNAUTHORIZED");
 }
 

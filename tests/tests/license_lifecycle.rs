@@ -10,7 +10,7 @@ use wideleak::device::catalog::CdmVersion;
 use wideleak::device::hooks::HookEngine;
 use wideleak::device::memory::ProcessMemory;
 use wideleak::device::net::RemoteEndpoint;
-use wideleak::ott::license::DEFAULT_LICENSE_DURATION_SECS;
+use wideleak::ott::license::{encode_envelope, DEFAULT_LICENSE_DURATION_SECS};
 use wideleak::tee::SecureWorld;
 use wideleak_tests::fast_ecosystem;
 
@@ -38,9 +38,10 @@ fn license(
     let token = eco.accounts().subscribe("ocs", user);
     let sid = backend.open_session([2; 16]).unwrap();
     let req = backend.license_request(sid, "title-001", &[]).unwrap();
-    let mut w = wideleak::cdm::wire::TlvWriter::new();
-    w.string(1, &token).bytes(2, &req.to_bytes());
-    let raw = eco.backend().handle("license/ocs/title-001", &w.finish()).unwrap();
+    let raw = eco
+        .backend()
+        .handle("license/ocs/title-001", &encode_envelope(&token, &req.to_bytes()))
+        .unwrap();
     let kids = backend.load_license(sid, &LicenseResponse::parse(&raw).unwrap()).unwrap();
     (sid, kids[0])
 }
