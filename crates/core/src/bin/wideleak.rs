@@ -58,7 +58,7 @@ fn usage() -> ExitCode {
            adapt          run the adaptation study under congestion (--quick: 4 apps)\n\
            load           drive the fleet load generator (--quick: CI size)\n\
                           --fleet N holds N concurrent TCP devices against one reactor server\n\
-                          --congestion steady|constricted runs adaptive plays on constrained links\n\
+                          --congestion constricted runs adaptive plays on a constricting link\n\
            campaign       run the sharded catalog campaign (--quick: CI size)\n\
                           --workers N shards across N worker processes\n\
            serve [ADDR]   run a wire-framed TCP media DRM server (default 127.0.0.1:7564)\n\

@@ -65,8 +65,6 @@ pub enum Congestion {
     /// Unconstrained links: every play runs the classic fixed-rep path.
     #[default]
     None,
-    /// Flat 3 Mbps links: adaptive workers climb the ladder and stay up.
-    Steady,
     /// 4 Mbps constricting to 1.2 Mbps at t=20s of each link's local
     /// timeline: workers are forced back down the ladder mid-chain, with
     /// the per-tier license churn that implies.
@@ -79,7 +77,6 @@ impl Congestion {
     pub fn bandwidth(self) -> Option<BandwidthConfig> {
         match self {
             Congestion::None => None,
-            Congestion::Steady => Some(BandwidthConfig::flat(3_000_000)),
             Congestion::Constricted => Some(BandwidthConfig {
                 schedule: BandwidthSchedule::steps(vec![(0, 4_000_000), (20_000, 1_200_000)]),
                 burst_bits: 2_000_000,
@@ -93,7 +90,6 @@ impl Congestion {
     pub fn label(self) -> &'static str {
         match self {
             Congestion::None => "none",
-            Congestion::Steady => "steady",
             Congestion::Constricted => "constricted",
         }
     }
@@ -103,7 +99,6 @@ impl Congestion {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "none" => Some(Congestion::None),
-            "steady" => Some(Congestion::Steady),
             "constricted" => Some(Congestion::Constricted),
             _ => None,
         }

@@ -158,12 +158,6 @@ impl ClientLink {
         self.local_now_ms
     }
 
-    /// This client's capacity in bits/second at its current local time.
-    #[must_use]
-    pub fn current_capacity_bps(&self) -> u64 {
-        self.scaled_capacity_at(self.local_now_ms)
-    }
-
     fn scaled_capacity_at(&self, local_ms: u64) -> u64 {
         let base = u128::from(self.schedule.capacity_at(local_ms));
         u64::try_from(base * u128::from(self.rate_permille) / 1000).unwrap_or(u64::MAX)

@@ -237,14 +237,6 @@ pub struct HistogramSummary {
     pub p99_ns: u64,
 }
 
-impl HistogramSummary {
-    /// Mean observation in nanoseconds (0 when empty).
-    #[must_use]
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
 /// Name-keyed registries for counters, gauges and histograms.
 #[derive(Default)]
 pub struct Registry {
