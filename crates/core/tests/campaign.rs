@@ -159,13 +159,6 @@ fn a_worker_program_that_does_not_exist_is_a_spawn_error() {
     assert!(matches!(campaign_error(&cmd), CampaignError::Spawn { .. }));
 }
 
-/// The call the tests use as a liveness probe: an empty-range shard.
-fn empty_shard_call() -> Vec<u8> {
-    let spec = CampaignConfig::quick(2022).spec;
-    let shard = ShardAssignment { shard_id: 0, start: 3, end: 3 };
-    encode_frame(&FrameBody::CampaignCall { spec, shard }, FrameMeta::default())
-}
-
 /// Spawns a worker by hand (not via the guard) and waits for its reply
 /// to an empty-range shard call, so the worker is known to be serving.
 fn answering_worker() -> (Child, ChildStdin, ChildStdout) {
@@ -178,7 +171,11 @@ fn answering_worker() -> (Child, ChildStdin, ChildStdout) {
         .expect("worker spawns");
     let mut stdin = child.stdin.take().expect("stdin piped");
     let mut stdout = child.stdout.take().expect("stdout piped");
-    stdin.write_all(&empty_shard_call()).unwrap();
+    let spec = CampaignConfig::quick(2022).spec;
+    let shard = ShardAssignment { shard_id: 0, start: 3, end: 3 };
+    stdin
+        .write_all(&encode_frame(&FrameBody::CampaignCall { spec, shard }, FrameMeta::default()))
+        .unwrap();
     let reply = read_frame(&mut stdout).expect("reply readable").expect("worker answers");
     match decode_frame(&reply) {
         Ok((FrameBody::CampaignReply(Ok(report)), _, _)) => {
