@@ -465,10 +465,6 @@ mod tests {
         assert_eq!(decoded, body);
     }
 
-    fn roundtrip_reply(reply: Result<ShardReport, CampaignError>) {
-        roundtrip(FrameBody::CampaignReply(reply));
-    }
-
     #[test]
     fn campaign_calls_roundtrip() {
         roundtrip(FrameBody::CampaignCall {
@@ -483,7 +479,7 @@ mod tests {
 
     #[test]
     fn campaign_replies_roundtrip() {
-        roundtrip_reply(Ok(sample_report()));
+        roundtrip(FrameBody::CampaignReply(Ok(sample_report())));
     }
 
     #[test]
@@ -500,7 +496,7 @@ mod tests {
             CampaignError::Wire(WireError::BadCrc { expected: 1, found: 2 }),
             CampaignError::Wire(WireError::Malformed { what: "spec kill flag" }),
         ] {
-            roundtrip_reply(Err(err));
+            roundtrip(FrameBody::CampaignReply(Err(err)));
         }
     }
 
