@@ -512,18 +512,14 @@ mod tests {
     use crate::netserver::{TcpBinder, TcpDrmServer};
     use std::sync::Arc;
     use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
-    use wideleak_cdm::cdm::Cdm;
     use wideleak_cdm::keybox::Keybox;
+    use wideleak_cdm::oemcrypto::boot;
     use wideleak_device::catalog::DeviceModel;
     use wideleak_device::Device;
 
     fn server() -> MediaDrmServer {
         let device = Device::new(DeviceModel::nexus_5());
-        let cdm =
-            Cdm::builder().keybox(Keybox::issue(b"binder-test", &[1; 16])).boot(&device).unwrap();
-        let mut s = MediaDrmServer::new();
-        s.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
-        s
+        MediaDrmServer::new(boot(&device, Keybox::issue(b"binder-test", &[1; 16])).unwrap())
     }
 
     fn exercise(binder: &dyn Transport) {
@@ -687,10 +683,7 @@ mod tests {
     }
 
     fn panicking_server() -> MediaDrmServer {
-        let cdm = Cdm::builder().backend(Arc::new(PanickingBackend)).build();
-        let mut s = MediaDrmServer::new();
-        s.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
-        s
+        MediaDrmServer::new(Arc::new(PanickingBackend))
     }
 
     /// Regression: a panic inside `MediaDrmServer::handle` used to kill

@@ -11,7 +11,8 @@
 //!   framing calls onto real sockets, served by an event-driven server
 //!   whose dispatch worker pool runs calls on their own threads like
 //!   `mediadrmserver` does;
-//! - [`server`] — the Media DRM Server: DRM-scheme registry + call router;
+//! - [`server`] — the Media DRM Server: hands every call to the device's
+//!   one Widevine OEMCrypto backend;
 //! - [`mediadrm`] — license and provisioning session management
 //!   (`openSession`, `getKeyRequest`, `provideKeyResponse`, …);
 //! - [`mediacrypto`] / [`mediacodec`] — the decrypt path:

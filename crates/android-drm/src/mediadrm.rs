@@ -34,18 +34,6 @@ impl MediaDrm {
         Ok(MediaDrm { binder, uuid })
     }
 
-    /// Static support probe without constructing an instance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    pub fn is_crypto_scheme_supported(
-        binder: &Arc<dyn Transport>,
-        uuid: [u8; 16],
-    ) -> Result<bool, DrmError> {
-        binder.transact(DrmCall::IsSchemeSupported { uuid })?.into_bool()
-    }
-
     /// The scheme UUID this instance serves.
     pub fn uuid(&self) -> [u8; 16] {
         self.uuid
@@ -150,30 +138,22 @@ mod tests {
     use crate::binder::InProcessBinder;
     use crate::server::MediaDrmServer;
     use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
-    use wideleak_cdm::cdm::Cdm;
     use wideleak_cdm::keybox::Keybox;
+    use wideleak_cdm::oemcrypto::boot;
     use wideleak_device::catalog::DeviceModel;
     use wideleak_device::Device;
 
     fn binder() -> Arc<dyn Transport> {
         let device = Device::new(DeviceModel::nexus_5());
-        let cdm =
-            Cdm::builder().keybox(Keybox::issue(b"mediadrm-test", &[3; 16])).boot(&device).unwrap();
-        let mut server = MediaDrmServer::new();
-        server.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
-        Arc::new(InProcessBinder::new(server))
+        let cdm = boot(&device, Keybox::issue(b"mediadrm-test", &[3; 16])).unwrap();
+        Arc::new(InProcessBinder::new(MediaDrmServer::new(cdm)))
     }
 
     #[test]
     fn construction_checks_scheme() {
         let b = binder();
         assert!(MediaDrm::new(b.clone(), WIDEVINE_SYSTEM_ID).is_ok());
-        assert!(matches!(
-            MediaDrm::new(b.clone(), [9; 16]),
-            Err(DrmError::UnsupportedScheme { .. })
-        ));
-        assert!(MediaDrm::is_crypto_scheme_supported(&b, WIDEVINE_SYSTEM_ID).unwrap());
-        assert!(!MediaDrm::is_crypto_scheme_supported(&b, [9; 16]).unwrap());
+        assert!(matches!(MediaDrm::new(b, [9; 16]), Err(DrmError::UnsupportedScheme { .. })));
     }
 
     #[test]

@@ -389,19 +389,15 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
     use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
-    use wideleak_cdm::cdm::Cdm;
     use wideleak_cdm::keybox::Keybox;
+    use wideleak_cdm::oemcrypto::boot;
     use wideleak_device::catalog::DeviceModel;
     use wideleak_device::Device;
     use wideleak_faults::{FaultPlan, Schedule};
 
     fn server() -> MediaDrmServer {
         let device = Device::new(DeviceModel::nexus_5());
-        let cdm =
-            Cdm::builder().keybox(Keybox::issue(b"net-test", &[1; 16])).boot(&device).unwrap();
-        let mut s = MediaDrmServer::new();
-        s.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
-        s
+        MediaDrmServer::new(boot(&device, Keybox::issue(b"net-test", &[1; 16])).unwrap())
     }
 
     #[test]
@@ -563,16 +559,19 @@ mod tests {
 
     #[test]
     fn error_on_one_call_does_not_kill_the_connection() {
-        // A server with no plugins: IsSchemeSupported answers false,
-        // a scheme-less OpenSession errors, and the connection keeps
-        // serving afterwards.
-        let binder = TcpBinder::loopback(MediaDrmServer::new()).build().unwrap();
+        // IsSchemeSupported answers false for an unknown scheme, closing
+        // a session that was never opened errors, and the connection
+        // keeps serving afterwards.
+        let binder = TcpBinder::loopback(server()).build().unwrap();
         assert!(!binder
             .transact(DrmCall::IsSchemeSupported { uuid: [0; 16] })
             .unwrap()
             .into_bool()
             .unwrap());
-        assert!(binder.transact(DrmCall::OpenSession { nonce: [1; 16] }).is_err());
+        assert_eq!(
+            binder.transact(DrmCall::CloseSession { session_id: 7 }),
+            Err(DrmError::Cdm(wideleak_cdm::CdmError::NoSuchSession { session_id: 7 }))
+        );
         // The connection still serves after the error.
         assert!(binder.transact(DrmCall::IsSchemeSupported { uuid: [0; 16] }).is_ok());
     }

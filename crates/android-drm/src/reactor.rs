@@ -594,18 +594,14 @@ mod tests {
     use crate::campaign::{CampaignSpec, ShardAssignment, ShardReport};
     use crate::wire::{read_frame, WireError};
     use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
-    use wideleak_cdm::cdm::Cdm;
     use wideleak_cdm::keybox::Keybox;
+    use wideleak_cdm::oemcrypto::boot;
     use wideleak_device::catalog::DeviceModel;
     use wideleak_device::Device;
 
     fn server() -> MediaDrmServer {
         let device = Device::new(DeviceModel::nexus_5());
-        let cdm =
-            Cdm::builder().keybox(Keybox::issue(b"reactor-test", &[1; 16])).boot(&device).unwrap();
-        let mut s = MediaDrmServer::new();
-        s.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
-        s
+        MediaDrmServer::new(boot(&device, Keybox::issue(b"reactor-test", &[1; 16])).unwrap())
     }
 
     /// Reads one whole frame from a blocking client socket.

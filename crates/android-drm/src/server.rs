@@ -1,150 +1,100 @@
-//! The Media DRM Server: the HAL router living in `mediadrmserver`.
+//! The Media DRM Server: the `mediadrmserver` end of every Binder call.
 //!
-//! Holds the registry of DRM plugins by system UUID (Widevine is one; a
-//! vendor could register others) and routes every [`DrmCall`] to the
-//! owning plugin's OEMCrypto backend.
+//! Holds the device's one Widevine OEMCrypto backend (L1 or L3, as
+//! [`wideleak_cdm::oemcrypto::boot`] chose it) and sends each
+//! [`DrmCall`] straight to it. Widevine is the only scheme it serves.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use wideleak_cdm::cdm::Cdm;
+use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
 use wideleak_cdm::messages::{LicenseResponse, ProvisioningResponse};
+use wideleak_cdm::oemcrypto::OemCrypto;
 
 use crate::binder::{DrmCall, DrmReply};
 use crate::DrmError;
 
-/// The server-side router.
+/// The server side of the Binder boundary.
 pub struct MediaDrmServer {
-    plugins: HashMap<[u8; 16], Arc<Cdm>>,
-    /// The UUID most calls route to (sessions are not namespaced by UUID
-    /// in this subset; one active scheme per server instance, which is
-    /// what every evaluated OTT app uses).
-    active: Option<[u8; 16]>,
+    oemcrypto: Arc<dyn OemCrypto>,
 }
 
 impl std::fmt::Debug for MediaDrmServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MediaDrmServer({} plugins)", self.plugins.len())
-    }
-}
-
-impl Default for MediaDrmServer {
-    fn default() -> Self {
-        Self::new()
+        write!(f, "MediaDrmServer({})", self.oemcrypto.security_level())
     }
 }
 
 impl MediaDrmServer {
-    /// Creates a server with no plugins.
-    pub fn new() -> Self {
-        MediaDrmServer { plugins: HashMap::new(), active: None }
+    /// A server in front of the device's OEMCrypto backend.
+    pub fn new(oemcrypto: Arc<dyn OemCrypto>) -> Self {
+        MediaDrmServer { oemcrypto }
     }
 
-    /// Registers a DRM plugin under its system UUID. The first registered
-    /// plugin becomes the active one.
-    pub fn register_plugin(&mut self, uuid: [u8; 16], cdm: Arc<Cdm>) {
-        if self.active.is_none() {
-            self.active = Some(uuid);
-        }
-        self.plugins.insert(uuid, cdm);
-    }
-
-    /// Whether a scheme is available.
-    pub fn is_scheme_supported(&self, uuid: &[u8; 16]) -> bool {
-        self.plugins.contains_key(uuid)
-    }
-
-    /// Advances every registered plugin's CDM logical clock by `secs`.
-    /// This is the clock-skew fault's entry point: licences loaded before
-    /// the skew age past their duration and start expiring.
+    /// Advances the backend's logical clock by `secs`. This is the
+    /// clock-skew fault's entry point: licences loaded before the skew
+    /// age past their duration and start expiring.
     pub fn advance_clocks(&self, secs: u64) {
-        for cdm in self.plugins.values() {
-            // A plugin whose TEE session is gone simply misses the skew.
-            let _ = cdm.oemcrypto().advance_clock(secs);
-        }
-    }
-
-    fn active_cdm(&self) -> Result<&Arc<Cdm>, DrmError> {
-        let uuid = self.active.ok_or(DrmError::UnsupportedScheme { uuid: [0; 16] })?;
-        self.plugins.get(&uuid).ok_or(DrmError::UnsupportedScheme { uuid })
+        // A backend whose TEE session is gone simply misses the skew.
+        let _ = self.oemcrypto.advance_clock(secs);
     }
 
     /// Handles one transaction (called by the Binder transports).
     ///
     /// # Errors
     ///
-    /// Returns [`DrmError`] for CDM failures and unsupported schemes.
+    /// Returns [`DrmError`] for CDM failures and unparseable responses.
     pub fn handle(&self, call: DrmCall) -> Result<DrmReply, DrmError> {
+        let cdm = &self.oemcrypto;
         match call {
-            DrmCall::IsSchemeSupported { uuid } => {
-                Ok(DrmReply::Bool(self.is_scheme_supported(&uuid)))
-            }
+            DrmCall::IsSchemeSupported { uuid } => Ok(DrmReply::Bool(uuid == WIDEVINE_SYSTEM_ID)),
             DrmCall::OpenSession { nonce } => {
-                let id = self.active_cdm()?.oemcrypto().open_session(nonce)?;
+                let id = cdm.open_session(nonce)?;
                 Ok(DrmReply::SessionId(id))
             }
             DrmCall::CloseSession { session_id } => {
-                self.active_cdm()?.oemcrypto().close_session(session_id)?;
+                cdm.close_session(session_id)?;
                 Ok(DrmReply::Unit)
             }
-            DrmCall::IsProvisioned => {
-                Ok(DrmReply::Bool(self.active_cdm()?.oemcrypto().is_provisioned()))
-            }
+            DrmCall::IsProvisioned => Ok(DrmReply::Bool(cdm.is_provisioned())),
             DrmCall::GetProvisionRequest { nonce } => {
-                let req = self.active_cdm()?.oemcrypto().provisioning_request(nonce)?;
+                let req = cdm.provisioning_request(nonce)?;
                 Ok(DrmReply::Bytes(req.to_bytes()))
             }
             DrmCall::ProvideProvisionResponse { nonce, response } => {
                 let resp = ProvisioningResponse::parse(&response)?;
-                self.active_cdm()?.oemcrypto().install_rsa_key(nonce, &resp)?;
+                cdm.install_rsa_key(nonce, &resp)?;
                 Ok(DrmReply::Unit)
             }
             DrmCall::GetKeyRequest { session_id, content_id, key_ids } => {
-                let req = self.active_cdm()?.oemcrypto().license_request(
-                    session_id,
-                    &content_id,
-                    &key_ids,
-                )?;
+                let req = cdm.license_request(session_id, &content_id, &key_ids)?;
                 Ok(DrmReply::Bytes(req.to_bytes()))
             }
             DrmCall::ProvideKeyResponse { session_id, response } => {
                 let resp = LicenseResponse::parse(&response)?;
-                let loaded = self.active_cdm()?.oemcrypto().load_license(session_id, &resp)?;
+                let loaded = cdm.load_license(session_id, &resp)?;
                 Ok(DrmReply::KeyIds(loaded))
             }
             DrmCall::DecryptSample { session_id, kid, crypto, data, subsamples } => {
-                let out = self.active_cdm()?.oemcrypto().decrypt_sample(
-                    session_id,
-                    &kid,
-                    &crypto,
-                    &data,
-                    &subsamples,
-                )?;
+                let out = cdm.decrypt_sample(session_id, &kid, &crypto, &data, &subsamples)?;
                 Ok(DrmReply::Bytes(out))
             }
             DrmCall::GenericEncrypt { session_id, kid, iv, data } => {
-                let out =
-                    self.active_cdm()?.oemcrypto().generic_encrypt(session_id, &kid, iv, &data)?;
+                let out = cdm.generic_encrypt(session_id, &kid, iv, &data)?;
                 Ok(DrmReply::Bytes(out))
             }
             DrmCall::GenericDecrypt { session_id, kid, iv, data } => {
-                let out =
-                    self.active_cdm()?.oemcrypto().generic_decrypt(session_id, &kid, iv, &data)?;
+                let out = cdm.generic_decrypt(session_id, &kid, iv, &data)?;
                 Ok(DrmReply::Bytes(out))
             }
             DrmCall::GenericSign { session_id, kid, data } => {
-                let out = self.active_cdm()?.oemcrypto().generic_sign(session_id, &kid, &data)?;
+                let out = cdm.generic_sign(session_id, &kid, &data)?;
                 Ok(DrmReply::Bytes(out))
             }
             DrmCall::GenericVerify { session_id, kid, data, signature } => {
                 // `Bool(false)` means exactly "signature mismatch"; a
-                // closed session, unsupported scheme or missing key is a
-                // transport-visible error, not a failed verification.
-                match self
-                    .active_cdm()?
-                    .oemcrypto()
-                    .generic_verify(session_id, &kid, &data, &signature)
-                {
+                // closed session or missing key is a transport-visible
+                // error, not a failed verification.
+                match cdm.generic_verify(session_id, &kid, &data, &signature) {
                     Ok(()) => Ok(DrmReply::Bool(true)),
                     Err(wideleak_cdm::CdmError::BadSignature) => Ok(DrmReply::Bool(false)),
                     Err(other) => Err(other.into()),
@@ -157,38 +107,27 @@ impl MediaDrmServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
     use wideleak_cdm::keybox::Keybox;
+    use wideleak_cdm::oemcrypto::boot;
     use wideleak_device::catalog::DeviceModel;
     use wideleak_device::Device;
 
     fn boot_server() -> MediaDrmServer {
         let device = Device::new(DeviceModel::pixel_6());
-        let cdm =
-            Cdm::builder().keybox(Keybox::issue(b"server-test", &[2; 16])).boot(&device).unwrap();
-        let mut s = MediaDrmServer::new();
-        s.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
-        s
+        MediaDrmServer::new(boot(&device, Keybox::issue(b"server-test", &[2; 16])).unwrap())
     }
 
     #[test]
     fn scheme_probe() {
         let s = boot_server();
-        assert!(s.is_scheme_supported(&WIDEVINE_SYSTEM_ID));
-        assert!(!s.is_scheme_supported(&[0u8; 16]));
+        assert_eq!(
+            s.handle(DrmCall::IsSchemeSupported { uuid: WIDEVINE_SYSTEM_ID }).unwrap(),
+            DrmReply::Bool(true)
+        );
         assert_eq!(
             s.handle(DrmCall::IsSchemeSupported { uuid: [0; 16] }).unwrap(),
             DrmReply::Bool(false)
         );
-    }
-
-    #[test]
-    fn empty_server_rejects_calls() {
-        let s = MediaDrmServer::new();
-        assert!(matches!(
-            s.handle(DrmCall::OpenSession { nonce: [0; 16] }),
-            Err(DrmError::UnsupportedScheme { .. })
-        ));
     }
 
     #[test]

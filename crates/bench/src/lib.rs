@@ -10,8 +10,7 @@ use std::time::{Duration, Instant};
 
 use wideleak::android_drm::binder::{DrmCall, Transport};
 use wideleak::android_drm::server::MediaDrmServer;
-use wideleak::bmff::types::{KeyId, WIDEVINE_SYSTEM_ID};
-use wideleak::cdm::cdm::Cdm;
+use wideleak::bmff::types::KeyId;
 use wideleak::cdm::oemcrypto::{L3OemCrypto, OemCrypto};
 use wideleak::device::catalog::CdmVersion;
 use wideleak::device::hooks::HookEngine;
@@ -81,10 +80,7 @@ pub fn l3_drm_server(eco: &Ecosystem, keybox_name: &str) -> MediaDrmServer {
         Arc::new(ProcessMemory::new("mediaserver")),
     );
     backend.install_keybox(eco.trust().issue_keybox(keybox_name)).unwrap();
-    let mut server = MediaDrmServer::new();
-    let cdm = Cdm::builder().backend(Arc::new(backend)).build();
-    server.register_plugin(WIDEVINE_SYSTEM_ID, Arc::new(cdm));
-    server
+    MediaDrmServer::new(Arc::new(backend))
 }
 
 /// Provisions the CDM behind `binder` against `eco`'s backend, like

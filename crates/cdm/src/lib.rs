@@ -13,13 +13,12 @@
 //!   keybox-derived keys;
 //! - [`session`] — license sessions: request generation, response
 //!   verification, content-key loading;
-//! - [`oemcrypto`] — the `_oeccXX` entry-point surface, with an **L3**
-//!   backend that stores the keybox insecurely in process memory
-//!   (CWE-922 / CVE-2021-0639) and an **L1** backend that keeps every
-//!   secret inside a TEE trustlet;
-//! - [`cdm`] — the top-level [`cdm::Cdm`] object the Android DRM framework
-//!   drives, including the generic (non-DASH) crypto API that Netflix uses
-//!   as a secure channel.
+//! - [`oemcrypto`] — the `_oeccXX` entry-point surface the Android DRM
+//!   framework drives, including the generic (non-DASH) crypto API that
+//!   Netflix uses as a secure channel. It has an **L3** backend that
+//!   stores the keybox insecurely in process memory (CWE-922 /
+//!   CVE-2021-0639) and an **L1** backend that keeps every secret inside
+//!   a TEE trustlet; [`oemcrypto::boot`] picks one for a device model.
 //!
 //! # Examples
 //!
@@ -35,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cdm;
 pub mod keybox;
 pub mod ladder;
 pub mod messages;

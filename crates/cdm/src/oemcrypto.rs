@@ -15,6 +15,9 @@
 //!   ([`WidevineTrustlet`]) through `liboemcrypto.so`; hook traces show
 //!   the `liboemcrypto.so` boundary crossing (how the monitor confirms L1)
 //!   and process memory never contains key material.
+//!
+//! [`boot`] chooses between them from the device model and installs the
+//! factory keybox; the Media DRM Server holds the backend it returns.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -34,6 +37,7 @@ use wideleak_crypto::sha256::Sha256;
 use wideleak_device::catalog::{CdmVersion, SecurityLevel};
 use wideleak_device::hooks::{CallEvent, HookEngine};
 use wideleak_device::memory::ProcessMemory;
+use wideleak_device::Device;
 use wideleak_tee::{SecureStorage, SecureWorld, TeeError, Trustlet};
 
 use crate::keybox::Keybox;
@@ -518,7 +522,10 @@ pub fn decrypt_sample_with_key(
 }
 
 /// The `_oeccXX` surface both backends expose to the Android DRM layer.
-pub trait OemCrypto: Send {
+///
+/// `Send + Sync`: the Media DRM Server's dispatch workers share one
+/// backend and call it concurrently.
+pub trait OemCrypto: Send + Sync {
     /// `_oecc01_Initialize`-class query: which security level this backend
     /// actually provides.
     fn security_level(&self) -> SecurityLevel;
@@ -1301,9 +1308,37 @@ impl OemCrypto for L1OemCrypto {
     }
 }
 
+/// Boots a device's Widevine backend and installs its factory keybox.
+///
+/// The backend follows the device model: L1 hardware starts a secure
+/// world and loads the Widevine trustlet into it; L2 and L3 hardware run
+/// the software engine inside the media DRM process.
+///
+/// # Errors
+///
+/// Propagates keybox installation failures.
+pub fn boot(device: &Device, keybox: Keybox) -> Result<Arc<dyn OemCrypto>, CdmError> {
+    let model = device.model();
+    let backend: Arc<dyn OemCrypto> = match model.security_level {
+        SecurityLevel::L1 => Arc::new(L1OemCrypto::new(
+            model.cdm_version,
+            Arc::new(SecureWorld::new()),
+            device.hook_engine().clone(),
+        )),
+        SecurityLevel::L2 | SecurityLevel::L3 => Arc::new(L3OemCrypto::new(
+            model.cdm_version,
+            device.hook_engine().clone(),
+            device.drm_process_memory().clone(),
+        )),
+    };
+    backend.install_keybox(keybox)?;
+    Ok(backend)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wideleak_device::catalog::DeviceModel;
 
     fn hooks() -> Arc<HookEngine> {
         Arc::new(HookEngine::new())
@@ -1315,6 +1350,39 @@ mod tests {
 
     fn keybox() -> Keybox {
         Keybox::issue(b"oemcrypto-test-device", &[0x55; 16])
+    }
+
+    /// Runs one call after boot and returns the library its hook event
+    /// names.
+    fn library_of_a_first_call(device: &Device, backend: &dyn OemCrypto) -> String {
+        device.hook_engine().start_recording();
+        backend.open_session([1; 16]).unwrap();
+        let log = device.hook_engine().stop_recording();
+        assert_eq!(log.len(), 1, "one call, one hook event: {log:?}");
+        log[0].library.clone()
+    }
+
+    #[test]
+    fn boot_l3_on_nexus_5() {
+        let device = Device::new(DeviceModel::nexus_5());
+        let backend = boot(&device, keybox()).unwrap();
+        assert_eq!(backend.security_level(), SecurityLevel::L3);
+        assert_eq!(backend.cdm_version(), CdmVersion::new(3, 1, 0));
+        assert_eq!(library_of_a_first_call(&device, backend.as_ref()), L3_LIBRARY);
+        // The keybox leaked into the media process (unpatched CDM).
+        assert!(!device.drm_process_memory().scan(b"kbox").is_empty());
+    }
+
+    #[test]
+    fn boot_l1_on_pixel_6() {
+        let device = Device::new(DeviceModel::pixel_6());
+        let backend = boot(&device, keybox()).unwrap();
+        assert_eq!(backend.security_level(), SecurityLevel::L1);
+        // The call reaches the loaded Widevine trustlet through the TEE
+        // driver.
+        assert_eq!(library_of_a_first_call(&device, backend.as_ref()), L1_LIBRARY);
+        // Nothing leaked into normal-world memory.
+        assert!(device.drm_process_memory().scan(b"kbox").is_empty());
     }
 
     #[test]

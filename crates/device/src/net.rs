@@ -147,11 +147,6 @@ impl NetworkStack {
         *self.interceptor.write() = Some(proxy);
     }
 
-    /// Removes the proxy.
-    pub fn detach_interceptor(&self) {
-        *self.interceptor.write() = None;
-    }
-
     /// Applies the SSL repinning bypass (called via
     /// [`crate::Device::apply_ssl_repinning_bypass`], which gates on root).
     pub(crate) fn apply_repinning_bypass(&self) {
@@ -247,18 +242,6 @@ mod tests {
         let err = net.send(&Echo, "/fail", b"x").unwrap_err();
         assert_eq!(err, NetError::EndpointError { message: "nope".into() });
         assert_eq!(proxy.captured()[0].response, Vec::<u8>::new());
-    }
-
-    #[test]
-    fn detaching_proxy_restores_privacy() {
-        let net = NetworkStack::new();
-        let proxy = Arc::new(Interceptor::new());
-        net.attach_interceptor(proxy.clone());
-        net.apply_repinning_bypass();
-        net.send(&Echo, "/a", b"1").unwrap();
-        net.detach_interceptor();
-        net.send(&Echo, "/b", b"2").unwrap();
-        assert_eq!(proxy.captured().len(), 1);
     }
 
     #[test]

@@ -28,11 +28,6 @@ pub fn has_opaque_manifest(capture: &[CapturedExchange]) -> bool {
     })
 }
 
-/// All asset paths the app touched during the capture.
-pub fn asset_paths(capture: &[CapturedExchange]) -> Vec<String> {
-    capture.iter().filter(|ex| ex.path.starts_with("asset/")).map(|ex| ex.path.clone()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,18 +58,5 @@ mod tests {
     fn empty_manifest_response_is_not_opaque() {
         let cap = vec![exchange("manifest/app/title", vec![])];
         assert!(!has_opaque_manifest(&cap));
-    }
-
-    #[test]
-    fn collects_asset_paths() {
-        let cap = vec![
-            exchange("asset/app/t/video-540p/init", vec![1]),
-            exchange("license/app/t", vec![2]),
-            exchange("asset/app/t/video-540p/seg/1", vec![3]),
-        ];
-        assert_eq!(
-            asset_paths(&cap),
-            vec!["asset/app/t/video-540p/init", "asset/app/t/video-540p/seg/1"]
-        );
     }
 }

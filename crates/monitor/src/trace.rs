@@ -65,19 +65,6 @@ pub fn recover_mpd_from_trace(log: &[CallEvent]) -> Option<Mpd> {
     })
 }
 
-/// Extracts the dumped derivation/licensing buffers (the `_oecc34` /
-/// `_oecc31` argument dumps the attack replays).
-pub fn licensing_buffers(log: &[CallEvent]) -> Vec<(String, Vec<Vec<u8>>)> {
-    log.iter()
-        .filter(|e| {
-            e.function.contains("DeriveKeysFromSessionKey")
-                || e.function.contains("RewrapDeviceRSAKey")
-                || e.function.contains("LoadKeys")
-        })
-        .map(|e| (e.function.clone(), e.args.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,14 +138,5 @@ mod tests {
             hist.iter().find(|(k, _)| k == &format!("{L3_LIBRARY}!_oecc21_DecryptCTR")).unwrap();
         assert_eq!(decrypt_l3.1, 2);
         assert!(call_histogram(&[]).is_empty());
-    }
-
-    #[test]
-    fn licensing_buffer_extraction() {
-        let mut ev = event(L3_LIBRARY, "_oecc34_DeriveKeysFromSessionKey");
-        ev.args = vec![vec![1], vec![2], vec![3]];
-        let buffers = licensing_buffers(&[ev, event(L3_LIBRARY, "_oecc04_OpenSession")]);
-        assert_eq!(buffers.len(), 1);
-        assert_eq!(buffers[0].1.len(), 3);
     }
 }

@@ -8,9 +8,8 @@ use std::sync::Arc;
 use wideleak_android_drm::binder::{InProcessBinder, Transport, TransportKind};
 use wideleak_android_drm::netserver::TcpBinder;
 use wideleak_android_drm::server::MediaDrmServer;
-use wideleak_bmff::types::WIDEVINE_SYSTEM_ID;
-use wideleak_cdm::cdm::Cdm;
 use wideleak_cdm::messages::ProvisioningRequest;
+use wideleak_cdm::oemcrypto::{boot, OemCrypto};
 use wideleak_device::catalog::DeviceModel;
 use wideleak_device::net::{NetError, RemoteEndpoint};
 use wideleak_device::Device;
@@ -204,8 +203,8 @@ impl RemoteEndpoint for BackendRouter {
 pub struct DeviceStack {
     /// The device (memory, hooks, network).
     pub device: Arc<Device>,
-    /// The Widevine HAL plugin.
-    pub cdm: Arc<Cdm>,
+    /// The device's Widevine OEMCrypto backend (L1 or L3).
+    pub cdm: Arc<dyn OemCrypto>,
     /// The IPC transport apps use.
     pub binder: Arc<dyn Transport>,
     /// Unique instance name (keybox device id prefix).
@@ -261,18 +260,14 @@ impl Ecosystem {
         let trust = Arc::new(TrustAuthority::new(config.seed));
         let accounts = Arc::new(AccountRegistry::new());
         let injector = Arc::new(FaultInjector::new(&config.fault_plan, config.seed ^ 0xFA17));
-        let provisioning = Arc::new(
-            ProvisioningServer::builder(trust.clone())
-                .rsa_bits(config.rsa_bits)
-                .seed(config.seed ^ 0x1111)
-                .build(),
-        );
-        let license = Arc::new(
-            LicenseServer::builder(trust.clone(), accounts.clone())
-                .verify_attested_level(config.verify_attested_level)
-                .seed(config.seed ^ 0x2222)
-                .build(),
-        );
+        let provisioning =
+            Arc::new(ProvisioningServer::new(trust.clone(), config.rsa_bits, config.seed ^ 0x1111));
+        let license = Arc::new(LicenseServer::new(
+            trust.clone(),
+            accounts.clone(),
+            config.verify_attested_level,
+            config.seed ^ 0x2222,
+        ));
         let cdn = Arc::new(CdnServer::new(
             accounts.clone(),
             profiles.iter().map(AppProfile::cdn_config).collect(),
@@ -358,7 +353,7 @@ impl Ecosystem {
     /// Propagates keybox installation failures from the CDM.
     pub fn rotate_keybox(&self, stack: &DeviceStack) -> Result<(), OttError> {
         let keybox = self.trust.rotate_keybox(&stack.instance_name);
-        stack.cdm.oemcrypto().install_keybox(keybox)?;
+        stack.cdm.install_keybox(keybox)?;
         Ok(())
     }
 
@@ -377,15 +372,8 @@ impl Ecosystem {
         rooted: bool,
         transport: TransportKind,
     ) -> DeviceStack {
-        let n = self.device_counter.fetch_add(1, Ordering::SeqCst);
-        let instance_name = format!("{}#{n}", model.name.to_lowercase().replace(' ', "-"));
-        let device = Arc::new(if rooted { Device::rooted(model) } else { Device::new(model) });
-        let keybox = self.trust.issue_keybox(&instance_name);
-        let cdm = Arc::new(
-            Cdm::builder().keybox(keybox).boot(&device).expect("keybox installation succeeds"),
-        );
-        let mut server = MediaDrmServer::new();
-        server.register_plugin(WIDEVINE_SYSTEM_ID, cdm.clone());
+        let (instance_name, device, cdm) = self.boot_cdm(model, rooted);
+        let server = MediaDrmServer::new(cdm.clone());
         let binder: Arc<dyn Transport> = match transport {
             TransportKind::InProcess => {
                 Arc::new(InProcessBinder::new(server).with_fault_injector(self.injector.clone()))
@@ -400,21 +388,27 @@ impl Ecosystem {
         DeviceStack { device, cdm, binder, instance_name }
     }
 
-    /// Builds a standalone media DRM server — a keybox-provisioned CDM
-    /// registered under the Widevine system id — without wrapping it in
-    /// a binder. `wideleak serve` exports one of these over TCP for
-    /// remote [`TcpBinder`] clients.
+    /// Builds a standalone media DRM server in front of a keybox-booted
+    /// CDM, without wrapping it in a binder. `wideleak serve` exports
+    /// one of these over TCP for remote [`TcpBinder`] clients.
     pub fn media_drm_server(&self, model: DeviceModel) -> MediaDrmServer {
+        let (_, _, cdm) = self.boot_cdm(model, false);
+        MediaDrmServer::new(cdm)
+    }
+
+    /// Names the next device instance, builds the device, and boots its
+    /// CDM on a keybox the trust authority issues under that name.
+    fn boot_cdm(
+        &self,
+        model: DeviceModel,
+        rooted: bool,
+    ) -> (String, Arc<Device>, Arc<dyn OemCrypto>) {
         let n = self.device_counter.fetch_add(1, Ordering::SeqCst);
         let instance_name = format!("{}#{n}", model.name.to_lowercase().replace(' ', "-"));
-        let device = Arc::new(Device::new(model));
+        let device = Arc::new(if rooted { Device::rooted(model) } else { Device::new(model) });
         let keybox = self.trust.issue_keybox(&instance_name);
-        let cdm = Arc::new(
-            Cdm::builder().keybox(keybox).boot(&device).expect("keybox installation succeeds"),
-        );
-        let mut server = MediaDrmServer::new();
-        server.register_plugin(WIDEVINE_SYSTEM_ID, cdm);
-        server
+        let cdm = boot(&device, keybox).expect("keybox installation succeeds");
+        (instance_name, device, cdm)
     }
 
     /// Installs an app on a device for a subscriber, creating the

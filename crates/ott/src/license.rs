@@ -91,54 +91,20 @@ impl std::fmt::Debug for LicenseServer {
     }
 }
 
-/// Builds a [`LicenseServer`]. Obtained from [`LicenseServer::builder`];
-/// defaults match production Android deployments (attestation checked,
-/// seed 0).
-pub struct LicenseServerBuilder {
-    trust: Arc<TrustAuthority>,
-    accounts: Arc<AccountRegistry>,
-    verify_attested_level: bool,
-    seed: u64,
-}
-
-impl LicenseServerBuilder {
-    /// Whether to clamp claimed levels to the provisioning-time
-    /// attestation (the web-browser-like deployments of §V-C turn this
-    /// off).
-    #[must_use]
-    pub fn verify_attested_level(mut self, verify: bool) -> Self {
-        self.verify_attested_level = verify;
-        self
-    }
-
-    /// The seed for session-key and IV generation.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builds the server.
-    #[must_use]
-    pub fn build(self) -> LicenseServer {
-        LicenseServer {
-            trust: self.trust,
-            accounts: self.accounts,
-            verify_attested_level: self.verify_attested_level,
-            seed: self.seed,
-        }
-    }
-}
-
 impl LicenseServer {
-    /// Starts configuring a license server for a trust authority and an
-    /// account registry (the two collaborators every deployment needs).
+    /// A license server for a trust authority and an account registry,
+    /// seeding session-key and IV generation from `seed`.
+    /// `verify_attested_level` clamps claimed security levels to the
+    /// provisioning-time attestation, as Android deployments do; the
+    /// web-browser-like deployments of §V-C pass `false`.
     #[must_use]
-    pub fn builder(
+    pub fn new(
         trust: Arc<TrustAuthority>,
         accounts: Arc<AccountRegistry>,
-    ) -> LicenseServerBuilder {
-        LicenseServerBuilder { trust, accounts, verify_attested_level: true, seed: 0 }
+        verify_attested_level: bool,
+        seed: u64,
+    ) -> Self {
+        LicenseServer { trust, accounts, verify_attested_level, seed }
     }
 
     /// The control block for a key label (video heights gate on L1).
@@ -339,7 +305,7 @@ mod tests {
     fn fixture() -> Fixture {
         let trust = Arc::new(TrustAuthority::new(42));
         let accounts = Arc::new(AccountRegistry::new());
-        let prov = ProvisioningServer::builder(trust.clone()).rsa_bits(768).seed(1000).build();
+        let prov = ProvisioningServer::new(trust.clone(), 768, 1000);
         // Provision a device so the license server knows its RSA key.
         let kb = trust.issue_keybox("test-device");
         let mut preq = ProvisioningRequest {
@@ -354,7 +320,7 @@ mod tests {
         preq.signature = aes_cmac_with_key(kb.device_key(), &preq.body_bytes());
         let presp = prov.provision(&preq, false).unwrap();
         let rsa = unwrap_rsa_key(kb.device_key(), kb.device_id(), None, &presp).unwrap();
-        let license = LicenseServer::builder(trust, accounts.clone()).seed(7).build();
+        let license = LicenseServer::new(trust, accounts.clone(), true, 7);
         Fixture { license, accounts, rsa, device_id: kb.device_id().to_vec() }
     }
 

@@ -43,47 +43,13 @@ impl std::fmt::Debug for ProvisioningServer {
     }
 }
 
-/// Builds a [`ProvisioningServer`]. Obtained from
-/// [`ProvisioningServer::builder`]; defaults to the production shape
-/// (2048-bit RSA, seed 0).
-pub struct ProvisioningServerBuilder {
-    trust: Arc<TrustAuthority>,
-    rsa_bits: usize,
-    seed: u64,
-}
-
-impl ProvisioningServerBuilder {
-    /// The issued RSA key size (tests shrink this for speed).
-    #[must_use]
-    pub fn rsa_bits(mut self, rsa_bits: usize) -> Self {
-        self.rsa_bits = rsa_bits;
-        self
-    }
-
-    /// The seed for key generation and response IVs.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builds the server.
-    #[must_use]
-    pub fn build(self) -> ProvisioningServer {
-        ProvisioningServer {
-            trust: self.trust,
-            rsa_bits: self.rsa_bits,
-            seed: self.seed,
-            issued: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
 impl ProvisioningServer {
-    /// Starts configuring a provisioning server for a trust authority.
+    /// A provisioning server for a trust authority that issues
+    /// `rsa_bits`-bit device keys (production uses 2048; tests shrink it
+    /// for speed), seeding key generation and response IVs from `seed`.
     #[must_use]
-    pub fn builder(trust: Arc<TrustAuthority>) -> ProvisioningServerBuilder {
-        ProvisioningServerBuilder { trust, rsa_bits: 2048, seed: 0 }
+    pub fn new(trust: Arc<TrustAuthority>, rsa_bits: usize, seed: u64) -> Self {
+        ProvisioningServer { trust, rsa_bits, seed, issued: Mutex::new(HashMap::new()) }
     }
 
     /// Handles one provisioning request.
@@ -142,7 +108,7 @@ mod tests {
 
     fn setup() -> (Arc<TrustAuthority>, ProvisioningServer) {
         let trust = Arc::new(TrustAuthority::new(11));
-        let server = ProvisioningServer::builder(trust.clone()).rsa_bits(512).seed(900).build();
+        let server = ProvisioningServer::new(trust.clone(), 512, 900);
         (trust, server)
     }
 

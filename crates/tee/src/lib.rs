@@ -133,11 +133,6 @@ impl SecureStorage {
     pub fn contains(&self, slot: &str) -> bool {
         self.slots.contains_key(slot)
     }
-
-    /// Deletes a slot, returning whether it existed.
-    pub fn delete(&mut self, slot: &str) -> bool {
-        self.slots.remove(slot).is_some()
-    }
 }
 
 /// A trusted application running in the secure world.
@@ -204,11 +199,6 @@ impl SecureWorld {
             .insert(name, LoadedTrustlet { trustlet, storage: SecureStorage::new() });
     }
 
-    /// Whether a trustlet is loaded.
-    pub fn has_trustlet(&self, name: &str) -> bool {
-        self.trustlets.lock().contains_key(name)
-    }
-
     /// The world-switch entry point: routes `command`+`input` to the named
     /// trustlet and returns its reply buffer.
     ///
@@ -267,7 +257,6 @@ mod tests {
     fn invoke_routes_to_trustlet() {
         let world = SecureWorld::new();
         world.load_trustlet(Box::new(Vault));
-        assert!(world.has_trustlet("vault"));
         world.invoke("vault", CMD_PUT, b"keybox").unwrap();
         assert_eq!(world.invoke("vault", CMD_GET, &[]).unwrap(), b"keybox");
     }
@@ -348,8 +337,6 @@ mod tests {
         s.put("a", vec![1, 2]);
         assert!(s.contains("a"));
         assert_eq!(s.get("a").unwrap(), &[1, 2]);
-        assert!(s.delete("a"));
-        assert!(!s.delete("a"));
     }
 
     #[test]

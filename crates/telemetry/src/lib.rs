@@ -148,14 +148,6 @@ impl Collector {
         }
     }
 
-    /// Raises the named gauge to `value` if it is below it (high-water
-    /// mark semantics).
-    pub fn max_gauge(&self, name: &str, value: u64) {
-        if self.is_enabled() {
-            self.registry.gauge(name).fetch_max(value, Ordering::Relaxed);
-        }
-    }
-
     /// Records a latency into the named histogram.
     pub fn observe(&self, name: &str, d: Duration) {
         if self.is_enabled() {
@@ -251,11 +243,6 @@ pub fn add(name: &str, n: u64) {
 /// Sets a global gauge to `value` (last write wins).
 pub fn set_gauge(name: &str, value: u64) {
     global().set_gauge(name, value);
-}
-
-/// Raises a global gauge to `value` if it is below it.
-pub fn max_gauge(name: &str, value: u64) {
-    global().max_gauge(name, value);
 }
 
 /// Records a latency into a global histogram.
@@ -360,14 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn gauges_record_last_value_and_high_water() {
+    fn gauges_record_the_last_value() {
         let c = Collector::new();
         c.set_gauge("depth", 5);
         c.set_gauge("depth", 2);
-        c.max_gauge("peak", 3);
-        c.max_gauge("peak", 1);
         let s = c.snapshot();
-        assert_eq!(s.gauges, vec![("depth".to_owned(), 2), ("peak".to_owned(), 3)]);
+        assert_eq!(s.gauges, vec![("depth".to_owned(), 2)]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn main() {
 
     println!("booting a modern TEE-capable handset ({})...", DeviceModel::pixel_6().name);
     let stack = eco.boot_device(DeviceModel::pixel_6(), false);
-    println!("  CDM v{} at {}\n", stack.cdm.version(), stack.cdm.security_level());
+    println!("  CDM v{} at {}\n", stack.cdm.cdm_version(), stack.cdm.security_level());
 
     println!("installing Showtime and subscribing as 'alice'...");
     let app = eco.install_app(&stack, "showtime", "alice");

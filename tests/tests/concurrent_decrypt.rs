@@ -10,8 +10,7 @@ use std::time::Duration;
 use wideleak::android_drm::binder::{DrmCall, InProcessBinder, Transport};
 use wideleak::android_drm::netserver::{ReactorConfig, TcpBinder, TcpDrmServer};
 use wideleak::android_drm::server::MediaDrmServer;
-use wideleak::bmff::types::{KeyId, Subsample, WIDEVINE_SYSTEM_ID};
-use wideleak::cdm::cdm::Cdm;
+use wideleak::bmff::types::{KeyId, Subsample};
 use wideleak::cdm::messages::{
     LicenseRequest, LicenseResponse, ProvisioningRequest, ProvisioningResponse,
 };
@@ -37,12 +36,7 @@ fn boot_server(eco: &Ecosystem) -> MediaDrmServer {
         Arc::new(ProcessMemory::new("mediaserver")),
     );
     backend.install_keybox(eco.trust().issue_keybox("concurrent-decrypt")).unwrap();
-    let mut server = MediaDrmServer::new();
-    server.register_plugin(
-        WIDEVINE_SYSTEM_ID,
-        Arc::new(Cdm::builder().backend(Arc::new(backend)).build()),
-    );
-    server
+    MediaDrmServer::new(Arc::new(backend))
 }
 
 fn provision(binder: &dyn Transport, eco: &Ecosystem) {
@@ -268,12 +262,7 @@ fn distinct_session_decrypts_overlap_in_the_server() {
         all_arrived: Condvar::new(),
         next_session: std::sync::atomic::AtomicU32::new(1),
     };
-    let mut server = MediaDrmServer::new();
-    server.register_plugin(
-        WIDEVINE_SYSTEM_ID,
-        Arc::new(Cdm::builder().backend(Arc::new(backend)).build()),
-    );
-    let (_server, binder) = serve_pooled(server);
+    let (_server, binder) = serve_pooled(MediaDrmServer::new(Arc::new(backend)));
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     for c in 0..CLIENTS {

@@ -14,7 +14,10 @@ use wideleak::android_drm::netserver::TcpBinder;
 use wideleak::android_drm::server::MediaDrmServer;
 use wideleak::android_drm::wire::{decode_frame, encode_frame, FrameBody, FrameMeta};
 use wideleak::bmff::types::WIDEVINE_SYSTEM_ID;
+use wideleak::cdm::keybox::Keybox;
+use wideleak::cdm::oemcrypto::boot;
 use wideleak::device::catalog::DeviceModel;
+use wideleak::device::Device;
 use wideleak::faults::{FaultKind, FaultPlan, Schedule};
 use wideleak::ott::ecosystem::{Ecosystem, EcosystemConfig};
 use wideleak::telemetry::trace;
@@ -22,13 +25,19 @@ use wideleak::telemetry::trace::TraceContext;
 
 static TRACER_LOCK: Mutex<()> = Mutex::new(());
 
-/// One empty media DRM server behind each of the two transports —
-/// `IsSchemeSupported` needs no CDM, which keeps proptest iterations
-/// cheap enough to run many cases.
+/// A media DRM server in front of a keybox-booted L3 backend. Booting
+/// generates no RSA key, which keeps proptest iterations cheap enough
+/// to run many cases.
+fn l3_server() -> MediaDrmServer {
+    let device = Device::new(DeviceModel::nexus_5());
+    MediaDrmServer::new(boot(&device, Keybox::issue(b"distributed-trace", &[4; 16])).unwrap())
+}
+
+/// One media DRM server behind each of the two transports.
 fn boot_all_transports() -> Vec<(TransportKind, Arc<dyn Transport>)> {
     vec![
-        (TransportKind::InProcess, Arc::new(InProcessBinder::new(MediaDrmServer::new()))),
-        (TransportKind::Tcp, Arc::new(TcpBinder::loopback(MediaDrmServer::new()).build().unwrap())),
+        (TransportKind::InProcess, Arc::new(InProcessBinder::new(l3_server()))),
+        (TransportKind::Tcp, Arc::new(TcpBinder::loopback(l3_server()).build().unwrap())),
     ]
 }
 
