@@ -372,8 +372,7 @@ impl Ecosystem {
         rooted: bool,
         transport: TransportKind,
     ) -> DeviceStack {
-        let (instance_name, device, cdm) = self.boot_cdm(model, rooted);
-        let server = MediaDrmServer::new(cdm.clone());
+        let (instance_name, device, cdm, server) = self.boot_server(model, rooted);
         let binder: Arc<dyn Transport> = match transport {
             TransportKind::InProcess => {
                 Arc::new(InProcessBinder::new(server).with_fault_injector(self.injector.clone()))
@@ -392,23 +391,25 @@ impl Ecosystem {
     /// CDM, without wrapping it in a binder. `wideleak serve` exports
     /// one of these over TCP for remote [`TcpBinder`] clients.
     pub fn media_drm_server(&self, model: DeviceModel) -> MediaDrmServer {
-        let (_, _, cdm) = self.boot_cdm(model, false);
-        MediaDrmServer::new(cdm)
+        let (.., server) = self.boot_server(model, false);
+        server
     }
 
-    /// Names the next device instance, builds the device, and boots its
-    /// CDM on a keybox the trust authority issues under that name.
-    fn boot_cdm(
+    /// Names the next device instance, builds the device, boots its CDM
+    /// on a keybox the trust authority issues under that name, and puts
+    /// a media DRM server in front of the CDM.
+    fn boot_server(
         &self,
         model: DeviceModel,
         rooted: bool,
-    ) -> (String, Arc<Device>, Arc<dyn OemCrypto>) {
+    ) -> (String, Arc<Device>, Arc<dyn OemCrypto>, MediaDrmServer) {
         let n = self.device_counter.fetch_add(1, Ordering::SeqCst);
         let instance_name = format!("{}#{n}", model.name.to_lowercase().replace(' ', "-"));
         let device = Arc::new(if rooted { Device::rooted(model) } else { Device::new(model) });
         let keybox = self.trust.issue_keybox(&instance_name);
         let cdm = boot(&device, keybox).expect("keybox installation succeeds");
-        (instance_name, device, cdm)
+        let server = MediaDrmServer::new(cdm.clone());
+        (instance_name, device, cdm, server)
     }
 
     /// Installs an app on a device for a subscriber, creating the
